@@ -106,22 +106,37 @@ def cmd_stress(args) -> int:
 
 
 def cmd_project(args) -> int:
+    """Read all of stdin, project every valid row in one call, then write.
+
+    On a bad line the rows before it are still written, then the error.
+    """
     mode = ProjectionMode.parse(args.mode)
+    lats, lons, error = [], [], None
     for lineno, line in enumerate(sys.stdin, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            print(f"error: line {lineno}: expected lat,lon", file=sys.stderr)
-            return EXIT_RUNTIME
+            error = f"error: line {lineno}: expected lat,lon"
+            break
         try:
             p = projection.GeoCoord(float(parts[0]), float(parts[1]))
         except ValueError as exc:
-            print(f"error: line {lineno}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        d = projection.forward(p, mode)
-        print(f"{_num(d.r)},{_num(d.phi)},{d.side.value}")
+            error = f"error: line {lineno}: {exc}"
+            break
+        lats.append(p.lat_deg)
+        lons.append(p.lon_deg)
+    if lats:
+        r, phi, north = projection.forward_arrays(lats, lons, mode)
+        r = np.clip(r, 0.0, 1.0)  # DiskPoint's clamp of float noise at the rim
+        sides = np.where(north, projection.Hemisphere.NORTH.value,
+                         projection.Hemisphere.SOUTH.value)
+        sys.stdout.write("".join(f"{_num(a)},{_num(b)},{c}\n"
+                                 for a, b, c in zip(r, phi, sides)))
+    if error:
+        print(error, file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 

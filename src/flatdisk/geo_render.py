@@ -221,28 +221,30 @@ def _panels(size_px: float):
 
 
 def _project_piece(piece: GeoPolyline, mode: ProjectionMode, panel: _Panel):
-    """Project with adaptive densification so projected chords stay short."""
-    out_lat = [piece.points[0, 0]]
-    out_lon = [piece.points[0, 1]]
-    for (lat0, lon0), (lat1, lon1) in zip(piece.points[:-1], piece.points[1:]):
-        _densify(lat0, lon0, lat1, lon1, mode, panel, 0, out_lat, out_lon)
-    r, phi, _ = projection.forward_arrays(np.array(out_lat), np.array(out_lon), mode)
-    x, y = panel.to_page(r, phi)
-    return np.column_stack([x, y])
+    """Project with adaptive densification so projected chords stay short.
+
+    Breadth-first bisection over the whole piece: each pass projects the new
+    midpoints in one call and halves every segment whose page chord exceeds
+    MAX_CHORD_PX, for at most MAX_SUBDIV_DEPTH passes.  A segment short
+    enough to keep is never split later, so every segment split in pass k
+    is k halvings deep, and the vertices and their order are those of a
+    depth-first recursion over each input segment.
+    """
+    latlon = piece.points
+    xy = _to_page(latlon, mode, panel)
+    for _ in range(MAX_SUBDIV_DEPTH):
+        at = np.flatnonzero(np.hypot(*np.diff(xy, axis=0).T) > MAX_CHORD_PX)
+        if not len(at):
+            break
+        mid = 0.5 * (latlon[at] + latlon[at + 1])
+        latlon = np.insert(latlon, at + 1, mid, axis=0)
+        xy = np.insert(xy, at + 1, _to_page(mid, mode, panel), axis=0)
+    return xy
 
 
-def _densify(lat0, lon0, lat1, lon1, mode, panel, depth, out_lat, out_lon):
-    r, phi, _ = projection.forward_arrays(
-        np.array([lat0, lat1]), np.array([lon0, lon1]), mode)
-    x, y = panel.to_page(r, phi)
-    chord = math.hypot(x[1] - x[0], y[1] - y[0])
-    if chord > MAX_CHORD_PX and depth < MAX_SUBDIV_DEPTH:
-        latm, lonm = 0.5 * (lat0 + lat1), 0.5 * (lon0 + lon1)
-        _densify(lat0, lon0, latm, lonm, mode, panel, depth + 1, out_lat, out_lon)
-        _densify(latm, lonm, lat1, lon1, mode, panel, depth + 1, out_lat, out_lon)
-    else:
-        out_lat.append(lat1)
-        out_lon.append(lon1)
+def _to_page(latlon, mode, panel):
+    r, phi, _ = projection.forward_arrays(latlon[:, 0], latlon[:, 1], mode)
+    return np.column_stack(panel.to_page(r, phi))
 
 
 _RIM_STYLE = 'fill="none" stroke="black" stroke-width="1.5"'
@@ -271,7 +273,7 @@ def render_map(lines, mode: ProjectionMode, graticule_deg: int,
         # parallels: one circle per graticule step of colatitude, rim included
         for k in range(1, 90 // graticule_deg + 1):
             theta = math.radians(k * graticule_deg)
-            r = float(projection._radius_from_colatitude(theta, mode))
+            r = float(projection.radius_from_colatitude(theta, mode))
             style = _RIM_STYLE if k * graticule_deg == 90 else _GRATICULE_STYLE
             doc.circles.append((panel.cx, panel.cy, r * panel.radius, style))
         for m in range(360 // graticule_deg):

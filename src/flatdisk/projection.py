@@ -23,6 +23,7 @@ __all__ = [
     "DiskPoint",
     "forward",
     "inverse",
+    "radius_from_colatitude",
     "forward_arrays",
     "inverse_radius",
     "scale_factors",
@@ -87,7 +88,7 @@ class DiskPoint:
         object.__setattr__(self, "phi", phi)
 
 
-def _radius_from_colatitude(theta, mode: ProjectionMode):
+def radius_from_colatitude(theta, mode: ProjectionMode):
     """Normalized disk radius as a function of colatitude (vectorized)."""
     if mode is ProjectionMode.GGV:
         return np.asarray(theta, dtype=float) / HALF_PI
@@ -105,7 +106,7 @@ def forward_arrays(lat_deg, lon_deg, mode: ProjectionMode):
     north = lat >= 0.0
     theta = np.radians(90.0 - np.abs(lat))
     theta = np.minimum(theta, HALF_PI)  # guard float noise at the equator
-    r = _radius_from_colatitude(theta, mode)
+    r = radius_from_colatitude(theta, mode)
     phi = np.where(r == 0.0, 0.0, np.radians(lon))
     phi = np.mod(phi + math.pi, 2 * math.pi) - math.pi
     phi = np.where(phi == -math.pi, math.pi, phi)

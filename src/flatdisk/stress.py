@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import closedform
 
@@ -109,6 +108,10 @@ def sine_radial() -> RadialFunction:
 
 def profile_radial(profile) -> RadialFunction:
     """Bridge a sampled RadialProfile into the functional via cubic interpolation."""
+    # imported here, not at module level: scipy.interpolate takes ~0.5 s to
+    # import and no other path of the package needs it
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(profile.thetas, profile.values)
     d1 = spline.derivative(1)
     d2 = spline.derivative(2)

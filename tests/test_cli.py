@@ -2,6 +2,9 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +124,53 @@ class TestProject:
         code, _, err = run(capsys, "project")
         assert code == 1
         assert "line 1" in err
+
+
+# stdout, stderr and exit code of `project` frozen from the per-line scalar
+# implementation that the batched one replaced
+PROJECT_CASES = {
+    "edge_values": (
+        "# header\n\n90,0\n-90,45\n-0.0,-0.0\n0,180\n0,-180\n30,360\n-30,-360\n10,nan\n",
+        0,
+        "0,0,north\n0,0,south\n1,0,north\n1,3.14159265359,north\n1,3.14159265359,north\n"
+        "0.648108152493,0,north\n0.648108152493,0,south\n0.877779072391,nan,north\n",
+        ""),
+    "nan_lat": ("45,30\nnan,0\n", 1, "0.482866338077,0.523598775598,north\n",
+                "error: line 2: latitude out of range: nan\n"),
+    "inf_lon": ("45,30\n10,inf\n", 1, "0.482866338077,0.523598775598,north\n",
+                "error: line 2: math domain error\n"),
+    "lat_91_after_rows": (
+        "45,30\n\n# c\n-10,20\n91,0\n5,5\n", 1,
+        "0.482866338077,0.523598775598,north\n0.877779072391,0.349065850399,south\n",
+        "error: line 5: latitude out of range: 91.0\n"),
+    "three_fields": ("45,30\n1,2,3\n", 1, "0.482866338077,0.523598775598,north\n",
+                     "error: line 2: expected lat,lon\n"),
+    "empty_stdin": ("", 0, "", ""),
+}
+
+
+class TestProjectEdgeCases:
+    @pytest.mark.parametrize("name", sorted(PROJECT_CASES))
+    def test_frozen_output(self, capsys, monkeypatch, name):
+        stdin, want_code, want_out, want_err = PROJECT_CASES[name]
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert run(capsys, "project") == (want_code, want_out, want_err)
+
+    def test_ggv_edge_values(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(PROJECT_CASES["edge_values"][0]))
+        assert run(capsys, "project", "--mode", "ggv") == (0, (
+            "0,0,north\n0,0,south\n1,0,north\n1,3.14159265359,north\n"
+            "1,3.14159265359,north\n0.666666666667,0,north\n0.666666666667,0,south\n"
+            "0.888888888889,nan,north\n"), "")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, flatdisk.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
 
 
 class TestRender:

@@ -15,6 +15,8 @@ from flatdisk.projection import Hemisphere, ProjectionMode
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_coastline.geojson"
 GOLDEN = DATA / "golden" / "fixture_map_ggv_g15.svg"
+# frozen from the depth-first densify that the breadth-first one replaced
+GOLDEN_STRESS_MINIMAL = DATA / "golden" / "fixture_map_stress-minimal_g15.svg"
 
 
 def write_geojson(tmp_path, features):
@@ -170,6 +172,12 @@ class TestRenderMap:
                             source="fixture_coastline.geojson").to_svg()
         assert svg.encode() == GOLDEN.read_bytes()
 
+    def test_matches_stress_minimal_golden_file(self):
+        lines = gr.load_geojson(FIXTURE)
+        svg = gr.render_map(lines, ProjectionMode.STRESS_MINIMAL, 15, 400,
+                            source="fixture_coastline.geojson").to_svg()
+        assert svg.encode() == GOLDEN_STRESS_MINIMAL.read_bytes()
+
     def test_rejects_bad_graticule(self):
         with pytest.raises(ValueError):
             gr.render_map([], ProjectionMode.GGV, 25, 400)
@@ -177,6 +185,63 @@ class TestRenderMap:
     def test_rejects_tiny_canvas(self):
         with pytest.raises(ValueError):
             gr.render_map([], ProjectionMode.GGV, 30, 50)
+
+
+def reference_project_piece(piece, mode, panel):
+    """Depth-first densify per segment: the oracle for _project_piece."""
+    out = [piece.points[0]]
+
+    def densify(a, b, depth):
+        r, phi, _ = pj.forward_arrays(np.array([a[0], b[0]]), np.array([a[1], b[1]]), mode)
+        x, y = panel.to_page(r, phi)
+        if math.hypot(x[1] - x[0], y[1] - y[0]) > gr.MAX_CHORD_PX \
+                and depth < gr.MAX_SUBDIV_DEPTH:
+            densify(a, 0.5 * (a + b), depth + 1)
+            densify(0.5 * (a + b), b, depth + 1)
+        else:
+            out.append(b)
+
+    for a, b in zip(piece.points[:-1], piece.points[1:]):
+        densify(a, b, 0)
+    latlon = np.array(out)
+    r, phi, _ = pj.forward_arrays(latlon[:, 0], latlon[:, 1], mode)
+    return np.column_stack(panel.to_page(r, phi))
+
+
+def random_piece(rng, side):
+    """Random walk in one hemisphere; step scales from sub-pixel to whole-disk."""
+    n = int(rng.integers(2, 25))
+    step = rng.choice([0.2, 2.0, 15.0])
+    lat = np.clip(rng.uniform(0, 90) + np.cumsum(rng.normal(0, step, n)), 0.0, 90.0)
+    lon = rng.uniform(-360, 360) + np.cumsum(rng.normal(0, step, n))
+    sign = -1.0 if side is Hemisphere.SOUTH else 1.0
+    return gr.GeoPolyline(points=np.column_stack([sign * lat, lon]))
+
+
+class TestDensify:
+    @pytest.mark.parametrize("mode", list(ProjectionMode))
+    @pytest.mark.parametrize("size", [100, 400, 2000])
+    def test_matches_depth_first_recursion(self, mode, size):
+        north, south, _, _ = gr._panels(float(size))
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            side = Hemisphere.SOUTH if rng.random() < 0.5 else Hemisphere.NORTH
+            piece = random_piece(rng, side)
+            panel = south if side is Hemisphere.SOUTH else north
+            got = gr._project_piece(piece, mode, panel)
+            want = reference_project_piece(piece, mode, panel)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", list(ProjectionMode))
+    def test_depth_cap_segment_matches_recursion(self, mode):
+        # 2 degrees of longitude, interpolated the long way round through lon 0;
+        # on a 4000 px panel that arc needs more than 2^MAX_SUBDIV_DEPTH chords
+        piece = gr.GeoPolyline(points=np.array([[10.0, 179.0], [10.0, -179.0]]))
+        north, _, _, _ = gr._panels(4000.0)
+        got = gr._project_piece(piece, mode, north)
+        np.testing.assert_array_equal(got, reference_project_piece(piece, mode, north))
+        chords = np.hypot(*np.diff(got, axis=0).T)
+        assert chords.max() > gr.MAX_CHORD_PX  # the cap, not the chord, stopped it
 
 
 class TestRenderProfilePlot:
