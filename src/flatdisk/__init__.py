@@ -10,6 +10,8 @@ Subpackages:
 * cli         - the `flatdisk` command-line tool
 """
 
+__version__ = "0.1.0"
+
 from .closedform import (
     TWO_LN2,
     POLE_SLOPE,
@@ -28,5 +30,3 @@ from .closedform import (
 from .projection import GeoCoord, DiskPoint, Hemisphere, ProjectionMode, forward, inverse
 from .stress import RadialFunction, StressReport, total_stress, second_variation
 from .variational import RadialProfile, solve_discrete, residual_sweep
-
-__version__ = "0.1.0"

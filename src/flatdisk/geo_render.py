@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import closedform, projection
+from . import __version__, closedform, projection
 from .projection import Hemisphere, ProjectionMode
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "render_profile_plot",
 ]
 
-TOOL_VERSION = "flatdisk 0.1.0"
+TOOL_VERSION = f"flatdisk {__version__}"
 GUTTER_PX = 20.0
 MARGIN_PX = 10.0
 MAX_CHORD_PX = 2.0
@@ -228,7 +228,9 @@ def _project_piece(piece: GeoPolyline, mode: ProjectionMode, panel: _Panel):
     MAX_CHORD_PX, for at most MAX_SUBDIV_DEPTH passes.  A segment short
     enough to keep is never split later, so every segment split in pass k
     is k halvings deep, and the vertices and their order are those of a
-    depth-first recursion over each input segment.
+    depth-first recursion over each input segment.  Segments still longer
+    than MAX_CHORD_PX after the last pass are kept as they are, and their
+    count is logged as a warning.
     """
     latlon = piece.points
     xy = _to_page(latlon, mode, panel)
@@ -239,6 +241,11 @@ def _project_piece(piece: GeoPolyline, mode: ProjectionMode, panel: _Panel):
         mid = 0.5 * (latlon[at] + latlon[at + 1])
         latlon = np.insert(latlon, at + 1, mid, axis=0)
         xy = np.insert(xy, at + 1, _to_page(mid, mode, panel), axis=0)
+    else:
+        capped = np.count_nonzero(np.hypot(*np.diff(xy, axis=0).T) > MAX_CHORD_PX)
+        if capped:
+            log.warning("%d segment(s) still longer than %g px after %d subdivision passes",
+                        capped, MAX_CHORD_PX, MAX_SUBDIV_DEPTH)
     return xy
 
 

@@ -123,8 +123,8 @@ def profile_radial(profile) -> RadialFunction:
 def sigma(rf: RadialFunction, theta):
     """Meridional (tangential) stress f'(theta) - 1."""
     theta = closedform.clamp_colatitude(theta)
-    return np.asarray(rf.derivative(theta), dtype=float) - 1.0 if np.ndim(theta) \
-        else float(rf.derivative(theta)) - 1.0
+    out = np.asarray(rf.derivative(theta), dtype=float) - 1.0
+    return float(out) if np.ndim(theta) == 0 else out
 
 
 def rho(rf: RadialFunction, theta):

@@ -11,9 +11,10 @@ Two verification routes, neither of which evaluates the closed form:
 
 * solve_discrete minimizes the midpoint-rule discretization of the stress
   functional over interior node values directly, with only f(0) = 0
-  imposed.  The natural boundary condition f'(pi/2) = 1 is not imposed;
-  it emerges from the free endpoint, and the resulting profile can be
-  compared node-by-node against any candidate solution.
+  imposed, by one banded LAPACK solve of its stationarity conditions.
+  The natural boundary condition f'(pi/2) = 1 is not imposed; it emerges
+  from the free endpoint, and the resulting profile can be compared
+  node-by-node against any candidate solution.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ def solve_discrete(n: int) -> RadialProfile:
                      + ((f_i + f_{i-1})/(2 sin m_i) - 1)^2 ].
 
     The stationarity conditions form a symmetric positive-definite
-    tridiagonal system solved by direct elimination (Thomas algorithm).
-    Row n has no right neighbour, which is exactly the free endpoint that
-    makes the slope condition at pi/2 emerge rather than being imposed.
+    tridiagonal system, solved by banded Cholesky factorization (LAPACK
+    pbtrf/pbtrs through scipy.linalg.solveh_banded).  Row n has no right
+    neighbour, which is exactly the free endpoint that makes the slope
+    condition at pi/2 emerge rather than being imposed.
     """
     if n < 16:
         raise ValueError(f"n must be >= 16, got {n}")
@@ -149,7 +151,15 @@ def solve_discrete(n: int) -> RadialProfile:
     rhs[:-1] = r_q[:-1] + r_p[1:]
     rhs[-1] = r_q[-1]
 
-    f = _thomas_spd(diag, off, rhs)
+    # imported here, not at module level, so that importing the package
+    # (and the CLI) loads no scipy
+    from scipy.linalg import LinAlgError, solveh_banded
+
+    try:
+        # upper banded storage: row 0 holds the superdiagonal, padded on the left
+        f = solveh_banded(np.vstack((np.concatenate(([0.0], off)), diag)), rhs)
+    except LinAlgError as exc:
+        raise SolverError(f"banded Cholesky solve failed: {exc}") from None
     if not np.all(np.isfinite(f)):
         raise SolverError("tridiagonal elimination produced non-finite values")
     values = np.concatenate(([0.0], f))
@@ -157,22 +167,6 @@ def solve_discrete(n: int) -> RadialProfile:
     if not profile.is_strictly_increasing():
         raise SolverError("discrete minimizer is not strictly increasing")
     return profile
-
-
-def _thomas_spd(diag, off, rhs):
-    """Solve a symmetric tridiagonal system by elimination without pivoting."""
-    n = len(diag)
-    d = diag.copy()
-    r = rhs.copy()
-    for i in range(1, n):
-        m = off[i - 1] / d[i - 1]
-        d[i] -= m * off[i - 1]
-        r[i] -= m * r[i - 1]
-    x = np.empty(n)
-    x[-1] = r[-1] / d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (r[i] - off[i] * x[i + 1]) / d[i]
-    return x
 
 
 def endpoint_slope(profile: RadialProfile) -> float:
@@ -198,8 +192,8 @@ def profile_to_text(profile: RadialProfile, comment: str = "") -> str:
     lines = ["# flat-disk radial profile: theta f(theta)"]
     if comment:
         lines.append(f"# {comment}")
-    lines += [f"{t:.17g} {v:.17g}" for t, v in zip(profile.thetas, profile.values)]
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack((profile.thetas, profile.values)).ravel().tolist()
+    return "\n".join(lines) + "\n" + ("%.17g %.17g\n" * len(profile.thetas)) % tuple(rows)
 
 
 def parse_profile(text: str) -> RadialProfile:

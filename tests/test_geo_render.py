@@ -243,6 +243,23 @@ class TestDensify:
         chords = np.hypot(*np.diff(got, axis=0).T)
         assert chords.max() > gr.MAX_CHORD_PX  # the cap, not the chord, stopped it
 
+    def test_depth_cap_hits_are_logged(self, caplog):
+        piece = gr.GeoPolyline(points=np.array([[10.0, 179.0], [10.0, -179.0]]))
+        north, _, _, _ = gr._panels(4000.0)
+        with caplog.at_level("WARNING", logger=gr.log.name):
+            got = gr._project_piece(piece, ProjectionMode.GGV, north)
+        capped = int(np.count_nonzero(np.hypot(*np.diff(got, axis=0).T) > gr.MAX_CHORD_PX))
+        assert capped > 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{capped} segment(s) still longer than 2 px after 12 subdivision passes"]
+
+    def test_short_segments_log_nothing(self, caplog):
+        piece = gr.GeoPolyline(points=np.array([[10.0, 10.0], [10.5, 10.5]]))
+        north, _, _, _ = gr._panels(4000.0)
+        with caplog.at_level("WARNING", logger=gr.log.name):
+            gr._project_piece(piece, ProjectionMode.GGV, north)
+        assert not caplog.records
+
 
 class TestRenderProfilePlot:
     def test_curves_share_endpoints(self):

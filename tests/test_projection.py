@@ -79,6 +79,38 @@ class TestInverse:
             pj.inverse_radius(1.5, ProjectionMode.GGV)
 
 
+# (r, theta): r is a double, theta the colatitude with f(theta) = 2 ln 2 * r
+# exactly, solved by mpmath at 80 digits and printed to 40
+INVERSE_RADIUS_REF = [
+    (6.106737602222409e-10, "1.000000000000000097400688622686109241322e-9"),
+    (6.106737602222467e-07, "1.000000000000000001063701662557932921363e-6"),
+    (6.106737602802934e-05, "9.999999999999999462372435405631802489047e-5"),
+    (6.107348276563331e-05, "1.00010000000000005706961309547368891522e-4"),
+    (0.00012213475209089025, "1.999999999999999999573050488381592494156e-4"),
+    (0.0006106737660275022, "1.000000000000000084317643543498267032407e-3"),
+    (0.30610553102069415, "5.000000000000000002776308561856908605668e-1"),
+    (0.6180027504683552, "1.000000000000000042669753192060623723574"),
+    (0.9999999992786524, "1.570796325794896441820021184345523323112"),
+]
+
+
+class TestInverseRadius:
+    def test_stress_minimal_matches_mpmath(self):
+        r = np.array([r for r, _ in INVERSE_RADIUS_REF])
+        want = np.array([float(t) for _, t in INVERSE_RADIUS_REF])
+        got = pj.inverse_radius(r, ProjectionMode.STRESS_MINIMAL)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_exact_endpoints(self):
+        mode = ProjectionMode.STRESS_MINIMAL
+        assert pj.inverse_radius(0.0, mode) == 0.0
+        assert pj.inverse_radius(1.0, mode) == math.pi / 2
+        assert type(pj.inverse_radius(0.5, mode)) is float
+        got = pj.inverse_radius(np.array([0.0, 1.0]), mode)
+        assert got.tolist() == [0.0, math.pi / 2]
+        assert pj.inverse_radius(np.array([]), mode).shape == (0,)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("mode", list(ProjectionMode))
     def test_bulk_round_trip(self, mode):

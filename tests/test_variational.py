@@ -1,6 +1,10 @@
 """Tests of the ODE residual evaluator and the independent discrete solver."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +77,48 @@ class TestResidualSweep:
             va.residual_sweep(stress.closed_form_radial(), 1)
 
 
+def reference_solve(n):
+    """Pure-Python assembly and Thomas elimination: the oracle for solve_discrete.
+
+    Adds each interval's 2x2 quadratic form in (f_{i-1}, f_i) into a
+    tridiagonal system with f_0 = 0 eliminated, then eliminates without
+    pivoting.  The system is ill-conditioned at large n, so the grid and
+    its sines come from the same numpy calls as in solve_discrete: the two
+    then solve bit-identical systems.  Returns the node values f_0..f_n.
+    """
+    h = (math.pi / 2) / n
+    thetas = np.linspace(0.0, math.pi / 2, n + 1)
+    sines = np.sin(thetas[:-1] + 0.5 * h).tolist()
+    diag, off, rhs = [0.0] * n, [0.0] * (n - 1), [0.0] * n
+    for i, sm in enumerate(sines, start=1):
+        w = h * sm
+        a = 2.0 * w / h**2 + w / (2.0 * sm * sm)
+        b = -2.0 * w / h**2 + w / (2.0 * sm * sm)
+        if i > 1:  # unknown f_{i-1} is row i-2
+            diag[i - 2] += a
+            off[i - 2] += b
+            rhs[i - 2] += -2.0 * w / h + w / sm
+        diag[i - 1] += a
+        rhs[i - 1] += 2.0 * w / h + w / sm
+    for i in range(1, n):
+        m = off[i - 1] / diag[i - 1]
+        diag[i] -= m * off[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    x = [0.0] * n
+    x[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (rhs[i] - off[i] * x[i + 1]) / diag[i]
+    return np.array([0.0] + x)
+
+
 class TestSolveDiscrete:
+    @pytest.mark.parametrize("n", [16, 1024, 2**15])
+    def test_matches_thomas_reference(self, n):
+        want = reference_solve(n)
+        got = va.solve_discrete(n).values
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0)
+
     def test_endpoint_converges_to_disk_radius(self):
         profile = va.solve_discrete(1024)
         assert abs(profile.values[-1] - cf.TWO_LN2) < 1e-4
@@ -126,6 +171,14 @@ class TestProfileSerialization:
         assert lines[0].startswith("#")
         assert len([l for l in lines if not l.startswith("#")]) == 17
 
+    @pytest.mark.parametrize("n", [16, 4096])
+    def test_text_matches_per_row_formatting(self, n):
+        # the one-call "%" formatting must give the bytes of a per-row f-string
+        profile = va.solve_discrete(n)
+        want = "# flat-disk radial profile: theta f(theta)\n# run 7\n" + "".join(
+            f"{t:.17g} {v:.17g}\n" for t, v in zip(profile.thetas, profile.values))
+        assert va.profile_to_text(profile, comment="run 7") == want
+
     def test_parse_reports_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
             va.parse_profile("# header\n0 0\n0.1 0.2 0.3\n")
@@ -142,3 +195,12 @@ class TestProfileSerialization:
         s_sampled = stress.total_stress(rf, 1024).total
         s_closed = stress.total_stress(stress.closed_form_radial(), 1024).total
         assert s_sampled == pytest.approx(s_closed, abs=1e-5)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(va.__file__).resolve().parents[1]
+    code = "import sys, flatdisk.variational; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "False"
