@@ -10,11 +10,18 @@ boundary-value problem: the substitution f = gamma * g with
 gamma = 1/sin theta, the integrated function g, its derivative h, and the
 two homogeneous solutions beta of the transformed ODE in x = sin theta.
 
+f, f', f'' and g use the half-angle form ln 2 tan(theta/2) - 2 cot(theta/2)
+log cos(theta/2) in s = sin(theta/2), c = cos(theta/2), x = s^2 and
+log1p(-x) = 2 log c: no term cancels on [0, pi/2], so no series branch is
+needed at the pole (Goldberg, "What every computer scientist should know
+about floating-point arithmetic", 1991).
+
 All evaluators accept scalars or numpy arrays and are pure functions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,143 +56,134 @@ POLE_SLOPE = 0.5 * (1.0 + LN2)
 # degree->radian conversion; anything worse is a caller bug.
 CLAMP_TOL = 1e-12
 
-# Below this angle the direct formula loses ~8 digits to cancellation, so
-# the Taylor expansion of the closed form is used instead.
-SMALL_ANGLE = 1e-4
-
-# Taylor coefficients of f(theta) = C1*theta + C3*theta^3 + C5*theta^5 + ...
-# (odd powers only; derived once from the closed form by series expansion)
-_C1 = 0.5 * (1.0 + LN2)
-_C3 = LN2 / 24.0 - 1.0 / 48.0
-_C5 = LN2 / 240.0 - 1.0 / 960.0
+# P(x) = (x + (1-x) log1p(-x)) / x^2 = sum_k x^k / ((k+1)(k+2)) for f'';
+# x <= 1/2 on [0, pi/2], so 45 terms reach double precision.
+_P_COEFFS = [1.0 / ((k + 1) * (k + 2)) for k in range(45)]
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+def _vectorized(fn):
+    """Run fn on a float ndarray; return a float when the argument was a scalar."""
+    @functools.wraps(fn)
+    def wrapper(x, *args):
+        arr = np.asarray(x, dtype=float)
+        out = fn(arr, *args)
+        return float(out) if arr.ndim == 0 else out
+    return wrapper
 
 
-def _scalar_or_array(arr, scalar):
-    return float(arr) if scalar else arr
+def _half_angle(theta):
+    """s = sin(theta/2), c = cos(theta/2), x = s^2 and L = log1p(-x) = 2 log c."""
+    u = 0.5 * clamp_colatitude(theta)
+    s, c = np.sin(u), np.cos(u)
+    x = s * s
+    return s, c, x, np.log1p(-x)
 
 
+def _log_ratio(x, L):
+    """L / x = log1p(-x) / x, with its limit -1 where x = 0 (theta = 0 or s^2 underflow)."""
+    return np.divide(L, x, out=np.full_like(x, -1.0), where=x != 0.0)
+
+
+@_vectorized
 def clamp_colatitude(theta):
     """Validate and clamp a colatitude (radians) into [0, pi/2].
 
     Values outside the interval by more than CLAMP_TOL raise ValueError;
     smaller excursions are clamped onto the boundary.
     """
-    arr, scalar = _as_array(theta)
-    if np.any(arr < -CLAMP_TOL) or np.any(arr > math.pi / 2 + CLAMP_TOL):
-        bad = arr[(arr < -CLAMP_TOL) | (arr > math.pi / 2 + CLAMP_TOL)]
-        raise ValueError(
-            f"colatitude out of range [0, pi/2]: {np.atleast_1d(bad)[0]!r}"
-        )
-    clipped = np.clip(arr, 0.0, math.pi / 2)
-    return _scalar_or_array(clipped, scalar)
+    bad = (theta < -CLAMP_TOL) | (theta > math.pi / 2 + CLAMP_TOL)
+    if np.any(bad):
+        raise ValueError(f"colatitude out of range [0, pi/2]: {theta[bad][0]!r}")
+    return np.clip(theta, 0.0, math.pi / 2)
 
 
+@_vectorized
 def eval_f(theta):
     """Minimum-stress disk radius f(theta); total on [0, pi/2].
 
-    f(0) = 0 and f(pi/2) = 2 ln 2.  Near zero the Taylor expansion of the
-    closed form is used to avoid 0/0 cancellation.
+    f(0) = 0 and f(pi/2) = 2 ln 2.  Evaluated in the half-angle form
+    f = ln 2 s/c - (c/s) log1p(-x) = s (ln 2/c - c log1p(-x)/x).
     """
-    arr, scalar = _as_array(clamp_colatitude(theta))
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = arr < SMALL_ANGLE
-    t = arr[small]
-    out[small] = t * (_C1 + t * t * (_C3 + t * t * _C5))
-    t = arr[~small]
-    c1 = np.cos(t) + 1.0
-    out[~small] = (TWO_LN2 - c1 * np.log(c1)) / np.sin(t)
-    return _scalar_or_array(out[0] if scalar else out, scalar)
+    s, c, x, L = _half_angle(theta)
+    return s * (LN2 / c - c * _log_ratio(x, L))
 
 
+@_vectorized
 def eval_f_prime(theta):
-    """Analytic derivative f'(theta); f'(pi/2) = 1, f'(0) = (1+ln 2)/2."""
-    arr, scalar = _as_array(clamp_colatitude(theta))
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = arr < SMALL_ANGLE
-    t = arr[small]
-    out[small] = _C1 + t * t * (3.0 * _C3 + t * t * 5.0 * _C5)
-    t = arr[~small]
-    s, c = np.sin(t), np.cos(t)
-    g = TWO_LN2 - (c + 1.0) * np.log(c + 1.0)
-    h = s * (1.0 + np.log(c + 1.0))
-    out[~small] = h / s - g * c / (s * s)
-    return _scalar_or_array(out[0] if scalar else out, scalar)
+    """Analytic derivative f'(theta); f'(pi/2) = 1, f'(0) = (1+ln 2)/2.
+
+    f' = 1 + ln 2/(2 c^2) + log1p(-x)/(2x) in the half-angle pieces, summed
+    so that f'(0) rounds exactly to POLE_SLOPE.
+    """
+    s, c, x, L = _half_angle(theta)
+    return 0.5 * (LN2 / (c * c) + (2.0 + _log_ratio(x, L)))
 
 
+@_vectorized
 def eval_f_second(theta):
-    """Analytic second derivative f''(theta); f''(pi/2) = 2 ln 2 - 1."""
-    arr, scalar = _as_array(clamp_colatitude(theta))
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    small = arr < SMALL_ANGLE
-    t = arr[small]
-    out[small] = t * (6.0 * _C3 + t * t * 20.0 * _C5)
-    t = arr[~small]
-    s, c = np.sin(t), np.cos(t)
-    lc = np.log(c + 1.0)
-    g = TWO_LN2 - (c + 1.0) * lc
-    h = s * (1.0 + lc)
-    hp = 2.0 * c - 1.0 + c * lc
-    out[~small] = hp / s - 2.0 * h * c / (s * s) + g / s + 2.0 * g * c * c / (s ** 3)
-    return _scalar_or_array(out[0] if scalar else out, scalar)
+    """Analytic second derivative f''(theta); f''(pi/2) = 2 ln 2 - 1.
+
+    f'' = (s/c) (ln 2/c^2 - P(x)) / 2, with P summed as its power series.
+    """
+    s, c, x, L = _half_angle(theta)
+    p = np.polynomial.polynomial.polyval(x, _P_COEFFS)
+    return 0.5 * (s / c) * (LN2 / (c * c) - p)
 
 
+@_vectorized
 def eval_f_mathematica_form(theta):
     """Alternate closed form log2*tan(t/2) - 2*cot(t/2)*log(cos(t/2)).
 
     Singular at theta = 0 (cot blows up); agrees with eval_f elsewhere.
     """
-    arr, scalar = _as_array(clamp_colatitude(theta))
-    if np.any(np.atleast_1d(arr) == 0.0):
+    arr = clamp_colatitude(theta)
+    if np.any(arr == 0.0):
         raise ValueError("alternate form is singular at theta = 0")
     half = arr / 2.0
-    out = LN2 * np.tan(half) - 2.0 * (np.cos(half) / np.sin(half)) * np.log(np.cos(half))
-    return _scalar_or_array(out, scalar)
+    return LN2 * np.tan(half) - 2.0 * (np.cos(half) / np.sin(half)) * np.log(np.cos(half))
 
 
+@_vectorized
 def eval_g(theta):
-    """Substitution function g(theta) = 2 log 2 - (cos t + 1) log(cos t + 1)."""
-    arr, scalar = _as_array(clamp_colatitude(theta))
-    c1 = np.cos(arr) + 1.0
-    return _scalar_or_array(TWO_LN2 - c1 * np.log(c1), scalar)
+    """Substitution function g(theta) = 2 log 2 - (cos t + 1) log(cos t + 1).
+
+    Evaluated as 2 (x ln 2 - c^2 log1p(-x)) in the half-angle pieces, since
+    cos t + 1 = 2 c^2; both terms are nonnegative.
+    """
+    s, c, x, L = _half_angle(theta)
+    return 2.0 * (x * LN2 - c * c * L)
 
 
+@_vectorized
 def eval_h(theta):
     """h(theta) = sin t * (1 + log(cos t + 1)); this is g'."""
-    arr, scalar = _as_array(clamp_colatitude(theta))
-    out = np.sin(arr) * (1.0 + np.log(np.cos(arr) + 1.0))
-    return _scalar_or_array(out, scalar)
+    arr = clamp_colatitude(theta)
+    return np.sin(arr) * (1.0 + np.log(np.cos(arr) + 1.0))
 
 
+@_vectorized
 def eval_gamma(theta):
     """Singular homogeneous factor gamma(theta) = 1/sin(theta), theta > 0."""
-    arr, scalar = _as_array(clamp_colatitude(theta))
-    if np.any(np.atleast_1d(arr) == 0.0):
+    arr = clamp_colatitude(theta)
+    if np.any(arr == 0.0):
         raise ValueError("gamma is singular at theta = 0")
-    return _scalar_or_array(1.0 / np.sin(arr), scalar)
+    return 1.0 / np.sin(arr)
 
 
+@_vectorized
 def eval_beta_regular(x):
     """Regular homogeneous solution beta(x) = 2x / (1 + sqrt(1 - x^2))."""
-    arr, scalar = _as_array(x)
-    if np.any(np.abs(np.atleast_1d(arr)) > 1.0):
+    if np.any(np.abs(x) > 1.0):
         raise ValueError("beta_regular requires |x| <= 1")
-    return _scalar_or_array(2.0 * arr / (1.0 + np.sqrt(1.0 - arr * arr)), scalar)
+    return 2.0 * x / (1.0 + np.sqrt(1.0 - x * x))
 
 
+@_vectorized
 def eval_beta_singular(x):
     """Singular homogeneous solution beta(x) = 1/x, x != 0."""
-    arr, scalar = _as_array(x)
-    if np.any(np.atleast_1d(arr) == 0.0):
+    if np.any(x == 0.0):
         raise ValueError("beta_singular is undefined at x = 0")
-    return _scalar_or_array(1.0 / arr, scalar)
+    return 1.0 / x
 
 
 @dataclass(frozen=True)
@@ -221,6 +219,7 @@ def series_coefficients(max_index: int) -> SeriesCoefficients:
     return SeriesCoefficients(coeffs=tuple(coeffs), max_index=max_index)
 
 
+@_vectorized
 def eval_beta_series(x, n_terms: int):
     """Partial sum of the beta power series through j = 2*n_terms - 1.
 
@@ -228,13 +227,12 @@ def eval_beta_series(x, n_terms: int):
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    arr, scalar = _as_array(x)
-    if np.any(np.abs(np.atleast_1d(arr)) >= 1.0):
+    if np.any(np.abs(x) >= 1.0):
         raise ValueError("beta series requires |x| < 1")
     a = series_coefficients(2 * n_terms - 1).as_floats()
-    x2 = arr * arr
+    x2 = x * x
     # Horner in x^2 on the odd-power series
-    acc = np.zeros_like(arr)
+    acc = np.zeros_like(x)
     for coeff in a[::-1]:
         acc = acc * x2 + coeff
-    return _scalar_or_array(acc * arr, scalar)
+    return acc * x

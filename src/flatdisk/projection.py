@@ -31,9 +31,9 @@ __all__ = [
 
 HALF_PI = math.pi / 2
 _R_TOL = 1e-12
-# Newton stop for inverse_radius.  Just above closedform.SMALL_ANGLE the
-# direct formula's cancellation leaves steps of ~4e-12 rad, so a tighter
-# tolerance would never be met there; the 8-step cap bounds the cost.
+# Newton stop for inverse_radius.  Newton converges quadratically from pi/2,
+# so a step below 1e-11 rad leaves an error of order f''/f' * 1e-22 rad,
+# under the rounding of theta.  The 8-step cap bounds the cost.
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 8
 

@@ -35,11 +35,20 @@ class TestEval:
         f_line = next(l for l in out.splitlines() if l.strip().startswith("f "))
         assert float(f_line.split()[-1]) == 0.0
 
-    def test_midlatitude(self, capsys):
-        code, out, _ = run(capsys, "eval", "45")
+    # 12-digit values checked against mpmath; at 0.01 deg the full-angle
+    # formula would print f_prime wrong from its 8th digit
+    @pytest.mark.parametrize("deg, want", [
+        ("45", {"f": "0.669394881651"}),
+        ("0.01", {"f": "0.000147754965151", "f_prime": "0.846573591015",
+                  "g": "2.57881061496e-08"}),
+    ], ids=["45", "0.01"])
+    def test_midlatitude(self, capsys, deg, want):
+        code, out, _ = run(capsys, "eval", deg)
         assert code == 0
-        f_line = next(l for l in out.splitlines() if l.strip().startswith("f "))
-        assert float(f_line.split()[-1]) == pytest.approx(0.669394881651, abs=1e-9)
+        rows = dict(l.split() for l in out.splitlines())
+        assert float(rows["f"]) == pytest.approx(float(want["f"]), abs=1e-9)
+        for name, value in want.items():
+            assert rows[name] == value
 
     def test_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "120")

@@ -1,7 +1,7 @@
 """Tests for the closed-form solution chain.
 
-Reference values were computed independently with 40-digit mpmath before
-the implementation and frozen here.
+Reference values were computed independently with 40- and 60-digit mpmath
+and frozen here; none comes from the code under test.
 """
 
 import math
@@ -19,6 +19,38 @@ G_QUARTER_PI = 0.4733336601072265328449263293238894538328
 H_QUARTER_PI = 1.085267485459641239866389011446608696613
 BETA_HALF = 0.5358983848622454129451073169882552661144
 POLE_SLOPE = 0.5 * (1 + math.log(2))
+
+# (theta, f, f', f'', g) at exactly these doubles: mpmath at 60 digits, from
+# the full-angle form (derivatives checked against mpmath.diff), printed to
+# 25.  The log grid spans [1e-9, pi/2] and brackets 1e-4 tightly, so a
+# series branch switching there would show.
+MPMATH_REF = [
+    (1e-09, "8.465735902799727074426143e-10", "8.465735902799726547327595e-1", "4.828679513998633039861541e-11", "8.465735902799727600274692e-19"),
+    (3.1622776601683795e-09, "2.677100752230896328121188e-9", "8.4657359027997265495005e-1", "1.526962535523058443504434e-10", "8.465735902799727551095569e-18"),
+    (1e-08, "8.465735902799726732258834e-9", "8.465735902799726571229558e-1", "4.828679513998633205748461e-10", "8.46573590279972676828811e-17"),
+    (3.162277660168379e-08, "2.677100752230896073208365e-8", "8.465735902799726788520136e-1", "1.526962535523059439854235e-9", "8.465735902799724462365685e-16"),
+    (1e-07, "8.465735902799726968775545e-8", "8.465735902799728961425918e-1", "4.828679513998669445855651e-9", "8.465735902799712476125173e-15"),
+    (3.162277660168379e-07, "2.677100752230898592696549e-7", "8.465735902799750690483731e-1", "1.526962535523175051594648e-8", "8.465735902799592745044487e-14"),
+    (1e-06, "8.465735902799806641987526e-7", "8.465735902799967981061861e-1", "4.828679514002325410095272e-8", "8.465735902798395302913192e-13"),
+    (3.162277660168379e-06, "2.67710075223115054151491e-6", "8.465735902802140886843169e-1", "1.526962535534736225636003e-7", "8.465735902786421012924685e-12"),
+    (1e-05, "8.465735902807775038799393e-6", "8.465735902823869944657077e-1", "4.828679514367922447574752e-7", "8.46573590266668013294302e-11"),
+    (3.1622776601683795e-05, "2.677100752256345710187169e-5", "8.465735903041160522878415e-1", "1.526962536690853793684372e-6", "8.465735901469249615093331e-10"),
+    (9.99999999999e-05, "8.465735903596040790803836e-5", "8.465735905214066313312881e-1", "4.828679550922735901967097e-6", "8.465735889478015281447284e-9"),
+    (0.0001, "8.465735903604506873625141e-5", "8.46573590521406631331771e-1", "4.828679550927564779465603e-6", "8.465735889494947447031835e-9"),
+    (0.00010000000000010001, "8.465735903612972956446445e-5", "8.465735905214066313322539e-1", "4.828679550932393656964108e-6", "8.465735889511879612616403e-9"),
+    (0.0002, "1.693147181203769331664231e-4", "8.465735912457085722799155e-1", "9.657359323428722818123312e-6", "3.386294339832243121372564e-8"),
+    (0.00031622776601683794, "2.677100754775833837452029e-4", "8.465735926943125040302635e-1", "1.526962652302597281536321e-5", "8.465735769751928447283027e-8"),
+    (0.001, "8.465735983277737087760129e-4", "8.465736144233794569363642e-1", "4.828683206892797242147547e-5", "8.465734572321810598830572e-7"),
+    (0.0031622776601683794, "2.677101006725236038793465e-3", "8.465738317148715795882198e-1", "1.526974213508039254308519e-4", "8.46572259802736780643258e-6"),
+    (0.01, "8.465743950783563744089236e-3", "8.465760047120536384539947e-1", "4.82904881324668705796856e-4", "8.465602855756527843769916e-5"),
+    (0.03162277660168379, "2.677126207446212630224815e-2", "8.465977429114309351301635e-1", "1.528130644978035033147587e-3", "8.464405500405369927657162e-4"),
+    (0.1, "8.466542531532408541408978e-2", "8.468159491364604879672798e-1", "4.865707942941202971576726e-3", "8.45243868108566168258555e-3"),
+    (0.31622776601683794, "2.679704835682680867873631e-1", "8.490819314998517339098197e-1", "1.646943388514573536446691e-2", "8.333442377313598666384835e-2"),
+    (1.0, "8.567337281308635861621102e-1", "8.818762990177819871010789e-1", "9.740166798840248688150209e-2", "7.20916573928418448705899e-1"),
+    (1.5, "1.316409898047970482904587", "9.749943818031923179421728e-1", "3.22291976992353851062165e-1", "1.313112273618804976024743"),
+    (1.5707963257948965, "1.386294360119890475054901", "9.999999996137055837642631e-1", "3.862943601198904763274896e-1", "1.386294360119890474361753"),
+    (1.5707963267948966, "1.386294361119890557602124", "9.999999999999999763462924e-1", "3.862943611198905576021243e-1", "1.386294361119890557602124"),
+]
 
 
 class TestColatitude:
@@ -47,21 +79,20 @@ class TestEvalF:
         assert cf.eval_f(1e-9) / 1e-9 == pytest.approx(POLE_SLOPE, rel=1e-12)
 
     def test_small_angle_branch_matches_reference(self):
-        # mpmath 30-digit reference on both sides of the branch switch; the
-        # Taylor branch avoids the ~8-digit cancellation of the direct form
+        # mpmath 30-digit reference on both sides of 1e-4, where a Taylor
+        # branch once met the cancellation-prone full-angle formula
         taylor_side = {
             0.5e-4: 4.23286795150046076347588967229e-5,
             0.9e-4: 7.61916231310643845441889015335e-5,
         }
         for t, want in taylor_side.items():
-            assert cf.eval_f(t) == pytest.approx(want, rel=1e-12)
-        # just above the switch the direct form is cancellation-limited
+            assert cf.eval_f(t) == pytest.approx(want, rel=1e-14)
         direct_side = {
             1.1e-4: 9.31230949415086127695754561917e-5,
             2.0e-4: 1.69314718120376925052569560032e-4,
         }
         for t, want in direct_side.items():
-            assert cf.eval_f(t) == pytest.approx(want, rel=1e-6)
+            assert cf.eval_f(t) == pytest.approx(want, rel=1e-14)
 
     def test_strictly_increasing(self):
         f = cf.eval_f(np.linspace(0, math.pi / 2, 10_000))
@@ -70,6 +101,42 @@ class TestEvalF:
     def test_finite_and_nonnegative(self):
         f = cf.eval_f(np.linspace(0, math.pi / 2, 1000))
         assert np.all(np.isfinite(f)) and np.all(f >= 0)
+
+
+class TestMpmathReference:
+    @pytest.mark.parametrize("column, fn", [
+        (1, cf.eval_f), (2, cf.eval_f_prime), (3, cf.eval_f_second), (4, cf.eval_g),
+    ], ids=["f", "f_prime", "f_second", "g"])
+    def test_relative_error(self, column, fn):
+        theta = np.array([row[0] for row in MPMATH_REF])
+        want = np.array([float(row[column]) for row in MPMATH_REF])
+        assert np.max(np.abs(fn(theta) / want - 1.0)) <= 1e-14
+        for t, w in zip(theta.tolist(), want.tolist()):
+            assert fn(t) == pytest.approx(w, rel=1e-14, abs=0)
+
+    def test_exact_pole_values(self):
+        for t in (0.0, np.array([0.0, 1e-3])):
+            assert np.asarray(cf.eval_f(t)).flat[0] == 0.0
+            assert np.asarray(cf.eval_f_prime(t)).flat[0] == cf.POLE_SLOPE
+            assert np.asarray(cf.eval_f_second(t)).flat[0] == 0.0
+            assert np.asarray(cf.eval_g(t)).flat[0] == 0.0
+
+    def test_below_squared_underflow(self):
+        # sin^2(theta/2) underflows to 0 here, yet f = f'(0) theta holds
+        for t in (1e-170, 1e-200):
+            assert cf.eval_f(t) == pytest.approx(POLE_SLOPE * t, rel=1e-15)
+            assert cf.eval_f_prime(t) == cf.POLE_SLOPE
+
+    def test_scalar_in_float_out(self):
+        for fn in (cf.clamp_colatitude, cf.eval_f, cf.eval_f_prime, cf.eval_f_second,
+                   cf.eval_g, cf.eval_h, cf.eval_gamma, cf.eval_beta_regular,
+                   cf.eval_beta_singular, cf.eval_f_mathematica_form):
+            assert type(fn(0.5)) is float
+            assert type(fn(np.float64(0.5))) is float
+            assert type(fn(np.array(0.5))) is float
+            got = fn([0.5, 0.25])
+            assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert type(cf.eval_beta_series(0.5, 3)) is float
 
 
 class TestDerivatives:

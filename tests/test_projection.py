@@ -99,7 +99,7 @@ class TestInverseRadius:
         r = np.array([r for r, _ in INVERSE_RADIUS_REF])
         want = np.array([float(t) for _, t in INVERSE_RADIUS_REF])
         got = pj.inverse_radius(r, ProjectionMode.STRESS_MINIMAL)
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-15
 
     def test_exact_endpoints(self):
         mode = ProjectionMode.STRESS_MINIMAL
