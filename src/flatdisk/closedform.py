@@ -134,13 +134,18 @@ def eval_f_second(theta):
 def eval_f_mathematica_form(theta):
     """Alternate closed form log2*tan(t/2) - 2*cot(t/2)*log(cos(t/2)).
 
-    Singular at theta = 0 (cot blows up); agrees with eval_f elsewhere.
+    log(cos(t/2)) is evaluated as log1p(-2 sin^2(t/4)): cos(t/2) itself
+    drops the digits of 1 - cos(t/2) ~ t^2/8 to rounding, and is exactly 1
+    below t ~ 2e-8.  Raises at theta = 0, where cot is singular; elsewhere
+    on (0, pi/2] it agrees with eval_f to a few ulp.
     """
     arr = clamp_colatitude(theta)
     if np.any(arr == 0.0):
         raise ValueError("alternate form is singular at theta = 0")
     half = arr / 2.0
-    return LN2 * np.tan(half) - 2.0 * (np.cos(half) / np.sin(half)) * np.log(np.cos(half))
+    quarter = np.sin(arr / 4.0)
+    log_cos_half = np.log1p(-2.0 * quarter * quarter)
+    return LN2 * np.tan(half) - 2.0 * (np.cos(half) / np.sin(half)) * log_cos_half
 
 
 @_vectorized

@@ -3,9 +3,11 @@
 Geometry comes in as GeoJSON polylines, is split at the equator so every
 piece lives in a single hemisphere, projected through the chosen mode, and
 written into a two-panel SVG (northern face left, southern face right,
-mirrored so rim longitudes coincide when the page is folded).  Output is a
-pure function of the inputs: rendering twice gives identical bytes, which
-makes golden-file regression tests possible.
+mirrored so rim longitudes coincide when the page is folded).  A map job
+runs in a fixed number of array passes: the pieces of all lines are
+densified together, and each polyline is formatted with one `%` operation.
+Output is a pure function of the inputs: rendering twice gives identical
+bytes, which makes golden-file regression tests possible.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ class MapDocument:
     texts: list = field(default_factory=list)      # (x, y, string, style)
 
     def to_svg(self) -> str:
+        """The page as SVG text, every number with 3 decimals and no "-0.000".
+
+        The points of each polyline are written in one `%` operation.
+        """
         opts = " ".join(f"{k}={v}" for k, v in sorted(self.metadata.items()))
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
@@ -81,7 +87,7 @@ class MapDocument:
         for cx, cy, r, style in self.circles:
             out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {style}/>')
         for pts, style, closed in self.polylines:
-            coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+            coords = _fmt_points(pts)
             tag = "polygon" if closed else "polyline"
             out.append(f'<{tag} points="{coords}" {style}/>')
         for x, y, text, style in self.texts:
@@ -100,6 +106,16 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
+def _fmt_points(pts) -> str:
+    """`x,y x,y ...` with _fmt's rule, in one `%` operation over all vertices.
+
+    A `.3f` token has exactly 3 decimals and a sign only in front, so
+    "-0.000" can only occur as a whole token and one replace applies the rule.
+    """
+    s = " ".join(["%.3f,%.3f"] * len(pts)) % tuple(np.ravel(pts).tolist())
+    return s.replace("-0.000", "0.000")
+
+
 # --- GeoJSON ingestion ------------------------------------------------------
 
 def load_geojson(path) -> list[GeoPolyline]:
@@ -107,19 +123,25 @@ def load_geojson(path) -> list[GeoPolyline]:
 
     LineString/MultiLineString become open polylines; Polygon/MultiPolygon
     rings become closed ones.  Unsupported geometry types are skipped with a
-    logged warning; out-of-range coordinates abort with the feature index.
+    logged warning; malformed features and out-of-range coordinates abort
+    with the feature index.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("type") != "FeatureCollection":
+    features = doc.get("features", []) if isinstance(doc, dict) else None
+    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise ValueError("expected a GeoJSON FeatureCollection")
     lines: list[GeoPolyline] = []
     skipped = 0
-    for idx, feature in enumerate(doc.get("features", [])):
-        geom = feature.get("geometry") or {}
-        gtype = geom.get("type")
-        coords = geom.get("coordinates", [])
+    for idx, feature in enumerate(features):
         try:
+            if not isinstance(feature, dict):
+                raise ValueError("expected a GeoJSON Feature object")
+            geom = feature.get("geometry") or {}
+            if not isinstance(geom, dict):
+                raise ValueError("expected a GeoJSON geometry object")
+            gtype = geom.get("type")
+            coords = geom.get("coordinates", [])
             if gtype == "LineString":
                 lines.append(_polyline(coords, closed=False))
             elif gtype == "MultiLineString":
@@ -134,21 +156,30 @@ def load_geojson(path) -> list[GeoPolyline]:
                 log.warning("feature %d: skipping unsupported geometry %r", idx, gtype)
         except ValueError as exc:
             raise ValueError(f"feature {idx}: {exc}") from None
+        except TypeError:  # null or too shallowly nested coordinates of a Multi*/Polygon
+            raise ValueError(f"feature {idx}: {_BAD_POSITIONS}") from None
     if skipped:
         log.warning("skipped %d unsupported feature(s)", skipped)
     return lines
 
 
+_BAD_POSITIONS = "expected an array of positions of 2 or more numbers"
+
+
 def _polyline(coords, closed: bool) -> GeoPolyline:
-    pts = []
-    for lonlat in coords:
-        lon, lat = float(lonlat[0]), float(lonlat[1])
-        if not -90.0 <= lat <= 90.0 or not -360.0 <= lon <= 360.0:
-            raise ValueError(f"coordinate out of range: ({lon}, {lat})")
-        pts.append((lat, lon))
-    if closed and len(pts) > 1 and pts[0] == pts[-1]:
-        pts = pts[:-1]
-    return GeoPolyline(points=np.array(pts), closed=closed)
+    try:  # lon, lat of each position; a third number (altitude) is ignored
+        lonlat = np.array([pos[:2] for pos in coords], dtype=float)
+    except (TypeError, ValueError):  # null, ragged or non-numeric positions
+        raise ValueError(_BAD_POSITIONS) from None
+    if lonlat.ndim != 2 or lonlat.shape[1] != 2:
+        raise ValueError(_BAD_POSITIONS)
+    lon, lat = lonlat.T
+    bad = np.flatnonzero(~((np.abs(lat) <= 90.0) & (np.abs(lon) <= 360.0)))
+    if len(bad):
+        raise ValueError(f"coordinate out of range: ({lon[bad[0]]}, {lat[bad[0]]})")
+    if closed and len(lonlat) > 1 and np.array_equal(lonlat[0], lonlat[-1]):
+        lonlat = lonlat[:-1]
+    return GeoPolyline(points=lonlat[:, ::-1], closed=closed)
 
 
 # --- equator splitting ------------------------------------------------------
@@ -197,61 +228,68 @@ def split_at_equator(line: GeoPolyline):
 
 @dataclass(frozen=True)
 class _Panel:
-    cx: float
+    cx: float  # an array of per-vertex values when a job's faces are mapped together
     cy: float
     radius: float
-    mirror: bool  # southern face drawn with phi -> -phi
+    sign: float  # -1 on the southern face, drawn mirrored with phi -> -phi
 
     def to_page(self, r, phi):
-        sign = -1.0 if self.mirror else 1.0
-        x = self.cx + self.radius * np.asarray(r) * np.cos(sign * np.asarray(phi))
-        y = self.cy - self.radius * np.asarray(r) * np.sin(sign * np.asarray(phi))
+        x = self.cx + self.radius * np.asarray(r) * np.cos(self.sign * np.asarray(phi))
+        y = self.cy - self.radius * np.asarray(r) * np.sin(self.sign * np.asarray(phi))
         return x, y
 
 
 def _panels(size_px: float):
     radius = size_px / 2.0
     cy = MARGIN_PX + radius
-    north = _Panel(cx=MARGIN_PX + radius, cy=cy, radius=radius, mirror=False)
-    south = _Panel(cx=MARGIN_PX + 3 * radius + GUTTER_PX, cy=cy, radius=radius,
-                   mirror=True)
+    north = _Panel(cx=MARGIN_PX + radius, cy=cy, radius=radius, sign=1.0)
+    south = _Panel(cx=MARGIN_PX + 3 * radius + GUTTER_PX, cy=cy, radius=radius, sign=-1.0)
     width = 2 * size_px + GUTTER_PX + 2 * MARGIN_PX
     height = size_px + 2 * MARGIN_PX
     return north, south, width, height
 
 
-def _project_piece(piece: GeoPolyline, mode: ProjectionMode, panel: _Panel):
-    """Project with adaptive densification so projected chords stay short.
+def _project_pieces(pieces, mode: ProjectionMode, north: _Panel, south: _Panel):
+    """Project (GeoPolyline, Hemisphere) pieces with adaptive densification.
 
-    Breadth-first bisection over the whole piece: each pass projects the new
-    midpoints in one call and halves every segment whose page chord exceeds
-    MAX_CHORD_PX, for at most MAX_SUBDIV_DEPTH passes.  A segment short
-    enough to keep is never split later, so every segment split in pass k
-    is k halvings deep, and the vertices and their order are those of a
-    depth-first recursion over each input segment.  Segments still longer
-    than MAX_CHORD_PX after the last pass are kept as they are, and their
-    count is logged as a warning.
+    All pieces are concatenated, with a piece id per vertex, and bisected
+    breadth-first together: each pass projects the new midpoints in one
+    call and halves every segment whose page chord exceeds MAX_CHORD_PX,
+    for at most MAX_SUBDIV_DEPTH passes.  A segment joining two pieces is
+    never split.  A segment short enough to keep is never split later, so
+    every segment split in pass k is k halvings deep, and the vertices and
+    their order are those of a depth-first recursion over each input
+    segment.  Segments still longer than MAX_CHORD_PX after the last pass
+    are kept, and their count over all pieces is logged as one warning.
+    Returns one (n, 2) array of page points per piece.
     """
-    latlon = piece.points
-    xy = _to_page(latlon, mode, panel)
-    for _ in range(MAX_SUBDIV_DEPTH):
-        at = np.flatnonzero(np.hypot(*np.diff(xy, axis=0).T) > MAX_CHORD_PX)
-        if not len(at):
+    if not pieces:
+        return []
+    latlon = np.concatenate([piece.points for piece, _ in pieces])
+    pid = np.repeat(np.arange(len(pieces)), [len(piece.points) for piece, _ in pieces])
+    south_piece = np.array([side is Hemisphere.SOUTH for _, side in pieces])
+    cx = np.where(south_piece, south.cx, north.cx)
+    sign = np.where(south_piece, south.sign, north.sign)
+
+    def to_page(points, ids):
+        r, phi, _ = projection.forward_arrays(points[:, 0], points[:, 1], mode)
+        panel = _Panel(cx=cx[ids], cy=north.cy, radius=north.radius, sign=sign[ids])
+        return np.column_stack(panel.to_page(r, phi))
+
+    xy = to_page(latlon, pid)
+    for depth in range(MAX_SUBDIV_DEPTH + 1):
+        long = np.hypot(*np.diff(xy, axis=0).T) > MAX_CHORD_PX
+        at = np.flatnonzero(long & (pid[1:] == pid[:-1]))
+        if not len(at) or depth == MAX_SUBDIV_DEPTH:
             break
         mid = 0.5 * (latlon[at] + latlon[at + 1])
         latlon = np.insert(latlon, at + 1, mid, axis=0)
-        xy = np.insert(xy, at + 1, _to_page(mid, mode, panel), axis=0)
-    else:
-        capped = np.count_nonzero(np.hypot(*np.diff(xy, axis=0).T) > MAX_CHORD_PX)
-        if capped:
-            log.warning("%d segment(s) still longer than %g px after %d subdivision passes",
-                        capped, MAX_CHORD_PX, MAX_SUBDIV_DEPTH)
-    return xy
-
-
-def _to_page(latlon, mode, panel):
-    r, phi, _ = projection.forward_arrays(latlon[:, 0], latlon[:, 1], mode)
-    return np.column_stack(panel.to_page(r, phi))
+        xy = np.insert(xy, at + 1, to_page(mid, pid[at]), axis=0)
+        pid = np.insert(pid, at + 1, pid[at])
+    if len(at):
+        log.warning("%d segment(s) still longer than %g px after %d subdivision passes",
+                    len(at), MAX_CHORD_PX, MAX_SUBDIV_DEPTH)
+    return np.split(xy, np.flatnonzero(np.diff(pid)) + 1)
 
 
 _RIM_STYLE = 'fill="none" stroke="black" stroke-width="1.5"'
@@ -265,7 +303,10 @@ def render_map(lines, mode: ProjectionMode, graticule_deg: int,
 
     Graticule parallels are concentric circles at the projected radii of
     each latitude multiple of graticule_deg (the rim is the equator);
-    meridians are radial lines at equal angles.
+    meridians are radial lines at equal angles.  Each line is split at the
+    equator, and the pieces of all lines are projected and densified
+    together by _project_pieces, so a job makes a fixed number of
+    projection calls and logs at most one depth-cap warning.
     """
     if size_px < 100:
         raise ValueError(f"size_px must be >= 100, got {size_px}")
@@ -276,22 +317,19 @@ def render_map(lines, mode: ProjectionMode, graticule_deg: int,
         "mode": mode.value, "graticule": graticule_deg,
         "size": size_px, "source": source or "-",
     })
+    # parallels: one circle per graticule step of colatitude, rim included
+    colat = np.arange(graticule_deg, 91, graticule_deg)
+    radii = projection.radius_from_colatitude(np.radians(colat), mode).tolist()
+    phi = np.radians(np.arange(0, 360, graticule_deg))[:, None]
     for panel in (north, south):
-        # parallels: one circle per graticule step of colatitude, rim included
-        for k in range(1, 90 // graticule_deg + 1):
-            theta = math.radians(k * graticule_deg)
-            r = float(projection.radius_from_colatitude(theta, mode))
-            style = _RIM_STYLE if k * graticule_deg == 90 else _GRATICULE_STYLE
-            doc.circles.append((panel.cx, panel.cy, r * panel.radius, style))
-        for m in range(360 // graticule_deg):
-            phi = math.radians(m * graticule_deg)
-            x, y = panel.to_page(np.array([0.0, 1.0]), np.array([phi, phi]))
-            doc.polylines.append((np.column_stack([x, y]), _GRATICULE_STYLE, False))
-    for line in lines:
-        for piece, side in split_at_equator(line):
-            panel = north if side is Hemisphere.NORTH else south
-            pts = _project_piece(piece, mode, panel)
-            doc.polylines.append((pts, _COAST_STYLE, False))
+        doc.circles.extend((panel.cx, panel.cy, r * panel.radius,
+                            _RIM_STYLE if c == 90 else _GRATICULE_STYLE)
+                           for c, r in zip(colat.tolist(), radii))
+        spokes = np.stack(panel.to_page(np.array([0.0, 1.0]), phi), axis=-1)
+        doc.polylines.extend((spoke, _GRATICULE_STYLE, False) for spoke in spokes)
+    pieces = [piece for line in lines for piece in split_at_equator(line)]
+    doc.polylines.extend((pts, _COAST_STYLE, False)
+                         for pts in _project_pieces(pieces, mode, north, south))
     return doc
 
 

@@ -57,10 +57,10 @@ def test_04_emergent_natural_boundary():
 
 
 def test_05_form_equivalence():
-    t = np.linspace(1e-3, math.pi / 2, 1000)
-    gap = float(np.max(np.abs(cf.eval_f(t) - cf.eval_f_mathematica_form(t))))
-    assert gap < 1e-12
-    report("form equivalence", f"max |f - f_alt| = {gap:.3e} < 1e-12")
+    t = np.geomspace(1e-9, math.pi / 2, 1000)
+    gap = float(np.max(np.abs(cf.eval_f_mathematica_form(t) / cf.eval_f(t) - 1.0)))
+    assert gap < 1e-14
+    report("form equivalence", f"max |f_alt / f - 1| = {gap:.3e} < 1e-14")
 
 
 def test_06_minimality():

@@ -1,6 +1,7 @@
 """End-to-end tests of the flatdisk command-line interface."""
 
 import io
+import json
 import math
 import os
 import subprocess
@@ -210,6 +211,21 @@ class TestRender:
                            "--out", str(tmp_path / "o.svg"))
         assert code == 1
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("feature", [
+        {"type": "Feature", "geometry": {"type": "LineString", "coordinates": [[0, 1], [2]]}},
+        {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": None}},
+        None,
+    ])
+    def test_malformed_geojson_is_error_line(self, capsys, tmp_path, feature):
+        path = tmp_path / "bad.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [feature]}))
+        code, out, err = run(capsys, "render", "map", "--geojson", str(path),
+                             "--out", str(tmp_path / "o.svg"))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: feature 0: expected ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o.svg").exists()
 
     def test_map_without_geojson_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

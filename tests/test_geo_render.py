@@ -71,6 +71,56 @@ class TestLoadGeojson:
         with pytest.raises(ValueError, match="feature 0"):
             gr.load_geojson(path)
 
+    def test_altitude_is_ignored(self, tmp_path):
+        path = write_geojson(tmp_path, [{
+            "type": "Feature", "properties": {},
+            "geometry": {"type": "LineString",
+                         "coordinates": [[0, 10, 120.5], [5, 20, -3]]},
+        }])
+        (line,) = gr.load_geojson(path)
+        assert line.points.tolist() == [[10.0, 0.0], [20.0, 5.0]]
+
+    def test_out_of_range_names_first_bad_coordinate(self, tmp_path):
+        path = write_geojson(tmp_path, [{
+            "type": "Feature", "properties": {},
+            "geometry": {"type": "LineString",
+                         "coordinates": [[0, 10], [361, 5], [0, -91], [1, 11]]},
+        }])
+        with pytest.raises(ValueError) as exc:
+            gr.load_geojson(path)
+        assert str(exc.value) == "feature 0: coordinate out of range: (361.0, 5.0)"
+
+    @pytest.mark.parametrize("feature", [
+        {"type": "Feature", "geometry": {"type": "LineString",
+                                         "coordinates": [[0, 10], [5]]}},
+        {"type": "Feature", "geometry": {"type": "LineString",
+                                         "coordinates": [[0], [5]]}},
+        {"type": "Feature", "geometry": {"type": "LineString",
+                                         "coordinates": [[0, 10], ["a", 1]]}},
+        {"type": "Feature", "geometry": {"type": "LineString", "coordinates": None}},
+        {"type": "Feature", "geometry": {"type": "LineString", "coordinates": [0, 10]}},
+        {"type": "Feature", "geometry": {"type": "MultiLineString", "coordinates": None}},
+        {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": None}},
+        {"type": "Feature", "geometry": {"type": "MultiPolygon", "coordinates": None}},
+        {"type": "Feature", "geometry": {"type": "MultiPolygon", "coordinates": [None]}},
+        {"type": "Feature", "geometry": "LineString"},
+        None,
+    ])
+    def test_malformed_feature_names_feature(self, tmp_path, feature):
+        good = {"type": "Feature", "geometry": {"type": "LineString",
+                                                "coordinates": [[0, 10], [5, 20]]}}
+        path = write_geojson(tmp_path, [good, feature])
+        with pytest.raises(ValueError, match=r"^feature 1: expected "):
+            gr.load_geojson(path)
+
+    @pytest.mark.parametrize("doc", [[1], {"type": "FeatureCollection", "features": None},
+                                     {"type": "Feature", "features": []}])
+    def test_not_a_feature_collection(self, tmp_path, doc):
+        path = tmp_path / "input.geojson"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="expected a GeoJSON FeatureCollection"):
+            gr.load_geojson(path)
+
     def test_fixture_loads(self):
         lines = gr.load_geojson(FIXTURE)
         assert len(lines) == 5  # 2 LineStrings + 1 Polygon ring + 2 MultiLineString parts
@@ -188,7 +238,7 @@ class TestRenderMap:
 
 
 def reference_project_piece(piece, mode, panel):
-    """Depth-first densify per segment: the oracle for _project_piece."""
+    """Depth-first densify per segment: the oracle for _project_pieces."""
     out = [piece.points[0]]
 
     def densify(a, b, depth):
@@ -218,6 +268,14 @@ def random_piece(rng, side):
     return gr.GeoPolyline(points=np.column_stack([sign * lat, lon]))
 
 
+def project_one(piece, mode, panel):
+    """_project_pieces on a single piece drawn on the given panel."""
+    side = Hemisphere.SOUTH if panel.sign < 0 else Hemisphere.NORTH
+    north, south, _, _ = gr._panels(2 * panel.radius)
+    (got,) = gr._project_pieces([(piece, side)], mode, north, south)
+    return got
+
+
 class TestDensify:
     @pytest.mark.parametrize("mode", list(ProjectionMode))
     @pytest.mark.parametrize("size", [100, 400, 2000])
@@ -228,9 +286,26 @@ class TestDensify:
             side = Hemisphere.SOUTH if rng.random() < 0.5 else Hemisphere.NORTH
             piece = random_piece(rng, side)
             panel = south if side is Hemisphere.SOUTH else north
-            got = gr._project_piece(piece, mode, panel)
+            got = project_one(piece, mode, panel)
             want = reference_project_piece(piece, mode, panel)
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", list(ProjectionMode))
+    def test_one_call_for_many_pieces_never_bisects_joins(self, mode):
+        north, south, _, _ = gr._panels(400.0)
+        rng = np.random.default_rng(7)
+        sides = [Hemisphere.NORTH, Hemisphere.SOUTH] * 12
+        pieces = [(random_piece(rng, side), side) for side in sides]
+        got = gr._project_pieces(pieces, mode, north, south)
+        assert len(got) == len(pieces)
+        for pts, (piece, side) in zip(got, pieces):
+            panel = south if side is Hemisphere.SOUTH else north
+            np.testing.assert_array_equal(pts, reference_project_piece(piece, mode, panel))
+        # each join crosses the gutter, far longer than a chord: had one been
+        # bisected, a midpoint would sit at the end of the piece before it
+        joins = np.hypot(*(np.array([a[-1] for a in got[:-1]]) -
+                           np.array([b[0] for b in got[1:]])).T)
+        assert joins.min() > gr.MAX_CHORD_PX
 
     @pytest.mark.parametrize("mode", list(ProjectionMode))
     def test_depth_cap_segment_matches_recursion(self, mode):
@@ -238,27 +313,57 @@ class TestDensify:
         # on a 4000 px panel that arc needs more than 2^MAX_SUBDIV_DEPTH chords
         piece = gr.GeoPolyline(points=np.array([[10.0, 179.0], [10.0, -179.0]]))
         north, _, _, _ = gr._panels(4000.0)
-        got = gr._project_piece(piece, mode, north)
+        got = project_one(piece, mode, north)
         np.testing.assert_array_equal(got, reference_project_piece(piece, mode, north))
         chords = np.hypot(*np.diff(got, axis=0).T)
         assert chords.max() > gr.MAX_CHORD_PX  # the cap, not the chord, stopped it
 
     def test_depth_cap_hits_are_logged(self, caplog):
         piece = gr.GeoPolyline(points=np.array([[10.0, 179.0], [10.0, -179.0]]))
-        north, _, _, _ = gr._panels(4000.0)
+        north, south, _, _ = gr._panels(4000.0)
         with caplog.at_level("WARNING", logger=gr.log.name):
-            got = gr._project_piece(piece, ProjectionMode.GGV, north)
+            got = project_one(piece, ProjectionMode.GGV, north)
         capped = int(np.count_nonzero(np.hypot(*np.diff(got, axis=0).T) > gr.MAX_CHORD_PX))
         assert capped > 0
         assert [r.getMessage() for r in caplog.records] == [
             f"{capped} segment(s) still longer than 2 px after 12 subdivision passes"]
+        # one warning per call, with the count over all pieces
+        caplog.clear()
+        mirrored = gr.GeoPolyline(points=-piece.points)
+        with caplog.at_level("WARNING", logger=gr.log.name):
+            gr._project_pieces([(piece, Hemisphere.NORTH), (mirrored, Hemisphere.SOUTH)],
+                               ProjectionMode.GGV, north, south)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{2 * capped} segment(s) still longer than 2 px after 12 subdivision passes"]
 
     def test_short_segments_log_nothing(self, caplog):
         piece = gr.GeoPolyline(points=np.array([[10.0, 10.0], [10.5, 10.5]]))
         north, _, _, _ = gr._panels(4000.0)
         with caplog.at_level("WARNING", logger=gr.log.name):
-            gr._project_piece(piece, ProjectionMode.GGV, north)
+            project_one(piece, ProjectionMode.GGV, north)
         assert not caplog.records
+
+
+class TestFormatPoints:
+    ADVERSARIAL = [0.0, -0.0, -0.0004, 0.0004, -0.0005, 0.0005, -0.0015, -1e-9, 1e-9,
+                   999.9995, -999.9995, 1e6, -1e6, -10.0, -100.0004, 12.3456,
+                   math.nan, -math.nan, math.inf, -math.inf]
+
+    def per_vertex(self, pts):
+        return " ".join(f"{gr._fmt(x)},{gr._fmt(y)}" for x, y in pts)
+
+    def test_matches_per_vertex_fmt(self):
+        vals = np.array(self.ADVERSARIAL)
+        pts = np.column_stack([vals, vals[::-1]])
+        assert gr._fmt_points(pts) == self.per_vertex(pts)
+        for x in self.ADVERSARIAL:  # every value in both columns and at both ends
+            pts = np.array([[x, 1.0], [-1.0, x], [x, x]])
+            assert gr._fmt_points(pts) == self.per_vertex(pts)
+
+    def test_matches_per_vertex_fmt_random(self):
+        rng = np.random.default_rng(3)
+        pts = np.round(rng.normal(0, 1, (5000, 2)) * 10.0 ** rng.integers(-4, 4, (5000, 2)), 4)
+        assert gr._fmt_points(pts) == self.per_vertex(pts)
 
 
 class TestRenderProfilePlot:
