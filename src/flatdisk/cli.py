@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import compress, count
 
 import numpy as np
 
@@ -105,37 +106,82 @@ def cmd_stress(args) -> int:
     return EXIT_OK
 
 
-def cmd_project(args) -> int:
-    """Read all of stdin, project every valid row in one call, then write.
+# every byte but the two separators of a lat,lon row
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
 
-    On a bad line the rows before it are still written, then the error.
+
+def _one_comma_rows(rows: list) -> int:
+    """How many leading rows have exactly one comma each.
+
+    Joined by newlines, the rows pass when their separators alone read
+    ",\n,\n...,": a row with no comma or two breaks the alternation, so
+    each row is checked on its own and miscounts cannot cancel out.
+    """
+    seps = "\n".join(rows).encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
+    if seps == (b",\n" * len(rows))[:-1]:
+        return len(rows)
+    return next(k for k, row in enumerate(rows) if row.count(",") != 1)
+
+
+def _floats(tokens: list) -> np.ndarray:
+    """float() of each token, up to the first one that float() rejects."""
+    try:
+        return np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        good = []
+        for token in tokens:
+            try:
+                good.append(float(token))
+            except ValueError:
+                break
+        return np.array(good)
+
+
+def _row_error(row: str) -> str:
+    """The error text the one-row path gives for a rejected lat,lon row."""
+    parts = row.split(",")
+    if len(parts) != 2:
+        return "expected lat,lon"
+    try:
+        projection.GeoCoord(float(parts[0]), float(parts[1]))
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"row {row!r} passes the one-row check")
+
+
+def cmd_project(args) -> int:
+    """Project lat,lon rows from stdin to r,phi,side rows on stdout.
+
+    All of stdin is read, then parsed and checked in one array pass: blank
+    and # lines are dropped, each row must have one comma, all fields go
+    through float() at once, and masks find the first bad row (wrong field
+    count, a field float() rejects, lat outside [-90, 90] or NaN, infinite
+    lon).  The rows before it are projected in one call and written; the
+    bad row's error text comes from GeoCoord on that row alone, so it reads
+    as it always has ("line 5: latitude out of range: 91.0").
     """
     mode = ProjectionMode.parse(args.mode)
-    lats, lons, error = [], [], None
-    for lineno, line in enumerate(sys.stdin, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            error = f"error: line {lineno}: expected lat,lon"
-            break
-        try:
-            p = projection.GeoCoord(float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            error = f"error: line {lineno}: {exc}"
-            break
-        lats.append(p.lat_deg)
-        lons.append(p.lon_deg)
-    if lats:
-        r, phi, north = projection.forward_arrays(lats, lons, mode)
-        r = np.clip(r, 0.0, 1.0)  # DiskPoint's clamp of float noise at the rim
-        sides = np.where(north, projection.Hemisphere.NORTH.value,
-                         projection.Hemisphere.SOUTH.value)
-        sys.stdout.write("".join(f"{_num(a)},{_num(b)},{c}\n"
-                                 for a, b, c in zip(r, phi, sides)))
-    if error:
-        print(error, file=sys.stderr)
+    lines = list(map(str.strip, sys.stdin.read().split("\n")))
+    is_row = [line and line[0] != "#" for line in lines]
+    rows = list(compress(lines, is_row))
+    n = _one_comma_rows(rows)
+    values = _floats(",".join(rows[:n]).split(",") if n else [])
+    n = len(values) // 2  # a row whose lat or lon float() rejects ends the run
+    lat, lon = values[0:2 * n:2], values[1:2 * n:2]
+    bad = np.flatnonzero(~((lat >= -90.0) & (lat <= 90.0)) | np.isinf(lon))
+    if bad.size:
+        n = int(bad[0])
+    if n:
+        r, phi, north = projection.forward_arrays(lat[:n], projection.normalize_lon(lon[:n]), mode)
+        cells = [None] * (3 * n)
+        cells[0::3] = np.clip(r, 0.0, 1.0).tolist()  # DiskPoint's clamp of float noise at the rim
+        cells[1::3] = phi.tolist()
+        cells[2::3] = np.where(north, projection.Hemisphere.NORTH.value,
+                               projection.Hemisphere.SOUTH.value).tolist()
+        sys.stdout.write(("%.12g,%.12g,%s\n" * n) % tuple(cells))
+    if n < len(rows):
+        lineno = list(compress(count(1), is_row))[n]
+        print(f"error: line {lineno}: {_row_error(rows[n])}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

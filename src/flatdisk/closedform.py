@@ -84,6 +84,16 @@ def _log_ratio(x, L):
     return np.divide(L, x, out=np.full_like(x, -1.0), where=x != 0.0)
 
 
+def _f(s, c, q):
+    """f = s (ln 2/c - c q) with q = log1p(-x)/x."""
+    return s * (LN2 / c - c * q)
+
+
+def _f_prime(c, q):
+    """f' = (ln 2/c^2 + 2 + q) / 2 with q = log1p(-x)/x."""
+    return 0.5 * (LN2 / (c * c) + (2.0 + q))
+
+
 @_vectorized
 def clamp_colatitude(theta):
     """Validate and clamp a colatitude (radians) into [0, pi/2].
@@ -105,7 +115,7 @@ def eval_f(theta):
     f = ln 2 s/c - (c/s) log1p(-x) = s (ln 2/c - c log1p(-x)/x).
     """
     s, c, x, L = _half_angle(theta)
-    return s * (LN2 / c - c * _log_ratio(x, L))
+    return _f(s, c, _log_ratio(x, L))
 
 
 @_vectorized
@@ -116,7 +126,14 @@ def eval_f_prime(theta):
     so that f'(0) rounds exactly to POLE_SLOPE.
     """
     s, c, x, L = _half_angle(theta)
-    return 0.5 * (LN2 / (c * c) + (2.0 + _log_ratio(x, L)))
+    return _f_prime(c, _log_ratio(x, L))
+
+
+def _f_and_prime(theta):
+    """(f, f') from one _half_angle and one _log_ratio, equal to eval_f, eval_f_prime."""
+    s, c, x, L = _half_angle(theta)
+    q = _log_ratio(x, L)
+    return _f(s, c, q), _f_prime(c, q)
 
 
 @_vectorized

@@ -21,6 +21,7 @@ __all__ = [
     "ProjectionMode",
     "GeoCoord",
     "DiskPoint",
+    "normalize_lon",
     "forward",
     "inverse",
     "radius_from_colatitude",
@@ -55,6 +56,21 @@ class ProjectionMode(enum.Enum):
         raise ValueError(f"unknown projection mode {name!r}")
 
 
+def normalize_lon(lon):
+    """Longitude in degrees mapped into (-180, 180] (vectorized).
+
+    fmod by 360 (exact, sign of the argument), then one shift of 360 off the
+    ends; -0.0 and NaN pass through.  Infinite longitudes raise ValueError
+    "math domain error", as math.fmod does.  Returns a float for a scalar.
+    """
+    arr = np.asarray(lon, dtype=float)
+    if np.isinf(arr).any():
+        raise ValueError("math domain error")
+    out = np.fmod(arr, 360.0)
+    out = np.where(out <= -180.0, out + 360.0, np.where(out > 180.0, out - 360.0, out))
+    return float(out) if arr.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class GeoCoord:
     """Geographic coordinate in degrees; longitude normalized into (-180, 180]."""
@@ -65,12 +81,7 @@ class GeoCoord:
     def __post_init__(self):
         if not -90.0 <= self.lat_deg <= 90.0:
             raise ValueError(f"latitude out of range: {self.lat_deg!r}")
-        lon = math.fmod(self.lon_deg, 360.0)
-        if lon <= -180.0:
-            lon += 360.0
-        elif lon > 180.0:
-            lon -= 360.0
-        object.__setattr__(self, "lon_deg", lon)
+        object.__setattr__(self, "lon_deg", normalize_lon(self.lon_deg))
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,8 @@ def inverse_radius(r, mode: ProjectionMode):
     target = arr * closedform.TWO_LN2
     theta = np.full_like(arr, HALF_PI)
     for _ in range(_NEWTON_MAX_ITER):
-        step = (closedform.eval_f(theta) - target) / closedform.eval_f_prime(theta)
+        f, f_prime = closedform._f_and_prime(theta)
+        step = (f - target) / f_prime
         theta = np.clip(theta - step, 0.0, HALF_PI)
         if not np.any(np.abs(step) >= _NEWTON_TOL):
             break

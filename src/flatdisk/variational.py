@@ -189,6 +189,11 @@ def discrete_objective(profile: RadialProfile) -> float:
 # --- two-column text serialization -----------------------------------------
 
 def profile_to_text(profile: RadialProfile, comment: str = "") -> str:
+    """The profile as text: # header lines, then one "theta f" row per node.
+
+    Both columns are written with %.17g, so parse_profile reads back the
+    same floats bit for bit.  comment, if given, is a second # line.
+    """
     lines = ["# flat-disk radial profile: theta f(theta)"]
     if comment:
         lines.append(f"# {comment}")
@@ -196,7 +201,46 @@ def profile_to_text(profile: RadialProfile, comment: str = "") -> str:
     return "\n".join(lines) + "\n" + ("%.17g %.17g\n" * len(profile.thetas)) % tuple(rows)
 
 
-def parse_profile(text: str) -> RadialProfile:
+def _split_columns(text: str):
+    """(thetas, values) of text, or None.
+
+    Only the layout profile_to_text writes takes this path: # lines at the
+    top, then rows of two numbers split by one space, each ended by a
+    newline.  The text is split once, and the rows rebuilt from its tokens
+    must equal the text below the # lines, which checks every row's column
+    count on its own.  None for any other layout, or for a token that
+    float() rejects.
+    """
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    head = text[:start]
+    if len(head.splitlines()) != head.count("\n") or text.find("#", start) >= 0:
+        return None
+    if "\r" in text or "\t" in text:  # CRLF or tab layouts: skip a split bound to fail
+        return None
+    tokens = text.split()
+    del tokens[:len(head.split())]
+    if len(tokens) % 2:
+        return None
+    rows = ("%s %s\n" * (len(tokens) // 2)) % tuple(tokens)
+    if len(rows) != len(text) - start or not text.endswith(rows):
+        return None
+    try:
+        numbers = np.fromiter(map(float, tokens), float, len(tokens))
+    except ValueError:
+        return None
+    return numbers[0::2].copy(), numbers[1::2].copy()
+
+
+def _parse_lines(text: str):
+    """(thetas, values) of text, read one line at a time.
+
+    Raises ValueError naming the first line without two columns or with a
+    value float() rejects.
+    """
     thetas, values = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -210,9 +254,23 @@ def parse_profile(text: str) -> RadialProfile:
             values.append(float(parts[1]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+    return np.array(thetas), np.array(values)
+
+
+def parse_profile(text: str) -> RadialProfile:
+    """Read the text profile_to_text writes back into a RadialProfile.
+
+    Format: one sample per line, theta and f(theta) as two whitespace-
+    separated floats (profile_to_text writes %.17g); blank lines and lines
+    whose first non-blank character is # are skipped.  Text in exactly the
+    written layout is split and converted in one pass; any other text is
+    read line by line, with the same numbers, and a bad line raises
+    ValueError naming its line number.
+    """
+    thetas, values = _split_columns(text) or _parse_lines(text)
     if len(thetas) < 3:
         raise ValueError("profile needs at least 3 samples")
-    return RadialProfile(thetas=np.array(thetas), values=np.array(values))
+    return RadialProfile(thetas=thetas, values=values)
 
 
 def save_profile(profile: RadialProfile, path, comment: str = "") -> None:

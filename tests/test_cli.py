@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flatdisk import cli
+from flatdisk import cli, projection
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "fixture_coastline.geojson"
@@ -156,7 +157,71 @@ PROJECT_CASES = {
     "three_fields": ("45,30\n1,2,3\n", 1, "0.482866338077,0.523598775598,north\n",
                      "error: line 2: expected lat,lon\n"),
     "empty_stdin": ("", 0, "", ""),
+    "underscore_then_inf_lat": ("1_0,5\n1e500,0\n", 1, "0.877779072391,0.0872664625997,north\n",
+                                "error: line 2: latitude out of range: inf\n"),
+    "one_field_then_three": ("45\n1,2,3\n", 1, "", "error: line 1: expected lat,lon\n"),
 }
+
+
+def reference_project(text, mode):
+    """(exit code, stdout, stderr) of the per-line project loop the array pass replaced."""
+    out, lats, lons, error = "", [], [], ""
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            error = f"error: line {lineno}: expected lat,lon\n"
+            break
+        try:
+            p = projection.GeoCoord(float(parts[0]), float(parts[1]))
+        except ValueError as exc:
+            error = f"error: line {lineno}: {exc}\n"
+            break
+        lats.append(p.lat_deg)
+        lons.append(p.lon_deg)
+    if lats:
+        r, phi, north = projection.forward_arrays(
+            lats, lons, projection.ProjectionMode.parse(mode))
+        for a, b, c in zip(np.clip(r, 0.0, 1.0), phi, north):
+            out += f"{cli._num(a)},{cli._num(b)},{'north' if c else 'south'}\n"
+    return (1 if error else 0), out, error
+
+
+# fields that float(), GeoCoord or the row split treat specially
+_FUZZ_FIELDS = ["0", "-0.0", "45", "90", "-90", "90.0000001", "91", "180", "-180", "360",
+                "-540", "179.99999999999997", "1e500", "-1e500", "inf", "-inf", "nan", "NaN",
+                "1_0", "1__0", " 45 ", "\t3", "+5", "0x10", "1e-320", "x", "", "#", "\u0663",
+                "\xa0", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\udcff"]
+
+
+def _fuzz_line(rng):
+    if rng.random() < 0.75:
+        return f"{rng.uniform(-90, 90)!r},{rng.uniform(-400, 400)!r}"
+    k = rng.choice([0, 1, 2, 2, 2, 3])
+    if k == 0:
+        return rng.choice(["", "  ", "# c", "  # x,y", "#", "\t"])
+    return ",".join(rng.choice(_FUZZ_FIELDS) + rng.choice(["", "", "", "5", " "])
+                    for _ in range(k))
+
+
+def project_fuzz_corpus(seed=20261018, n=300):
+    """Seeded stdin texts: mostly valid rows, some bad, blank or # lines, mixed line ends."""
+    rng = random.Random(seed)
+    corpus = [
+        "45\n1,2,3\n5,5\n",               # 1-field then 3-field: counts must not cancel
+        "45,30\r\n-10,20\r\n91,0\r\n",  # \r\n line ends
+        "1_0,5\n 45 , 10 \n1e500,0\n",
+        "10,inf\n", "10,-inf\n", "nan,0\n",
+        "45,30\n# mid\n\n  # indented\n-10,20\n",
+        "45,30\n-10,20\n\n\n  \n",         # blank last lines
+    ]
+    for _ in range(n):
+        end = rng.choice(["\n", "\n", "\r\n", "\n\n"])
+        lines = [_fuzz_line(rng) for _ in range(rng.randint(0, 12))]
+        corpus.append(end.join(lines) + rng.choice([end, "", "\n  \n"]))
+    return corpus
 
 
 class TestProjectEdgeCases:
@@ -165,6 +230,33 @@ class TestProjectEdgeCases:
         stdin, want_code, want_out, want_err = PROJECT_CASES[name]
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
         assert run(capsys, "project") == (want_code, want_out, want_err)
+
+    @pytest.mark.parametrize("name", sorted(PROJECT_CASES))
+    def test_frozen_cases_match_reference(self, name):
+        stdin, want_code, want_out, want_err = PROJECT_CASES[name]
+        assert reference_project(stdin, "stress-minimal") == (want_code, want_out, want_err)
+
+    @pytest.mark.parametrize("mode", ["ggv", "stress-minimal"])
+    def test_fuzz_corpus_matches_reference(self, capsys, monkeypatch, mode):
+        corpus = project_fuzz_corpus()
+        codes = set()
+        for text in corpus:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            got = run(capsys, "project", "--mode", mode)
+            assert got == reference_project(text, mode), repr(text)
+            codes.add(got[0])
+        assert codes == {0, 1}
+
+    def test_large_input_matches_reference(self, capsys, monkeypatch):
+        rng = np.random.default_rng(5)
+        lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 5000)))
+        lon = rng.uniform(-720.0, 720.0, 5000)
+        text = "".join(f"{a!r},{b!r}\n" for a, b in zip(lat.tolist(), lon.tolist()))
+        text += "# tail\n12,1e400\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        got = run(capsys, "project")
+        assert got == reference_project(text, "stress-minimal")
+        assert got[2] == "error: line 5002: math domain error\n"
 
     def test_ggv_edge_values(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(PROJECT_CASES["edge_values"][0]))

@@ -167,6 +167,14 @@ class TestDerivatives:
         assert equator == pytest.approx(1.0, abs=1e-6)
 
 
+    def test_fused_f_and_prime_bit_identical(self):
+        t = np.concatenate([[0.0, 1e-300, 1e-9, math.pi / 2],
+                            np.random.default_rng(4).uniform(0.0, math.pi / 2, 4096)])
+        f, fp = cf._f_and_prime(t)
+        assert np.array_equal(f.view(np.int64), cf.eval_f(t).view(np.int64))
+        assert np.array_equal(fp.view(np.int64), cf.eval_f_prime(t).view(np.int64))
+
+
 class TestMathematicaForm:
     def test_equator(self):
         assert cf.eval_f_mathematica_form(math.pi / 2) == pytest.approx(TWO_LN2, abs=1e-13)

@@ -24,6 +24,39 @@ class TestGeoCoord:
             GeoCoord(91.0, 0.0)
 
 
+class TestNormalizeLon:
+    @pytest.mark.parametrize("lon, want", [
+        (180.0, 180.0), (-180.0, 180.0), (360.0, 0.0), (-360.0, -0.0), (540.0, 180.0),
+        (-540.0, 180.0), (-0.0, -0.0), (0.0, 0.0), (181.0, -179.0), (-181.0, 179.0),
+        (719.9999999999999, -1.1368683772161603e-13),
+    ])
+    def test_scalar(self, lon, want):
+        got = pj.normalize_lon(lon)
+        assert type(got) is float
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    def test_nan_passes_through(self):
+        assert math.isnan(pj.normalize_lon(float("nan")))
+        assert np.isnan(pj.normalize_lon(np.array([1.0, np.nan])))[1]
+
+    @pytest.mark.parametrize("lon", [math.inf, -math.inf])
+    def test_infinity_raises_like_geocoord(self, lon):
+        for arg in (lon, np.array([0.0, lon])):
+            with pytest.raises(ValueError, match="math domain error"):
+                pj.normalize_lon(arg)
+        with pytest.raises(ValueError, match="math domain error"):
+            GeoCoord(0.0, lon)
+
+    def test_array_matches_scalar_rule(self):
+        rng = np.random.default_rng(3)
+        lon = np.concatenate([rng.uniform(-1e3, 1e3, 2000), np.arange(-720.0, 721.0, 90.0)])
+        got = pj.normalize_lon(lon)
+        want = [pj.normalize_lon(x) for x in lon.tolist()]
+        assert got.tolist() == want
+        assert np.all((got > -180.0) & (got <= 180.0))
+        assert [GeoCoord(0.0, x).lon_deg for x in lon.tolist()] == want
+
+
 class TestDiskPoint:
     def test_clamps_radius_noise(self):
         assert DiskPoint(1.0 + 1e-13, 0.0, Hemisphere.NORTH).r == 1.0
@@ -109,6 +142,22 @@ class TestInverseRadius:
         got = pj.inverse_radius(np.array([0.0, 1.0]), mode)
         assert got.tolist() == [0.0, math.pi / 2]
         assert pj.inverse_radius(np.array([]), mode).shape == (0,)
+
+
+    @pytest.mark.parametrize("shape", [(), (32768,)])
+    def test_bit_identical_to_separate_f_and_prime(self, shape):
+        # the fused Newton step must take exactly the steps eval_f / eval_f_prime give
+        rng = np.random.default_rng(9)
+        r = rng.uniform(0.0, 1.0, shape)
+        theta = np.full_like(r, math.pi / 2)
+        target = r * cf.TWO_LN2
+        for _ in range(8):
+            step = (cf.eval_f(theta) - target) / cf.eval_f_prime(theta)
+            theta = np.clip(theta - step, 0.0, math.pi / 2)
+            if not np.any(np.abs(step) >= 1e-11):
+                break
+        got = pj.inverse_radius(r, ProjectionMode.STRESS_MINIMAL)
+        assert np.array_equal(np.asarray(got).view(np.int64), theta.view(np.int64))
 
 
 class TestRoundTrip:

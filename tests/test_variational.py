@@ -2,6 +2,8 @@
 
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +157,24 @@ class TestSolveDiscrete:
             va.solve_discrete(8)
 
 
+def reference_parse(text):
+    """(thetas, values) of a profile text by the per-line loop parse_profile replaced."""
+    thetas, values = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected two columns, got {len(parts)}")
+        try:
+            thetas.append(float(parts[0]))
+            values.append(float(parts[1]))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return np.array(thetas), np.array(values)
+
+
 class TestProfileSerialization:
     def test_round_trip(self, tmp_path):
         profile = va.solve_discrete(32)
@@ -182,6 +202,69 @@ class TestProfileSerialization:
     def test_parse_reports_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
             va.parse_profile("# header\n0 0\n0.1 0.2 0.3\n")
+
+    @pytest.mark.parametrize("n", [16, 4096, 2**15])
+    def test_parse_matches_per_line_reference(self, n):
+        profile = va.solve_discrete(n)
+        text = va.profile_to_text(profile, comment=f"n={n}")
+        assert va._split_columns(text) is not None  # the one-split path is taken
+        got = va.parse_profile(text)
+        thetas, values = reference_parse(text)
+        assert np.array_equal(got.thetas.view(np.int64), thetas.view(np.int64))
+        assert np.array_equal(got.values.view(np.int64), values.view(np.int64))
+        assert np.array_equal(got.values, profile.values)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 0\n0.1\n0.2 0.3 0.4\n", "line 2: expected two columns, got 1"),
+        ("0.1\n0.2 0.3 0.4\n1 2\n", "line 1: expected two columns, got 1"),  # counts cancel
+        ("# h\n0 0\n1 x\n2 2\n", "line 3: could not convert string to float: 'x'"),
+        ("0 0\n1 2\n", "profile needs at least 3 samples"),
+    ])
+    def test_parse_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            va.parse_profile(text)
+
+    @pytest.mark.parametrize("text", [
+        "0\t0\n1_0 2\n2_0\t4\n",
+        "# h\n\n0 0\n  1_0   2  \n\n2e1 4\n",
+        "0 0\r\n10 2\r\n20 4\r\n",
+        "0 0\n# mid\n10 2\n20 4",
+        "# a\r0 0\n10 2\n20 4\n",  # \r ends the comment line
+    ])
+    def test_other_layouts_parse_as_per_line(self, text):
+        got = va.parse_profile(text)
+        thetas, values = reference_parse(text)
+        assert got.thetas.tolist() == thetas.tolist() == [0.0, 10.0, 20.0]
+        assert got.values.tolist() == values.tolist() == [0.0, 2.0, 4.0]
+
+    def test_fuzzed_layouts_match_reference(self):
+        rng = random.Random(8)
+        seps = [" ", "  ", "\t", " \t"]
+        ends = ["\n", "\r\n", "\n\n", "\n# c\n", "\n \n"]
+        for _ in range(300):
+            rows = [[repr(float(k)), repr(0.5 * k)] for k in range(rng.randint(2, 6))]
+            for row in rows:
+                if rng.random() < 0.1:
+                    row.append(rng.choice(["1", "x", "#"]) if rng.random() < 0.7 else "")
+                if rng.random() < 0.05:
+                    row.pop()
+                if rng.random() < 0.05:
+                    row[0] = rng.choice(["1_0", "nan", "-0", "x"])
+            text = rng.choice(["", "# h\n", "#\n# h2\n"]) + "".join(
+                rng.choice(["", " "]) + rng.choice(seps).join(row) + rng.choice(ends)
+                for row in rows)
+            try:
+                thetas, values = reference_parse(text)
+                if len(thetas) < 3:
+                    raise ValueError("profile needs at least 3 samples")
+                want = va.RadialProfile(thetas, values)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    va.parse_profile(text)
+                continue
+            got = va.parse_profile(text)
+            assert got.thetas.tolist() == want.thetas.tolist(), repr(text)
+            assert got.values.tolist() == want.values.tolist(), repr(text)
 
     def test_profile_requires_zero_origin(self):
         with pytest.raises(ValueError):
