@@ -8,6 +8,7 @@ uses 12 significant digits so stdout is diff-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from itertools import compress, count
@@ -94,6 +95,8 @@ def _print_report(label: str, report: stress.StressReport) -> None:
 
 
 def cmd_stress(args) -> int:
+    if args.grid < 16:
+        raise UsageError(f"grid_size must be >= 16, got {args.grid}")
     if args.compare:
         s_min = stress.total_stress(stress.closed_form_radial(), args.grid)
         s_ggv = stress.total_stress(stress.identity_radial(), args.grid)
@@ -187,6 +190,10 @@ def cmd_project(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.size < 100:
+        raise UsageError(f"size_px must be >= 100, got {args.size}")
+    if args.target == "map" and (args.graticule <= 0 or 90 % args.graticule != 0):
+        raise UsageError(f"graticule_deg must divide 90, got {args.graticule}")
     if args.target == "profile":
         doc = geo_render.render_profile_plot(args.size)
     else:
@@ -210,7 +217,9 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The flatdisk argument parser, built once per process and reused by main."""
     parser = argparse.ArgumentParser(
         prog="flatdisk",
         description="Stress-minimizing flat-disk map projection toolkit",

@@ -119,6 +119,56 @@ class TestStress:
         assert "line 2" in err
 
 
+class TestBadValuesAreUsageErrors:
+    # exit 2 and one "usage error:" line, as for `solve --n 8`, not a traceback
+    @pytest.mark.parametrize("argv, err", [
+        (["render", "map", "--size", "50"], "size_px must be >= 100, got 50"),
+        (["render", "profile", "--size", "10"], "size_px must be >= 100, got 10"),
+        (["render", "map", "--graticule", "7"], "graticule_deg must divide 90, got 7"),
+        (["stress", "--grid", "1"], "grid_size must be >= 16, got 1"),
+        (["stress", "--grid", "1", "--compare"], "grid_size must be >= 16, got 1"),
+    ], ids=["map-size", "profile-size", "graticule", "grid", "grid-compare"])
+    def test_frozen(self, capsys, tmp_path, argv, err):
+        out_path = tmp_path / "o.svg"
+        if argv[0] == "render":
+            argv = argv + ["--geojson", str(FIXTURE), "--out", str(out_path)]
+        code, out, got = run(capsys, *argv)
+        assert (code, out, got) == (2, "", f"usage error: {err}\n")
+        assert not out_path.exists()
+
+
+class TestParserReuse:
+    def test_back_to_back_runs_match_fresh_parsers(self, capsys, monkeypatch, tmp_path):
+        svg = tmp_path / "map.svg"
+        jobs = [
+            (["eval", "45"], ""),
+            (["eval", "95"], ""),
+            (["solve"], ""),  # argparse's own usage error: SystemExit(2)
+            (["project", "--mode", "ggv"], "45,30\n0,-180\n91,0\n"),
+            (["render", "map", "--geojson", str(FIXTURE), "--out", str(svg)], ""),
+        ]
+
+        def run_all(fresh):
+            results = []
+            for argv, stdin in jobs:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results, svg.read_bytes()
+
+        fresh = run_all(fresh=True)
+        reused = run_all(fresh=False)
+        assert reused == fresh
+        assert [code for code, _, _ in reused[0]] == [0, 2, 2, 1, 0]
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestProject:
     def test_round_trip_values(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("45,30\n0,-180\n90,0\n"))

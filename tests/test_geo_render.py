@@ -175,6 +175,161 @@ class TestSplitAtEquator:
             assert idx < len(merged)
 
 
+def reference_split(line):
+    """The per-vertex split loop that split_at_equator replaced: its oracle
+    on lines whose steps all have |dlon| <= 180."""
+    pts = line.points
+    if line.closed:
+        pts = np.vstack([pts, pts[:1]])
+    pieces = []
+    current = [pts[0]]
+    sign = 0 if pts[0][0] == 0 else (1 if pts[0][0] > 0 else -1)
+
+    def close(piece_sign):
+        side = Hemisphere.SOUTH if piece_sign < 0 else Hemisphere.NORTH
+        pieces.append((gr.GeoPolyline(points=np.array(current)), side))
+
+    for prev, nxt in zip(pts[:-1], pts[1:]):
+        nxt_sign = 0 if nxt[0] == 0 else (1 if nxt[0] > 0 else -1)
+        if nxt_sign == 0 or sign == 0 or nxt_sign == sign:
+            current.append(nxt)
+            if sign == 0:
+                sign = nxt_sign
+        elif prev[0] == 0:
+            close(sign)
+            current = [prev, nxt]
+            sign = nxt_sign
+        else:
+            t = prev[0] / (prev[0] - nxt[0])
+            cut = np.array([0.0, prev[1] + t * (nxt[1] - prev[1])])
+            current.append(cut)
+            close(sign)
+            current = [cut, nxt]
+            sign = nxt_sign
+    close(sign)
+    return pieces
+
+
+def short_steps_line(rng):
+    """Random open or closed line with every step |dlon| <= 180, or None.
+
+    Vertices sit exactly on the equator one time in four, a line lies wholly
+    on it one time in eight, and longitudes span [-360, 360].
+    """
+    n = int(rng.integers(2, 30))
+    lat = rng.uniform(-40.0, 40.0, n)
+    lat[rng.random(n) < 0.25] = 0.0
+    if rng.random() < 0.125:
+        lat[:] = 0.0
+    steps = np.where(rng.random(n) < 0.1, rng.choice([-180.0, 180.0], n),
+                     rng.uniform(-180.0, 180.0, n))
+    lon = np.clip(rng.uniform(-360.0, 360.0) + np.cumsum(steps), -360.0, 360.0)
+    try:  # clipping can leave fewer than 2 distinct points
+        line = gr.GeoPolyline(points=np.column_stack([lat, lon]), closed=bool(rng.random() < 0.5))
+    except ValueError:
+        return None
+    pts = np.vstack([line.points, line.points[:1]]) if line.closed else line.points
+    return line if np.all(np.abs(np.diff(pts[:, 1])) <= 180.0) else None
+
+
+def crossing_line(rng):
+    """A pole ring, or a path across the equator and the antimeridian, with
+    some vertices moved by a whole turn of longitude."""
+    if rng.random() < 0.5:
+        n = int(rng.integers(8, 120))
+        lon = np.linspace(-180.0, 180.0, n, endpoint=False) + rng.uniform(0.0, 360.0 / n)
+        lon = np.where(lon > 180.0, lon - 360.0, lon)
+        lat = rng.choice([-1.0, 1.0]) * (rng.uniform(45.0, 89.0) + rng.normal(0.0, 0.5, n))
+        closed = True
+    else:
+        n = int(rng.integers(2, 40))
+        lat = np.linspace(rng.uniform(-30, -1), rng.uniform(1, 30), n) * rng.choice([-1.0, 1.0])
+        lon = rng.uniform(150.0, 178.0) + np.cumsum(rng.uniform(0.0, 4.0, n))
+        lon = np.where(lon > 180.0, lon - 360.0, lon)
+        closed = bool(rng.random() < 0.3)
+    turn = rng.random(n) < 0.2
+    lon[turn] += np.where(lon[turn] > 0, -360.0, 360.0)
+    return gr.GeoPolyline(points=np.column_stack([np.clip(lat, -90, 90), lon]), closed=closed)
+
+
+def coast_vertices(doc):
+    return [pts for pts, style, _ in doc.polylines if style == gr._COAST_STYLE]
+
+
+class TestAntimeridian:
+    def test_short_steps_match_reference_split(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(3000):
+            line = short_steps_line(rng)
+            if line is None:
+                continue
+            got, want = gr.split_at_equator(line), reference_split(line)
+            assert [side for _, side in got] == [side for _, side in want]
+            for (piece, _), (ref, _) in zip(got, want):
+                np.testing.assert_array_equal(piece.points, ref.points)
+                assert not piece.closed
+            checked += 1
+        assert checked > 1500
+
+    def test_crossers_split_into_joined_single_hemisphere_pieces(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            line = crossing_line(rng)
+            pieces = gr.split_at_equator(line)
+            for piece, side in pieces:
+                lat, lon = piece.points.T
+                assert np.all(lat >= 0) if side is Hemisphere.NORTH else np.all(lat <= 0)
+                assert np.all(np.abs(np.diff(lon)) <= 180.0)
+            for (a, _), (b, _) in zip(pieces[:-1], pieces[1:]):
+                assert a.points[-1].tolist() == b.points[0].tolist()
+                assert a.points[-1][0] == 0.0
+
+    @pytest.mark.parametrize("mode", list(ProjectionMode))
+    def test_crossers_render_with_short_chords(self, mode, caplog):
+        rng = np.random.default_rng(13)
+        lines = [crossing_line(rng) for _ in range(60)]
+        with caplog.at_level("WARNING", logger=gr.log.name):
+            doc = gr.render_map(lines, mode, 15, 400)
+        assert not caplog.records  # the cap is not hit, so every chord is short
+        for pts in coast_vertices(doc):
+            assert np.hypot(*np.diff(pts, axis=0).T).max() <= gr.MAX_CHORD_PX
+
+    def test_cut_on_the_antimeridian(self):
+        line = gr.GeoPolyline(points=np.array([[5.0, 179.0], [-5.0, -179.0]]))
+        (north, n_side), (south, s_side) = gr.split_at_equator(line)
+        assert (n_side, s_side) == (Hemisphere.NORTH, Hemisphere.SOUTH)
+        assert north.points[-1].tolist() == south.points[0].tolist()
+        lat, lon = north.points[-1]
+        assert lat == 0.0 and math.fmod(lon, 360.0) == 180.0
+
+    def test_whole_turns_collapse(self):
+        # 180 and -180 are one meridian: the step between them is dropped
+        line = gr.GeoPolyline(points=np.array(
+            [[10.0, 170.0], [10.0, -180.0], [10.0, 180.0], [10.0, -170.0]]))
+        ((piece, side),) = gr.split_at_equator(line)
+        assert side is Hemisphere.NORTH
+        assert piece.points.tolist() == [[10.0, 170.0], [10.0, 180.0], [10.0, 190.0]]
+        point = gr.GeoPolyline(points=np.array([[10.0, 180.0], [10.0, -180.0]]))
+        assert gr.split_at_equator(point) == []
+
+    @pytest.mark.parametrize("mode", list(ProjectionMode))
+    def test_two_degree_crosser_stays_short(self, mode):
+        line = gr.GeoPolyline(points=np.array([[10.0, 179.0], [10.0, -179.0]]))
+        (pts,) = coast_vertices(gr.render_map([line], mode, 15, 400))
+        assert len(pts) <= 8  # 1,025 the long way round through lon 0
+
+    def test_depth_cap_logged_through_render_map(self, caplog):
+        line = gr.GeoPolyline(points=np.array([[0.0, 0.0], [0.0, 179.0]]))
+        with caplog.at_level("WARNING", logger=gr.log.name):
+            gr.render_map([line], ProjectionMode.GGV, 15, 4000)
+        assert not caplog.records
+        with caplog.at_level("WARNING", logger=gr.log.name):
+            gr.render_map([line], ProjectionMode.GGV, 15, 8000)
+        assert [r.getMessage() for r in caplog.records] == [
+            "4096 segment(s) still longer than 2 px after 12 subdivision passes"]
+
+
 class TestRenderMap:
     def test_graticule_circle_count(self):
         svg = gr.render_map([], ProjectionMode.GGV, 30, 400).to_svg()
