@@ -10,6 +10,10 @@ evaluated here by composite Simpson quadrature.  The second-variation form
 4 pi * integral (df'^2 + df^2/sin^2) sin dtheta is also provided; it is
 nonnegative for every admissible perturbation, which is what makes the
 closed-form critical point the global minimum.
+
+A sampled profile enters the functional through its not-a-knot cubic
+spline, built here by the same algorithm as scipy.interpolate.CubicSpline
+(one LAPACK solve from scipy.linalg), so scipy.interpolate is never loaded.
 """
 
 from __future__ import annotations
@@ -107,17 +111,83 @@ def sine_radial() -> RadialFunction:
 
 
 def profile_radial(profile) -> RadialFunction:
-    """Bridge a sampled RadialProfile into the functional via cubic interpolation."""
-    # imported here, not at module level: scipy.interpolate takes ~0.5 s to
-    # import and no other path of the package needs it
-    from scipy.interpolate import CubicSpline
+    """Bridge a sampled RadialProfile into the functional by cubic interpolation.
 
-    spline = CubicSpline(profile.thetas, profile.values)
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
+    The interpolant is the not-a-knot cubic spline through the samples, built
+    and evaluated by the same algorithm as scipy.interpolate.CubicSpline.
+    """
+    value, derivative, second = _not_a_knot_spline(profile.thetas, profile.values)
     return RadialFunction(
-        value=spline, derivative=d1, second_derivative=d2, provenance="sampled"
+        value=value, derivative=derivative, second_derivative=second, provenance="sampled"
     )
+
+
+def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable, Callable]:
+    """Evaluators of the not-a-knot cubic spline through (x, y) and of its f', f''.
+
+    The knot slopes solve the tridiagonal system of C. de Boor, A Practical
+    Guide to Splines, ch. IV, whose end rows make the third derivative
+    continuous at x[1] and x[-2]; with 3 samples the spline is the parabola
+    through them, with 2 the line.  Piece i is the cubic Hermite polynomial
+    in (t - x[i]) matching the values and slopes at both of its ends.
+    """
+    # imported here, not at module level: the package loads scipy only on
+    # the paths that solve a linear system
+    from scipy.linalg import solve, solve_banded
+
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    if n == 2:
+        s = np.array([slope[0], slope[0]])
+    elif n == 3:  # solved densely, as CubicSpline does, so the slopes round alike
+        a = np.array([[1.0, 1.0, 0.0],
+                      [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
+                      [0.0, 1.0, 1.0]])
+        b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
+        s = solve(a, b, overwrite_a=True, overwrite_b=True, check_finite=False)
+    else:
+        ab = np.zeros((3, n))  # rows: upper diagonal, diagonal, lower diagonal
+        b = np.empty(n)
+        ab[0, 2:] = dx[:-1]
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        ab[2, :-2] = dx[1:]
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = x[2] - x[0]
+        ab[1, 0] = dx[1]
+        ab[0, 1] = d
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = x[-1] - x[-3]
+        ab[1, -1] = dx[-2]
+        ab[2, -2] = d
+        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+    return (_piecewise_polynomial(x, (c3, c2, c1, c0)),
+            _piecewise_polynomial(x, (3 * c3, 2 * c2, c1)),
+            _piecewise_polynomial(x, (6 * c3, 2 * c2)))
+
+
+def _piecewise_polynomial(x: np.ndarray, c: tuple) -> Callable:
+    """Evaluator of the piecewise polynomial with breakpoints x, coefficients c.
+
+    c holds one array per power, highest first, with one entry per piece.  A
+    point outside [x[0], x[-1]] uses the nearest end piece, and NaN gives NaN.
+    """
+    inner = x[1:-1]  # t's piece is the count of inner breakpoints <= t
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(inner, t, side="right")
+        s = t - x[i]
+        out, z = c[-1][i], 1.0
+        for row in c[-2::-1]:  # the sum in increasing powers of s, as PPoly forms it
+            z = z * s
+            out = out + row[i] * z
+        return out
+    return evaluate
 
 
 def sigma(rf: RadialFunction, theta):
@@ -130,15 +200,9 @@ def sigma(rf: RadialFunction, theta):
 def rho(rf: RadialFunction, theta):
     """Hoop stress f(theta)/sin(theta) - 1, with the L'Hopital limit f'(0) - 1 at 0."""
     theta = np.asarray(closedform.clamp_colatitude(theta), dtype=float)
-    scalar = theta.ndim == 0
-    t = np.atleast_1d(theta)
-    out = np.empty_like(t)
-    at_pole = t == 0.0
-    if np.any(at_pole):
-        out[at_pole] = np.asarray(rf.derivative(0.0), dtype=float) - 1.0
-    tt = t[~at_pole]
-    out[~at_pole] = np.asarray(rf.value(tt), dtype=float) / np.sin(tt) - 1.0
-    return float(out[0]) if scalar else out
+    out = np.divide(np.asarray(rf.value(theta), dtype=float), np.sin(theta),
+                    out=np.full_like(theta, rf.derivative(0.0)), where=theta != 0.0) - 1.0
+    return float(out) if theta.ndim == 0 else out
 
 
 def _simpson(y: np.ndarray, h: float) -> float:

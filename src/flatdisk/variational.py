@@ -57,6 +57,8 @@ class RadialProfile:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.thetas.shape != self.values.shape or self.thetas.ndim != 1:
             raise ValueError("thetas and values must be 1-d arrays of equal length")
+        if len(self.thetas) < 2:
+            raise ValueError("profile needs at least 2 samples")
         if self.values[0] != 0.0:
             raise ValueError("profile must start at f(0) = 0 exactly")
         steps = np.diff(self.thetas)

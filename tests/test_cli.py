@@ -325,6 +325,24 @@ def test_cli_import_leaves_scipy_unloaded():
     assert res.stdout.strip() == "False"
 
 
+def test_verify_commands_leave_scipy_interpolate_unloaded(tmp_path):
+    # solve, stress --profile and stress --compare in one fresh interpreter
+    src = Path(cli.__file__).resolve().parents[1]
+    profile = tmp_path / "p.txt"
+    code = ("import contextlib, io, sys\n"
+            "from flatdisk import cli\n"
+            "argvs = [['solve', '--n', '16', '--out', sys.argv[1]],\n"
+            "         ['stress', '--profile', sys.argv[1], '--grid', '16'],\n"
+            "         ['stress', '--compare', '--grid', '16']]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(argv) for argv in argvs]\n"
+            "print(codes, 'scipy.interpolate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run([sys.executable, "-c", code, str(profile)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[0, 0, 0] False"
+
+
 class TestRender:
     def test_profile_plot(self, capsys, tmp_path):
         out_path = tmp_path / "profile.svg"

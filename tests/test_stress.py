@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from flatdisk import cli
 from flatdisk import closedform as cf
 from flatdisk import stress
+from flatdisk import variational as va
 
 POLE_SLOPE = 0.5 * (1 + math.log(2))
 
@@ -73,6 +75,97 @@ class TestRho:
         assert got == pytest.approx(POLE_SLOPE - 1.0, abs=1e-13)
         # equals sigma there
         assert got == pytest.approx(stress.sigma(stress.closed_form_radial(), 0.0))
+
+    def test_pole_in_array_matches_scalar(self):
+        rf = stress.closed_form_radial()
+        t = np.array([0.0, 0.3, 0.0, 1.2])
+        got = stress.rho(rf, t)
+        assert got[0] == got[2] == stress.rho(rf, 0.0)
+        assert np.array_equal(got[[1, 3]], cf.eval_f(t[[1, 3]]) / np.sin(t[[1, 3]]) - 1.0)
+
+
+def reference_spline(x, y):
+    """scipy's CubicSpline and its first two derivatives, the reference only."""
+    from scipy.interpolate import CubicSpline
+
+    spline = CubicSpline(x, y)
+    return spline, spline.derivative(1), spline.derivative(2)
+
+
+def probe_points(x):
+    """The knots, the midpoints, points beyond both ends, and NaN."""
+    span = x[-1] - x[0]
+    return np.concatenate([x, 0.5 * (x[:-1] + x[1:]),
+                           [x[0] - 0.3 * span, x[0] - 1e-3, x[-1] + 1e-3, x[-1] + 0.3 * span,
+                            np.nan]])
+
+
+def assert_spline_close(got, want):
+    # bit-equal on current scipy; 1e-14 relative leaves room for other releases
+    for g, w in zip(got, want):
+        scale = np.max(np.abs(w), where=np.isfinite(w), initial=0.0)
+        np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-14 * scale, equal_nan=True)
+
+
+class TestProfileSpline:
+    """profile_radial's not-a-knot spline against scipy.interpolate.CubicSpline."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 17, 2**15])
+    def test_matches_cubic_spline_on_profile(self, n):
+        thetas = np.linspace(0.0, math.pi / 2, n)
+        profile = va.RadialProfile(thetas, cf.eval_f(thetas))
+        rf = stress.profile_radial(profile)
+        assert rf.provenance == "sampled"
+        t = probe_points(thetas)
+        got = [rf.value(t), rf.derivative(t), rf.second_derivative(t)]
+        assert_spline_close(got, [ref(t) for ref in reference_spline(thetas, profile.values)])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 17])
+    def test_scalar_input(self, n):
+        thetas = np.linspace(0.0, math.pi / 2, n)
+        rf = stress.profile_radial(va.RadialProfile(thetas, cf.eval_f(thetas)))
+        refs = reference_spline(thetas, rf.value(thetas))
+        for t in (0.0, 0.7, math.pi / 2, -0.2, 2.0, math.nan):
+            got = [rf.value(t), rf.derivative(t), rf.second_derivative(t)]
+            assert all(np.ndim(g) == 0 for g in got)
+            assert_spline_close(got, [ref(t) for ref in refs])
+
+    def test_matches_cubic_spline_on_nonuniform_grids(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 0.5
+            y = rng.normal(size=n)
+            t = np.concatenate([probe_points(x), rng.uniform(x[0] - 2, x[-1] + 2, 40)])
+            got = [f(t) for f in stress._not_a_knot_spline(x, y)]
+            assert_spline_close(got, [ref(t) for ref in reference_spline(x, y)])
+
+    def test_line_and_parabola_are_exact(self):
+        x = np.array([0.0, 0.5, 1.5])
+        value, derivative, second = stress._not_a_knot_spline(x, 2 * x * x - x)
+        t = np.array([-1.0, 0.25, 1.0, 3.0])
+        assert np.allclose(value(t), 2 * t * t - t, rtol=0, atol=1e-14)
+        assert np.allclose(derivative(t), 4 * t - 1, rtol=0, atol=1e-14)
+        assert np.allclose(second(t), 4.0, rtol=0, atol=1e-14)
+        value, derivative, second = stress._not_a_knot_spline(x[:2], 3 * x[:2])
+        assert np.array_equal(value(t), 3 * t)
+        assert np.array_equal(derivative(t), np.full(4, 3.0))
+        assert np.array_equal(second(t), np.zeros(4))
+
+    def test_stress_profile_stdout_frozen(self, capsys, tmp_path):
+        # printed by the scipy.interpolate.CubicSpline version of profile_radial
+        path = tmp_path / "p.txt"
+        assert cli.main(["solve", "--n", "4096", "--out", str(path)]) == 0
+        capsys.readouterr()
+        want = {"1024": ("  total            0.2456346715\n"
+                         "  tangential_part  0.0763395711588\n"
+                         "  hoop_part        0.169295100342\n"),
+                "4096": ("  total            0.245634671498\n"
+                         "  tangential_part  0.0763395711583\n"
+                         "  hoop_part        0.169295100339\n")}
+        for grid, body in want.items():
+            assert cli.main(["stress", "--profile", str(path), "--grid", grid]) == 0
+            assert capsys.readouterr().out == f"{path}\n{body}"
 
 
 class TestTotalStress:

@@ -271,6 +271,11 @@ class TestProfileSerialization:
             va.RadialProfile(thetas=np.array([0.0, 0.5, 1.0]),
                              values=np.array([0.1, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_profile_rejects_fewer_than_two_samples(self, n):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            va.RadialProfile(thetas=np.zeros(n), values=np.zeros(n))
+
     def test_sampled_profile_bridges_into_stress(self):
         # oracle output must be scoreable by the same functional
         profile = va.solve_discrete(512)
