@@ -36,17 +36,16 @@ def cmd_eval(args) -> int:
     if not 0.0 <= theta_deg <= 90.0:
         raise UsageError(f"colatitude must be in [0, 90] degrees, got {theta_deg}")
     t = math.radians(theta_deg)
-    f = closedform.eval_f(t)
-    fp = closedform.eval_f_prime(t)
+    rf = stress.closed_form_radial()
     rows = [
         ("theta_deg", theta_deg),
         ("theta_rad", t),
-        ("f", f),
-        ("f_prime", fp),
+        ("f", closedform.eval_f(t)),
+        ("f_prime", closedform.eval_f_prime(t)),
         ("g", closedform.eval_g(t)),
         ("h", closedform.eval_h(t)),
-        ("sigma", fp - 1.0),
-        ("rho", (fp - 1.0) if t == 0.0 else (f / math.sin(t) - 1.0)),
+        ("sigma", stress.sigma(rf, t)),
+        ("rho", stress.rho(rf, t)),
     ]
     for name, value in rows:
         print(f"{name:>10s}  {_num(value)}")
@@ -175,9 +174,9 @@ def cmd_project(args) -> int:
     if bad.size:
         n = int(bad[0])
     if n:
-        r, phi, north = projection.forward_arrays(lat[:n], projection.normalize_lon(lon[:n]), mode)
+        r, phi, north = projection.forward_arrays(lat[:n], lon[:n], mode)
         cells = [None] * (3 * n)
-        cells[0::3] = np.clip(r, 0.0, 1.0).tolist()  # DiskPoint's clamp of float noise at the rim
+        cells[0::3] = r.tolist()  # r can pass 1 by float noise only, which %.12g prints as 1
         cells[1::3] = phi.tolist()
         cells[2::3] = np.where(north, projection.Hemisphere.NORTH.value,
                                projection.Hemisphere.SOUTH.value).tolist()
@@ -225,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stress-minimizing flat-disk map projection toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    modes = [mode.value for mode in ProjectionMode]
 
     p = sub.add_parser("eval", help="evaluate the radial function chain at one colatitude")
     p.add_argument("theta_deg", type=float, help="colatitude in degrees, 0..90")
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("stress", help="total stress of a mode or a profile file")
-    p.add_argument("--mode", default="stress-minimal", choices=["ggv", "stress-minimal"])
+    p.add_argument("--mode", default="stress-minimal", choices=modes)
     p.add_argument("--profile", help="radial profile file instead of --mode")
     p.add_argument("--grid", type=int, default=1024, help="quadrature grid size")
     p.add_argument("--compare", action="store_true",
@@ -244,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stress)
 
     p = sub.add_parser("project", help="project lat,lon CSV from stdin to r,phi,side CSV")
-    p.add_argument("--mode", default="stress-minimal", choices=["ggv", "stress-minimal"])
+    p.add_argument("--mode", default="stress-minimal", choices=modes)
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("render", help="render an SVG map or profile plot")
     p.add_argument("target", choices=["map", "profile"])
-    p.add_argument("--mode", default="stress-minimal", choices=["ggv", "stress-minimal"])
+    p.add_argument("--mode", default="stress-minimal", choices=modes)
     p.add_argument("--geojson", help="input FeatureCollection (map target)")
     p.add_argument("--graticule", type=int, default=15, help="graticule spacing, degrees")
     p.add_argument("--size", type=int, default=400, help="panel size in pixels")

@@ -29,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
+    "HALF_PI",
     "TWO_LN2",
     "POLE_SLOPE",
     "clamp_colatitude",
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+#: colatitude of the equator, the rim of each face
+HALF_PI = math.pi / 2
 #: disk radius of the flattened hemisphere, f(pi/2) = 2 ln 2
 TWO_LN2 = 2.0 * LN2
 #: limiting slope f'(0) = (1 + ln 2) / 2
@@ -101,10 +104,10 @@ def clamp_colatitude(theta):
     Values outside the interval by more than CLAMP_TOL raise ValueError;
     smaller excursions are clamped onto the boundary.
     """
-    bad = (theta < -CLAMP_TOL) | (theta > math.pi / 2 + CLAMP_TOL)
+    bad = (theta < -CLAMP_TOL) | (theta > HALF_PI + CLAMP_TOL)
     if np.any(bad):
         raise ValueError(f"colatitude out of range [0, pi/2]: {theta[bad][0]!r}")
-    return np.clip(theta, 0.0, math.pi / 2)
+    return np.clip(theta, 0.0, HALF_PI)
 
 
 @_vectorized
@@ -252,9 +255,4 @@ def eval_beta_series(x, n_terms: int):
     if np.any(np.abs(x) >= 1.0):
         raise ValueError("beta series requires |x| < 1")
     a = series_coefficients(2 * n_terms - 1).as_floats()
-    x2 = x * x
-    # Horner in x^2 on the odd-power series
-    acc = np.zeros_like(x)
-    for coeff in a[::-1]:
-        acc = acc * x2 + coeff
-    return acc * x
+    return np.polynomial.polynomial.polyval(x * x, a) * x  # odd powers: x * P(x^2)

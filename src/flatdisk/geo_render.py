@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,7 @@ GUTTER_PX = 20.0
 MARGIN_PX = 10.0
 MAX_CHORD_PX = 2.0
 MAX_SUBDIV_DEPTH = 12
+PROFILE_SAMPLES = 512
 
 log = logging.getLogger(__name__)
 
@@ -377,22 +377,22 @@ _GAP_STYLE = 'fill="none" stroke="#999999" stroke-width="1" stroke-dasharray="4,
 _LABEL_STYLE = 'font-family="sans-serif" font-size="12" fill="black"'
 
 
-def render_profile_plot(size_px: int, n_samples: int = 512) -> MapDocument:
+def render_profile_plot(size_px: int) -> MapDocument:
     """Radial function vs the straight chord from (0,0) to (pi/2, 2 ln 2).
 
     The maximum vertical gap between the two curves is drawn as a dashed
-    segment and annotated with its value.
+    segment and annotated with its value.  Both use PROFILE_SAMPLES points.
     """
     if size_px < 100:
         raise ValueError(f"size_px must be >= 100, got {size_px}")
     width = float(size_px)
     height = 0.75 * size_px
     margin = 30.0
-    thetas = np.linspace(0.0, math.pi / 2, n_samples)
+    thetas = np.linspace(0.0, closedform.HALF_PI, PROFILE_SAMPLES)
     f = np.asarray(closedform.eval_f(thetas))
-    chord = thetas * closedform.TWO_LN2 / (math.pi / 2)
+    chord = thetas * closedform.TWO_LN2 / closedform.HALF_PI
 
-    sx = (width - 2 * margin) / (math.pi / 2)
+    sx = (width - 2 * margin) / closedform.HALF_PI
     sy = (height - 2 * margin) / closedform.TWO_LN2
     to_x = lambda t: margin + t * sx
     to_y = lambda v: height - margin - v * sy
@@ -402,7 +402,7 @@ def render_profile_plot(size_px: int, n_samples: int = 512) -> MapDocument:
     axis = 'fill="none" stroke="black" stroke-width="1"'
     doc.polylines.append((np.array([[to_x(0), to_y(closedform.TWO_LN2)],
                                     [to_x(0), to_y(0)],
-                                    [to_x(math.pi / 2), to_y(0)]]), axis, False))
+                                    [to_x(closedform.HALF_PI), to_y(0)]]), axis, False))
     doc.polylines.append((np.column_stack([to_x(thetas), to_y(chord)]),
                           _CHORD_STYLE, False))
     doc.polylines.append((np.column_stack([to_x(thetas), to_y(f)]),

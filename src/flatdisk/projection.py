@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closedform
+from . import closedform, stress
+from .closedform import HALF_PI
 
 __all__ = [
     "Hemisphere",
@@ -30,7 +31,6 @@ __all__ = [
     "scale_factors",
 ]
 
-HALF_PI = math.pi / 2
 _R_TOL = 1e-12
 # Newton stop for inverse_radius.  Newton converges quadratically from pi/2,
 # so a step below 1e-11 rad leaves an error of order f''/f' * 1e-22 rad,
@@ -56,18 +56,37 @@ class ProjectionMode(enum.Enum):
         raise ValueError(f"unknown projection mode {name!r}")
 
 
-def normalize_lon(lon):
-    """Longitude in degrees mapped into (-180, 180] (vectorized).
+def _wrap(x, period: float):
+    """x reduced into (-period/2, period/2] (vectorized; a float for a scalar).
 
-    fmod by 360 (exact, sign of the argument), then one shift of 360 off the
-    ends; -0.0 and NaN pass through.  Infinite longitudes raise ValueError
-    "math domain error", as math.fmod does.  Returns a float for a scalar.
+    fmod by period (exact, sign of the argument), then one shift of period
+    off the ends; -0.0 and NaN pass through.  Infinite values raise
+    ValueError "math domain error", as math.fmod does.
     """
-    arr = np.asarray(lon, dtype=float)
+    arr = np.asarray(x, dtype=float)
     if np.isinf(arr).any():
         raise ValueError("math domain error")
-    out = np.fmod(arr, 360.0)
-    out = np.where(out <= -180.0, out + 360.0, np.where(out > 180.0, out - 360.0, out))
+    out = np.fmod(arr, period)
+    half = 0.5 * period
+    out = np.where(out <= -half, out + period, np.where(out > half, out - period, out))
+    return float(out) if arr.ndim == 0 else out
+
+
+def normalize_lon(lon):
+    """Longitude in degrees mapped into (-180, 180] by _wrap (vectorized)."""
+    return _wrap(lon, 360.0)
+
+
+def _unit_radius(r):
+    """Disk radius r clamped onto [0, 1] (vectorized; a float for a scalar).
+
+    NaN, or a value more than _R_TOL outside [0, 1], raises ValueError.
+    """
+    arr = np.asarray(r, dtype=float)
+    bad = ~((arr >= -_R_TOL) & (arr <= 1.0 + _R_TOL))
+    if np.any(bad):
+        raise ValueError(f"disk radius out of range [0, 1]: {float(arr[bad][0])!r}")
+    out = np.clip(arr, 0.0, 1.0)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -93,15 +112,8 @@ class DiskPoint:
     side: Hemisphere
 
     def __post_init__(self):
-        if not -_R_TOL <= self.r <= 1.0 + _R_TOL:
-            raise ValueError(f"disk radius out of range [0, 1]: {self.r!r}")
-        object.__setattr__(self, "r", min(max(self.r, 0.0), 1.0))
-        phi = math.fmod(self.phi, 2 * math.pi)
-        if phi <= -math.pi:
-            phi += 2 * math.pi
-        elif phi > math.pi:
-            phi -= 2 * math.pi
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "r", _unit_radius(self.r))
+        object.__setattr__(self, "phi", _wrap(self.phi, 2 * math.pi))
 
 
 def radius_from_colatitude(theta, mode: ProjectionMode):
@@ -114,18 +126,16 @@ def radius_from_colatitude(theta, mode: ProjectionMode):
 def forward_arrays(lat_deg, lon_deg, mode: ProjectionMode):
     """Vectorized forward map: arrays of degrees -> (r, phi, north_mask).
 
-    The pole projects to r = 0 with phi = 0 (deterministic tie-break);
+    phi is normalize_lon's exact reduction in radians (+ 0.0 turns -0.0 into
+    0.0).  The pole projects to r = 0 with phi = 0 (deterministic tie-break);
     lat = 0 is assigned to the northern face.
     """
     lat = np.asarray(lat_deg, dtype=float)
-    lon = np.asarray(lon_deg, dtype=float)
     north = lat >= 0.0
     theta = np.radians(90.0 - np.abs(lat))
     theta = np.minimum(theta, HALF_PI)  # guard float noise at the equator
     r = radius_from_colatitude(theta, mode)
-    phi = np.where(r == 0.0, 0.0, np.radians(lon))
-    phi = np.mod(phi + math.pi, 2 * math.pi) - math.pi
-    phi = np.where(phi == -math.pi, math.pi, phi)
+    phi = np.where(r == 0.0, 0.0, np.radians(normalize_lon(lon_deg)) + 0.0)
     return r, phi, north
 
 
@@ -144,10 +154,7 @@ def inverse_radius(r, mode: ProjectionMode):
     so the iterates fall monotonically onto the root.  It stops once every
     step is below _NEWTON_TOL rad, or after _NEWTON_MAX_ITER steps.
     """
-    arr = np.asarray(r, dtype=float)
-    if np.any(np.atleast_1d(arr) < -_R_TOL) or np.any(np.atleast_1d(arr) > 1.0 + _R_TOL):
-        raise ValueError("disk radius out of [0, 1]")
-    arr = np.clip(arr, 0.0, 1.0)
+    arr = np.asarray(_unit_radius(r))
     if mode is ProjectionMode.GGV:
         return arr * HALF_PI
     target = arr * closedform.TWO_LN2
@@ -174,17 +181,12 @@ def scale_factors(p: GeoCoord, mode: ProjectionMode):
     """(meridian_scale, parallel_scale, area_scale) at a geographic point.
 
     Reported in unnormalized units: the hemisphere rim sits at pi/2 for GGV
-    and at 2 ln 2 for stress-minimal.  At the poles both factors take the
-    limiting slope f'(0), where the map is isotropic.
+    and at 2 ln 2 for stress-minimal.  The factors are 1 + stress.sigma and
+    1 + stress.rho of the mode's radial function, so at the poles both take
+    rho's limiting slope f'(0), where the map is isotropic.
     """
     theta = math.radians(90.0 - abs(p.lat_deg))
-    if mode is ProjectionMode.GGV:
-        meridian = 1.0
-        parallel = 1.0 if theta == 0.0 else theta / math.sin(theta)
-    else:
-        meridian = float(closedform.eval_f_prime(theta))
-        if theta == 0.0:
-            parallel = meridian
-        else:
-            parallel = float(closedform.eval_f(theta)) / math.sin(theta)
+    rf = stress.identity_radial() if mode is ProjectionMode.GGV else stress.closed_form_radial()
+    meridian = stress.sigma(rf, theta) + 1.0
+    parallel = stress.rho(rf, theta) + 1.0
     return meridian, parallel, meridian * parallel

@@ -19,12 +19,13 @@ spline, built here by the same algorithm as scipy.interpolate.CubicSpline
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import closedform
+from .closedform import HALF_PI
 
 __all__ = [
     "RadialFunction",
@@ -39,8 +40,6 @@ __all__ = [
     "total_stress",
     "second_variation",
 ]
-
-HALF_PI = math.pi / 2
 
 
 class StressEvaluationError(ValueError):

@@ -52,6 +52,21 @@ class TestEval:
         for name, value in want.items():
             assert rows[name] == value
 
+    # sigma = f' - 1 and rho = f/sin - 1 (pole limit f'(0) - 1) of the
+    # double colatitude, 12 digits agreeing with 60-digit mpmath
+    @pytest.mark.parametrize("deg, sigma, rho", [
+        ("0", "-0.15342640972", "-0.15342640972"),
+        ("1e-9", "-0.15342640972", "-0.15342640972"),
+        ("0.01", "-0.153426408985", "-0.153426405177"),
+        ("45", "-0.134594884912", "-0.0533326797855"),
+        ("89.99", "-6.74058565605e-05", "0.386119855189"),
+    ])
+    def test_stress_rows(self, capsys, deg, sigma, rho):
+        code, out, _ = run(capsys, "eval", deg)
+        assert code == 0
+        rows = dict(l.split() for l in out.splitlines())
+        assert (rows["sigma"], rows["rho"]) == (sigma, rho)
+
     def test_out_of_range_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "120")
         assert code == 2
@@ -210,6 +225,13 @@ PROJECT_CASES = {
     "underscore_then_inf_lat": ("1_0,5\n1e500,0\n", 1, "0.877779072391,0.0872664625997,north\n",
                                 "error: line 2: latitude out of range: inf\n"),
     "one_field_then_three": ("45\n1,2,3\n", 1, "", "error: line 1: expected lat,lon\n"),
+    # phi is the radian value of the reduced longitude, 12 digits agreeing
+    # with mpmath; a reduction that adds pi first drops the low bits of small phi
+    "tiny_lon": (
+        "45,1e-8\n45,-1e-8\n10,1e-12\n-10,359.9999999\n", 0,
+        "0.482866338077,1.74532925199e-10,north\n0.482866338077,-1.74532925199e-10,north\n"
+        "0.877779072391,1.74532925199e-14,north\n0.877779072391,-1.74532964443e-09,south\n",
+        ""),
 }
 
 

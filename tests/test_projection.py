@@ -65,6 +65,23 @@ class TestDiskPoint:
         with pytest.raises(ValueError):
             DiskPoint(1.01, 0.0, Hemisphere.NORTH)
 
+    def test_rejects_nan_radius(self):
+        with pytest.raises(ValueError, match="disk radius out of range"):
+            DiskPoint(math.nan, 0.0, Hemisphere.NORTH)
+
+    @pytest.mark.parametrize("phi, want", [
+        (-math.pi, math.pi), (math.pi, math.pi), (3 * math.pi, math.pi), (-0.0, -0.0),
+        (2 * math.pi + 0.5, 0.5),
+    ])
+    def test_wraps_phi_into_half_open_turn(self, phi, want):
+        got = DiskPoint(0.5, phi, Hemisphere.NORTH).phi
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf])
+    def test_infinite_phi_raises(self, phi):
+        with pytest.raises(ValueError, match="math domain error"):
+            DiskPoint(0.5, phi, Hemisphere.NORTH)
+
 
 class TestForward:
     def test_pole_is_center(self):
@@ -90,6 +107,17 @@ class TestForward:
     def test_equator_owned_by_north(self):
         assert pj.forward(GeoCoord(0.0, 10.0), ProjectionMode.GGV).side is Hemisphere.NORTH
 
+    @pytest.mark.parametrize("mode", list(ProjectionMode))
+    def test_phi_is_reduced_longitude_in_radians(self, mode):
+        # reduced in degrees, exactly, then converted: no bits lost to a shift by pi
+        rng = np.random.default_rng(9)
+        lon = np.concatenate([rng.uniform(-1e3, 1e3, 4000), [1e-8, -1e-12, 359.9999999],
+                              [180.0, -180.0, 540.0, -540.0, -0.0, -360.0]])
+        _, phi, _ = pj.forward_arrays(np.full_like(lon, 10.0), lon, mode)
+        want = np.radians(pj.normalize_lon(lon))
+        assert phi.tolist() == want.tolist()
+        assert not np.signbit(phi[-2:]).any()  # lon -0.0 and -360 give +0.0
+
 
 class TestInverse:
     def test_center_is_pole(self):
@@ -110,6 +138,13 @@ class TestInverse:
     def test_rejects_radius_out_of_range(self):
         with pytest.raises(ValueError):
             pj.inverse_radius(1.5, ProjectionMode.GGV)
+
+    @pytest.mark.parametrize("mode", list(ProjectionMode))
+    @pytest.mark.parametrize("r", [1.5, -1e-9, math.nan, np.array([0.5, math.nan])])
+    def test_radius_rule_matches_disk_point(self, mode, r):
+        # the same rule and message as DiskPoint, NaN included
+        with pytest.raises(ValueError, match="disk radius out of range"):
+            pj.inverse_radius(r, mode)
 
 
 # (r, theta): r is a double, theta the colatitude with f(theta) = 2 ln 2 * r
@@ -231,5 +266,5 @@ class TestScaleFactors:
         for lat in (5.0, 22.5, 45.0, 70.0, 89.0):
             theta = math.radians(90.0 - lat)
             m, p, _ = pj.scale_factors(GeoCoord(lat, 0.0), ProjectionMode.STRESS_MINIMAL)
-            assert abs(m - (stress.sigma(rf, theta) + 1.0)) < 1e-12
-            assert abs(p - (stress.rho(rf, theta) + 1.0)) < 1e-12
+            assert m == stress.sigma(rf, theta) + 1.0
+            assert p == stress.rho(rf, theta) + 1.0
