@@ -31,12 +31,30 @@ def _num(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _read(load, path):
+    """load(path); OSError or ValueError becomes a RuntimeError naming path."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise RuntimeError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise RuntimeError(f"{path}: {exc}") from None
+
+
+def _write(save, path) -> None:
+    """save(path); OSError becomes a RuntimeError naming path."""
+    try:
+        save(path)
+    except OSError as exc:
+        raise RuntimeError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_eval(args) -> int:
     theta_deg = args.theta_deg
     if not 0.0 <= theta_deg <= 90.0:
         raise UsageError(f"colatitude must be in [0, 90] degrees, got {theta_deg}")
     t = math.radians(theta_deg)
-    rf = stress.closed_form_radial()
+    rf = projection.radial_function(ProjectionMode.STRESS_MINIMAL)
     rows = [
         ("theta_deg", theta_deg),
         ("theta_rad", t),
@@ -56,11 +74,8 @@ def cmd_solve(args) -> int:
     if args.n < 16:
         raise UsageError(f"--n must be >= 16, got {args.n}")
     profile = variational.solve_discrete(args.n)
-    try:
-        variational.save_profile(profile, args.out, comment=f"solve_discrete n={args.n}")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    comment = f"solve_discrete n={args.n}"
+    _write(lambda path: variational.save_profile(profile, path, comment=comment), args.out)
     deviation = np.max(np.abs(profile.values - closedform.eval_f(profile.thetas)))
     slope = variational.endpoint_slope(profile)
     print(f"wrote {args.out} ({args.n + 1} samples)")
@@ -69,21 +84,12 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _radial_from_args(args) -> stress.RadialFunction:
-    if args.profile:
-        try:
-            profile = variational.load_profile(args.profile)
-        except OSError as exc:
-            raise RuntimeError(f"cannot read {args.profile}: {exc}") from None
-        except ValueError as exc:
-            raise RuntimeError(f"{args.profile}: {exc}") from None
-        if not profile.is_strictly_increasing():
-            raise RuntimeError(f"{args.profile}: profile is not strictly increasing")
-        return stress.profile_radial(profile)
-    mode = ProjectionMode.parse(args.mode)
-    if mode is ProjectionMode.GGV:
-        return stress.identity_radial()
-    return stress.closed_form_radial()
+def _profile_stress(path, grid_size: int) -> stress.StressReport:
+    """Total stress of the profile file at path, through its spline."""
+    profile = variational.load_profile(path)
+    if not profile.is_strictly_increasing():
+        raise ValueError("profile is not strictly increasing")
+    return stress.total_stress(stress.profile_radial(profile), grid_size)
 
 
 def _print_report(label: str, report: stress.StressReport) -> None:
@@ -97,13 +103,18 @@ def cmd_stress(args) -> int:
     if args.grid < 16:
         raise UsageError(f"grid_size must be >= 16, got {args.grid}")
     if args.compare:
-        s_min = stress.total_stress(stress.closed_form_radial(), args.grid)
-        s_ggv = stress.total_stress(stress.identity_radial(), args.grid)
+        s_min, s_ggv = (stress.total_stress(projection.radial_function(mode), args.grid)
+                        for mode in (ProjectionMode.STRESS_MINIMAL, ProjectionMode.GGV))
         _print_report("stress-minimal", s_min)
         _print_report("ggv", s_ggv)
         print(f"difference (ggv - stress-minimal)  {_num(s_ggv.total - s_min.total)}")
         return EXIT_OK
-    report = stress.total_stress(_radial_from_args(args), args.grid)
+    if args.profile:
+        # everything computed from the file's data fails as "<path>: ..."
+        report = _read(lambda path: _profile_stress(path, args.grid), args.profile)
+    else:
+        rf = projection.radial_function(ProjectionMode(args.mode))
+        report = stress.total_stress(rf, args.grid)
     _print_report(args.profile or args.mode, report)
     return EXIT_OK
 
@@ -162,7 +173,7 @@ def cmd_project(args) -> int:
     bad row's error text comes from GeoCoord on that row alone, so it reads
     as it always has ("line 5: latitude out of range: 91.0").
     """
-    mode = ProjectionMode.parse(args.mode)
+    mode = ProjectionMode(args.mode)
     lines = list(map(str.strip, sys.stdin.read().split("\n")))
     is_row = [line and line[0] != "#" for line in lines]
     rows = list(compress(lines, is_row))
@@ -183,8 +194,7 @@ def cmd_project(args) -> int:
         sys.stdout.write(("%.12g,%.12g,%s\n" * n) % tuple(cells))
     if n < len(rows):
         lineno = list(compress(count(1), is_row))[n]
-        print(f"error: line {lineno}: {_row_error(rows[n])}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise RuntimeError(f"line {lineno}: {_row_error(rows[n])}")
     return EXIT_OK
 
 
@@ -196,22 +206,10 @@ def cmd_render(args) -> int:
     if args.target == "profile":
         doc = geo_render.render_profile_plot(args.size)
     else:
-        mode = ProjectionMode.parse(args.mode)
-        try:
-            lines = geo_render.load_geojson(args.geojson)
-        except OSError as exc:
-            print(f"error: cannot read {args.geojson}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        except ValueError as exc:
-            print(f"error: {args.geojson}: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        doc = geo_render.render_map(lines, mode, args.graticule, args.size,
-                                    source=args.geojson)
-    try:
-        doc.save(args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        lines = _read(geo_render.load_geojson, args.geojson)
+        doc = geo_render.render_map(lines, ProjectionMode(args.mode), args.graticule,
+                                    args.size, source=args.geojson)
+    _write(doc.save, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -269,7 +267,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, variational.SolverError) as exc:
+    except RuntimeError as exc:  # variational.SolverError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

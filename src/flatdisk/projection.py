@@ -9,6 +9,7 @@ normalized so the equator lands on the rim (r = 1) in both modes.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ __all__ = [
     "normalize_lon",
     "forward",
     "inverse",
+    "radial_function",
     "radius_from_colatitude",
     "forward_arrays",
     "inverse_radius",
@@ -47,13 +49,6 @@ class Hemisphere(enum.Enum):
 class ProjectionMode(enum.Enum):
     GGV = "ggv"
     STRESS_MINIMAL = "stress-minimal"
-
-    @classmethod
-    def parse(cls, name: str) -> "ProjectionMode":
-        for mode in cls:
-            if mode.value == name.lower():
-                return mode
-        raise ValueError(f"unknown projection mode {name!r}")
 
 
 def _wrap(x, period: float):
@@ -114,6 +109,14 @@ class DiskPoint:
     def __post_init__(self):
         object.__setattr__(self, "r", _unit_radius(self.r))
         object.__setattr__(self, "phi", _wrap(self.phi, 2 * math.pi))
+
+
+@functools.cache
+def radial_function(mode: ProjectionMode) -> stress.RadialFunction:
+    """The mode's radial function f, built once: theta for GGV, the closed form else."""
+    if mode is ProjectionMode.GGV:
+        return stress.identity_radial()
+    return stress.closed_form_radial()
 
 
 def radius_from_colatitude(theta, mode: ProjectionMode):
@@ -186,7 +189,7 @@ def scale_factors(p: GeoCoord, mode: ProjectionMode):
     rho's limiting slope f'(0), where the map is isotropic.
     """
     theta = math.radians(90.0 - abs(p.lat_deg))
-    rf = stress.identity_radial() if mode is ProjectionMode.GGV else stress.closed_form_radial()
+    rf = radial_function(mode)
     meridian = stress.sigma(rf, theta) + 1.0
     parallel = stress.rho(rf, theta) + 1.0
     return meridian, parallel, meridian * parallel

@@ -61,12 +61,11 @@ class RadialFunction:
     value and derivative are vectorized callables on [0, pi/2]; the optional
     second_derivative is needed only by ODE-residual evaluation.  Construction
     checks value(0) = 0 and spot-checks derivative consistency by central
-    differences.
+    differences, to within 1e-6 of the larger of 1 and the largest slope.
     """
 
     value: Callable
     derivative: Callable
-    provenance: str = "analytic-test"
     second_derivative: Optional[Callable] = None
 
     def __post_init__(self):
@@ -75,7 +74,9 @@ class RadialFunction:
             raise ValueError(f"radial function must vanish at theta=0, got {v0!r}")
         fd = (np.asarray(self.value(_SPOT_GRID + _FD_STEP))
               - np.asarray(self.value(_SPOT_GRID - _FD_STEP))) / (2 * _FD_STEP)
-        if np.max(np.abs(fd - np.asarray(self.derivative(_SPOT_GRID)))) > 1e-6:
+        slope = np.asarray(self.derivative(_SPOT_GRID))
+        # the differences round to ~2e-11 * |f|, so the bound scales with the slopes
+        if np.max(np.abs(fd - slope)) > 1e-6 * max(1.0, float(np.max(np.abs(slope)))):
             raise ValueError("supplied derivative disagrees with finite differences")
 
 
@@ -85,7 +86,6 @@ def closed_form_radial() -> RadialFunction:
         value=closedform.eval_f,
         derivative=closedform.eval_f_prime,
         second_derivative=closedform.eval_f_second,
-        provenance="closed-form",
     )
 
 
@@ -95,7 +95,6 @@ def identity_radial(scale: float = 1.0) -> RadialFunction:
         value=lambda t: scale * np.asarray(t, dtype=float),
         derivative=lambda t: scale * np.ones_like(np.asarray(t, dtype=float)),
         second_derivative=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        provenance="analytic-test",
     )
 
 
@@ -105,7 +104,6 @@ def sine_radial() -> RadialFunction:
         value=np.sin,
         derivative=np.cos,
         second_derivative=lambda t: -np.sin(np.asarray(t, dtype=float)),
-        provenance="analytic-test",
     )
 
 
@@ -116,9 +114,7 @@ def profile_radial(profile) -> RadialFunction:
     and evaluated by the same algorithm as scipy.interpolate.CubicSpline.
     """
     value, derivative, second = _not_a_knot_spline(profile.thetas, profile.values)
-    return RadialFunction(
-        value=value, derivative=derivative, second_derivative=second, provenance="sampled"
-    )
+    return RadialFunction(value=value, derivative=derivative, second_derivative=second)
 
 
 def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable, Callable]:
@@ -237,8 +233,9 @@ def total_stress(rf: RadialFunction, grid_size: int) -> StressReport:
     weight = 2.0 * math.pi * np.sin(thetas)
     sig = sigma(rf, thetas)
     rh = rho(rf, thetas)
-    tang = sig * sig * weight
-    hoop = rh * rh * weight
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        tang = sig * sig * weight
+        hoop = rh * rh * weight
     bad = ~np.isfinite(tang + hoop)
     if np.any(bad):
         raise StressEvaluationError(float(thetas[bad][0]))

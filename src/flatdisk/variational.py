@@ -42,7 +42,7 @@ HALF_PI = math.pi / 2
 
 
 class SolverError(RuntimeError):
-    """Discrete solve produced non-finite values."""
+    """The banded Cholesky solve failed, or gave a non-finite or non-increasing f."""
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,6 @@ class RadialProfile:
         steps = np.diff(self.thetas)
         if not np.allclose(steps, steps[0], rtol=0, atol=1e-12):
             raise ValueError("theta grid must be uniform")
-
-    @property
-    def n(self) -> int:
-        return len(self.thetas) - 1
 
     def is_strictly_increasing(self) -> bool:
         return bool(np.all(np.diff(self.values) > 0))

@@ -133,6 +133,37 @@ class TestStress:
         assert code == 1
         assert "line 2" in err
 
+    def test_overflowing_profile_is_error_line(self, capsys, tmp_path):
+        # f = 1e200 * theta: f'^2 overflows in the stress integrand
+        path = tmp_path / "big.txt"
+        thetas = np.linspace(0, math.pi / 2, 65).tolist()
+        path.write_text("".join(f"{t!r} {1e200 * t!r}\n" for t in thetas))
+        code, out, err = run(capsys, "stress", "--profile", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: non-finite stress integrand at theta = 0.0\n"
+
+
+class TestFailuresAreErrorLines:
+    # exit 1, empty stdout and one "error:" line on stderr, never a traceback
+    ENOENT = "[Errno 2] No such file or directory: '{tmp}/"
+
+    @pytest.mark.parametrize("argv, err", [
+        (["stress", "--profile", "{tmp}/missing.txt"],
+         "cannot read {tmp}/missing.txt: " + ENOENT + "missing.txt'"),
+        (["render", "map", "--geojson", "{tmp}/missing.geojson", "--out", "{tmp}/o.svg"],
+         "cannot read {tmp}/missing.geojson: " + ENOENT + "missing.geojson'"),
+        (["render", "profile", "--out", "{tmp}/nodir/o.svg"],
+         "cannot write {tmp}/nodir/o.svg: " + ENOENT + "nodir/o.svg'"),
+        (["render", "map", "--geojson", str(FIXTURE), "--out", "{tmp}/nodir/o.svg"],
+         "cannot write {tmp}/nodir/o.svg: " + ENOENT + "nodir/o.svg'"),
+        (["solve", "--n", "32", "--out", "{tmp}/nodir/p.txt"],
+         "cannot write {tmp}/nodir/p.txt: " + ENOENT + "nodir/p.txt'"),
+    ], ids=["stress-missing-profile", "render-missing-geojson", "render-profile-unwritable",
+            "render-map-unwritable", "solve-unwritable"])
+    def test_frozen(self, capsys, tmp_path, argv, err):
+        code, out, got = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+        assert (code, out, got) == (1, "", "error: " + err.replace("{tmp}", str(tmp_path)) + "\n")
+
 
 class TestBadValuesAreUsageErrors:
     # exit 2 and one "usage error:" line, as for `solve --n 8`, not a traceback
@@ -255,7 +286,7 @@ def reference_project(text, mode):
         lons.append(p.lon_deg)
     if lats:
         r, phi, north = projection.forward_arrays(
-            lats, lons, projection.ProjectionMode.parse(mode))
+            lats, lons, projection.ProjectionMode(mode))
         for a, b, c in zip(np.clip(r, 0.0, 1.0), phi, north):
             out += f"{cli._num(a)},{cli._num(b)},{'north' if c else 'south'}\n"
     return (1 if error else 0), out, error

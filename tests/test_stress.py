@@ -46,6 +46,14 @@ class TestRadialFunction:
             stress.RadialFunction(value=np.sin,
                                   derivative=lambda t: np.ones_like(np.asarray(t, dtype=float)))
 
+    @pytest.mark.parametrize("scale", [1e6, 1e100])
+    def test_accepts_large_sampled_line(self, scale):
+        # the spot check's finite differences round to ~2e-11 * |f|
+        thetas = np.linspace(0.0, math.pi / 2, 65)
+        rf = stress.profile_radial(va.RadialProfile(thetas, scale * thetas))
+        want = stress.total_stress(stress.identity_radial(scale), 1024).total
+        assert stress.total_stress(rf, 1024).total == want
+
 
 class TestSigma:
     def test_closed_form_at_equator(self):
@@ -115,7 +123,6 @@ class TestProfileSpline:
         thetas = np.linspace(0.0, math.pi / 2, n)
         profile = va.RadialProfile(thetas, cf.eval_f(thetas))
         rf = stress.profile_radial(profile)
-        assert rf.provenance == "sampled"
         t = probe_points(thetas)
         got = [rf.value(t), rf.derivative(t), rf.second_derivative(t)]
         assert_spline_close(got, [ref(t) for ref in reference_spline(thetas, profile.values)])
@@ -216,6 +223,12 @@ class TestTotalStress:
         with pytest.raises(stress.StressEvaluationError) as err:
             stress.total_stress(bad, 64)
         assert err.value.theta > 1.45
+
+    def test_overflowing_integrand_is_evaluation_error(self):
+        # f' = 1e200 squares to inf: one StressEvaluationError, no numpy warning
+        with pytest.raises(stress.StressEvaluationError) as err:
+            stress.total_stress(stress.identity_radial(1e200), 64)
+        assert err.value.theta == 0.0
 
 
 class TestSecondVariation:
