@@ -5,8 +5,11 @@ piece lives in a single hemisphere (taking the short way across ±180°, where
 the disk needs no cut), projected through the chosen mode, and
 written into a two-panel SVG (northern face left, southern face right,
 mirrored so rim longitudes coincide when the page is folded).  A map job
-runs in a fixed number of array passes: the pieces of all lines are
-densified together, and each polyline is formatted with one `%` operation.
+runs one array pass per stage, whatever its ring count: `load_geojson`
+gathers the positions of every ring into one array and checks them with one
+mask each, `render_map` splits all lines at the equator together and
+densifies all pieces together, carrying a line or piece id per vertex, and
+`MapDocument.to_svg` formats the points of every polyline with one `%`.
 Output is a pure function of the inputs: rendering twice gives identical
 bytes, which makes golden-file regression tests possible.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -52,25 +56,20 @@ class GeoPolyline:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array of lat/lon degrees")
-        pts = _drop_repeats(pts)
+        keep = np.ones(len(pts), dtype=bool)
+        keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+        pts = pts[keep]
         if len(pts) < 2:
             raise ValueError("polyline needs at least 2 distinct points")
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def _trusted(cls, points: np.ndarray) -> "GeoPolyline":
-        """An open polyline of points already known to pass the checks."""
+    def _trusted(cls, points: np.ndarray, closed: bool = False) -> "GeoPolyline":
+        """A polyline of points already known to pass the checks."""
         line = object.__new__(cls)
         object.__setattr__(line, "points", points)
-        object.__setattr__(line, "closed", False)
+        object.__setattr__(line, "closed", closed)
         return line
-
-
-def _drop_repeats(pts: np.ndarray) -> np.ndarray:
-    """The rows of pts that differ from the row before them."""
-    keep = np.ones(len(pts), dtype=bool)
-    keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-    return pts[keep]
 
 
 @dataclass
@@ -87,7 +86,9 @@ class MapDocument:
     def to_svg(self) -> str:
         """The page as SVG text, every number with 3 decimals and no "-0.000".
 
-        The points of each polyline are written in one `%` operation.
+        The points of all polylines are written in one `%` operation, over a
+        template of one element per polyline built from its vertex count and
+        style, and the flattened coordinates of all of them (_coordinates).
         """
         opts = " ".join(f"{k}={v}" for k, v in sorted(self.metadata.items()))
         out = [
@@ -100,10 +101,11 @@ class MapDocument:
         ]
         for cx, cy, r, style in self.circles:
             out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {style}/>')
-        for pts, style, closed in self.polylines:
-            coords = _fmt_points(pts)
-            tag = "polygon" if closed else "polyline"
-            out.append(f'<{tag} points="{coords}" {style}/>')
+        if self.polylines:
+            template = "\n".join(
+                f'<{"polygon" if closed else "polyline"} points="{_points_template(len(pts))}"'
+                f' {style.replace("%", "%%")}/>' for pts, style, closed in self.polylines)
+            out.append(template % _coordinates([pts for pts, _, _ in self.polylines]))
         for x, y, text, style in self.texts:
             out.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" {style}>{text}</text>')
         out.append("</svg>")
@@ -120,17 +122,31 @@ def _fmt(v: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
-def _fmt_points(pts) -> str:
-    """`x,y x,y ...` with _fmt's rule, in one `%` operation over all vertices.
+def _points_template(n: int) -> str:
+    return ("%.3f,%.3f " * n)[:-1]
 
-    A `.3f` token has exactly 3 decimals and a sign only in front, so
-    "-0.000" can only occur as a whole token and one replace applies the rule.
+
+def _coordinates(arrays) -> tuple:
+    """Every number of arrays, flattened in order, with _fmt's rule applied.
+
+    `.3f` rounds correctly, so exactly the values with |v| < 0.0005 (the
+    double nearest 0.0005 lies above it) print as "0.000" or "-0.000";
+    writing 0.0 for them gives "0.000" without touching any other text.
     """
-    s = " ".join(["%.3f,%.3f"] * len(pts)) % tuple(np.ravel(pts).tolist())
-    return s.replace("-0.000", "0.000")
+    v = np.concatenate(arrays).ravel()
+    v[np.abs(v) < 0.0005] = 0.0
+    return tuple(v.tolist())
+
+
+def _fmt_points(pts) -> str:
+    """`x,y x,y ...` with _fmt's rule, in one `%` operation over all vertices."""
+    return _points_template(len(pts)) % _coordinates([pts])
 
 
 # --- GeoJSON ingestion ------------------------------------------------------
+
+_BAD_POSITIONS = "expected an array of positions of 2 or more numbers"
+
 
 def load_geojson(path) -> list[GeoPolyline]:
     """Read a FeatureCollection into polylines.
@@ -139,15 +155,66 @@ def load_geojson(path) -> list[GeoPolyline]:
     rings become closed ones.  Unsupported geometry types are skipped with a
     logged warning; malformed features and out-of-range coordinates abort
     with the feature index.
+
+    _read_rings gathers the positions of every ring into one array (and
+    lets the parsed document go).  One mask over it finds out-of-range
+    coordinates, one drops each ring's closing point and consecutive
+    repeats, and a ring left with fewer than 2 points is an error.  The
+    first error in feature and ring order is reported, with the text a
+    ring-by-ring check gives: a malformed structure, else the first
+    coordinate out of range, else too few distinct points (a structure
+    error ends the walk, so the rings before it are checked first).  The
+    polylines returned are views of one lat/lon array.
+    """
+    lonlat, counts, ring_feature, ring_closed, skipped, fault = _read_rings(path)
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    out_of_range = np.flatnonzero(~(np.abs(lonlat) <= (360.0, 90.0)).all(axis=1))
+    keep = np.ones(len(lonlat), dtype=bool)
+    keep[1:] = np.any(lonlat[1:] != lonlat[:-1], axis=1)
+    keep[starts] = True
+    closing = ring_closed[:len(counts)] & np.all(lonlat[starts] == lonlat[stops - 1], axis=1)
+    keep[stops[closing] - 1] = False
+    kept = np.concatenate([[0], np.cumsum(keep)])  # points kept before each index
+    too_few = np.flatnonzero(kept[stops] - kept[starts] < 2)
+    if len(out_of_range) or len(too_few):
+        bad_ring = np.searchsorted(stops, out_of_range[:1], side="right").tolist()
+        if bad_ring and (not len(too_few) or bad_ring[0] <= too_few[0]):
+            lon, lat = lonlat[out_of_range[0]]
+            fault = (ring_feature[bad_ring[0]], f"coordinate out of range: ({lon}, {lat})")
+        else:
+            fault = (ring_feature[too_few[0]], "polyline needs at least 2 distinct points")
+    for idx, gtype in skipped:
+        if fault and idx > fault[0]:
+            break
+        log.warning("feature %d: skipping unsupported geometry %r", idx, gtype)
+    if fault:
+        raise ValueError("feature %d: %s" % fault)
+    if skipped:
+        log.warning("skipped %d unsupported feature(s)", len(skipped))
+    latlon = lonlat[keep, ::-1]
+    return [GeoPolyline._trusted(latlon[i:j], closed) for i, j, closed
+            in zip(kept[starts].tolist(), kept[stops].tolist(), ring_closed.tolist())]
+
+
+def _read_rings(path):
+    """The rings of a FeatureCollection file, their positions in one array.
+
+    One walk over the features collects every ring, up to the first
+    malformed feature, and _gather converts their positions.  Returns the
+    (n, 2) lon/lat array, and per ring its count, feature index and whether
+    it is closed; the skipped features as (index, geometry type); and the
+    first structure error as (feature index, message), or None.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     features = doc.get("features", []) if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise ValueError("expected a GeoJSON FeatureCollection")
-    lines: list[GeoPolyline] = []
-    skipped = 0
+    rings, spans, skipped = [], [], []  # spans: (feature index, rings so far, closed)
+    fault = None  # (feature index, message) of the first error
     for idx, feature in enumerate(features):
+        gtype = None
         try:
             if not isinstance(feature, dict):
                 raise ValueError("expected a GeoJSON Feature object")
@@ -157,108 +224,170 @@ def load_geojson(path) -> list[GeoPolyline]:
             gtype = geom.get("type")
             coords = geom.get("coordinates", [])
             if gtype == "LineString":
-                lines.append(_polyline(coords, closed=False))
-            elif gtype == "MultiLineString":
-                lines.extend(_polyline(part, closed=False) for part in coords)
-            elif gtype == "Polygon":
-                lines.extend(_polyline(ring, closed=True) for ring in coords)
+                rings.append(coords)
+            elif gtype in ("MultiLineString", "Polygon"):
+                rings.extend(coords)
             elif gtype == "MultiPolygon":
                 for poly in coords:
-                    lines.extend(_polyline(ring, closed=True) for ring in poly)
+                    rings.extend(poly)
             else:
-                skipped += 1
-                log.warning("feature %d: skipping unsupported geometry %r", idx, gtype)
+                skipped.append((idx, gtype))
+                continue
         except ValueError as exc:
-            raise ValueError(f"feature {idx}: {exc}") from None
+            fault = (idx, str(exc))
         except TypeError:  # null or too shallowly nested coordinates of a Multi*/Polygon
-            raise ValueError(f"feature {idx}: {_BAD_POSITIONS}") from None
-    if skipped:
-        log.warning("skipped %d unsupported feature(s)", skipped)
-    return lines
+            fault = (idx, _BAD_POSITIONS)
+        spans.append((idx, len(rings), gtype in ("Polygon", "MultiPolygon")))
+        if fault:
+            break
+    span_feature, span_end, span_closed = np.array(spans, dtype=np.intp).reshape(-1, 3).T
+    span_rings = np.diff(span_end, prepend=0)
+    ring_feature = np.repeat(span_feature, span_rings).tolist()
+    ring_closed = np.repeat(span_closed.astype(bool), span_rings)
+
+    lonlat, counts = _gather(rings)
+    if len(counts) < len(rings):
+        fault = (ring_feature[len(counts)], _BAD_POSITIONS)
+    return lonlat, counts, ring_feature, ring_closed, skipped, fault
 
 
-_BAD_POSITIONS = "expected an array of positions of 2 or more numbers"
+def _gather(rings):
+    """All positions of rings as one (n, 2) lon/lat array and each ring's count.
 
-
-def _polyline(coords, closed: bool) -> GeoPolyline:
-    try:  # lon, lat of each position; a third number (altitude) is ignored
-        lonlat = np.array([pos[:2] for pos in coords], dtype=float)
-    except (TypeError, ValueError):  # null, ragged or non-numeric positions
-        raise ValueError(_BAD_POSITIONS) from None
-    if lonlat.ndim != 2 or lonlat.shape[1] != 2:
-        raise ValueError(_BAD_POSITIONS)
-    lon, lat = lonlat.T
-    bad = np.flatnonzero(~((np.abs(lat) <= 90.0) & (np.abs(lon) <= 360.0)))
-    if len(bad):
-        raise ValueError(f"coordinate out of range: ({lon[bad[0]]}, {lat[bad[0]]})")
-    if closed and len(lonlat) > 1 and np.array_equal(lonlat[0], lonlat[-1]):
-        lonlat = lonlat[:-1]
-    return GeoPolyline(points=lonlat[:, ::-1], closed=closed)
+    C-level walks list every position, take each one's length with
+    `list.__len__` (which rejects a position that is not an array) and
+    convert all their numbers, altitudes included, with one np.fromiter, as
+    np.array would; the first two of each position are then picked by index.
+    Should that fail, or a ring be empty or a position hold fewer than 2
+    numbers, the rings are converted one by one as np.array would, and only
+    those before the first malformed one are returned.
+    """
+    try:
+        positions = list(chain.from_iterable(rings))
+        counts = np.fromiter(map(len, rings), np.intp, len(rings))
+        sizes = np.fromiter(map(list.__len__, positions), np.intp, len(positions))
+        numbers = np.fromiter(chain.from_iterable(positions), float, sizes.sum())
+        if counts.all() and (sizes >= 2).all():
+            if len(numbers) > 2 * len(sizes):  # altitudes: keep lon, lat of each position
+                numbers = numbers[(np.cumsum(sizes) - sizes)[:, None] + np.arange(2)]
+            return numbers.reshape(-1, 2), counts
+    except (TypeError, ValueError):
+        pass
+    arrays = []
+    for ring in rings:
+        try:
+            lonlat = np.array([pos[:2] for pos in ring], dtype=float)
+        except (TypeError, ValueError):  # null, ragged or non-numeric positions
+            break
+        if lonlat.ndim != 2 or lonlat.shape[1] != 2:
+            break
+        arrays.append(lonlat)
+    counts = np.array([len(a) for a in arrays], dtype=np.intp)
+    return np.concatenate([np.empty((0, 2))] + arrays), counts
 
 
 # --- equator splitting ------------------------------------------------------
 
-def _insert_before(arr: np.ndarray, at: np.ndarray, rows) -> np.ndarray:
-    """`np.insert(arr, at, rows, axis=0)` for sorted `at`, in one scatter.
+def _insert_after(arr: np.ndarray, at: np.ndarray, rows) -> np.ndarray:
+    """A copy of arr with rows[k] placed after row at[k], for sorted `at`.
 
-    `np.repeat` doubles every row arr[at[k]] and rows[k] overwrites the first
-    copy, which now sits at at[k] + k.  On the few-thousand-row arrays of a
-    map job this takes several times less than np.insert.
+    `np.repeat` doubles every row arr[at[k]] and rows[k] overwrites the
+    second copy, which now sits at at[k] + k + 1: one scatter, several times
+    faster than np.insert on the few-thousand-row arrays of a map job.
     """
     grow = np.ones(len(arr), dtype=np.intp)
     grow[at] = 2
     out = np.repeat(arr, grow, axis=0)
-    out[at + np.arange(len(at))] = rows
+    out[at + np.arange(len(at)) + 1] = rows
     return out
 
 
 def split_at_equator(line: GeoPolyline):
     """Cut a polyline into single-hemisphere pieces, the short way across ±180°.
 
-    Longitudes are unwrapped along the line once (`np.unwrap`, period 360),
-    so a step of more than 180° becomes its complement and a step of
-    exactly ±180° is kept as written; a line with no step above 180° is
-    kept exactly.  Pieces carry these continuous longitudes, which may leave
-    (-180, 180]; `projection.forward_arrays` reduces phi.  Points that
+    Returns a list of (GeoPolyline, Hemisphere); render_map runs the same
+    body (_split) on all its lines at once, and its docstring has the rules.
+    """
+    pts, piece, south = _split(line.points, np.array([len(line.points)]),
+                               np.array([line.closed]))
+    return [(GeoPolyline._trusted(p), Hemisphere.SOUTH if s else Hemisphere.NORTH)
+            for p, s in zip(_runs(pts, piece), south.tolist())]
+
+
+def _runs(arr: np.ndarray, ids: np.ndarray) -> list:
+    """Views of arr, one per run of equal ids."""
+    cut = (np.flatnonzero(np.diff(ids)) + 1).tolist()
+    return [arr[i:j] for i, j in zip([0] + cut, cut + [len(arr)])]
+
+
+def _split(pts: np.ndarray, counts: np.ndarray, closed: np.ndarray):
+    """Equator pieces of lines given as their concatenated lat/lon points.
+
+    Line i has counts[i] points (at least 1) and is a ring if closed[i]; a
+    ring that does not end on its first point is closed with it.  A line
+    whose longitudes span more than 180° is unwrapped (`np.unwrap`, period
+    360, one line at a time), so a step of more than 180° becomes its
+    complement and a step of exactly ±180° is kept as written; other lines
+    are kept exactly.  Pieces carry these continuous longitudes, which may
+    leave (-180, 180]; `projection.forward_arrays` reduces phi.  Points that
     coincide after unwrapping are dropped, as GeoPolyline drops repeats, and
     a line that collapses to one point gives no piece.
 
-    Equator crossings are found at once from the sign of lat, each zero
-    taking the sign of the last nonzero lat before it.  At a crossing a
-    point at exactly lat 0 is interpolated linearly in (lat, lon) and shared
-    by both pieces, so the rim joins up across the two faces; where the
-    vertex before the crossing lies on the equator, that vertex is shared
-    instead.  Returns a list of (GeoPolyline, Hemisphere).
+    Equator crossings of all lines are found at once from the sign of lat,
+    each zero taking the sign of the last nonzero lat before it on its line;
+    a step joining two lines is never a crossing.  At a crossing a point at
+    exactly lat 0 is interpolated linearly in (lat, lon) and shared by both
+    pieces, so the rim joins up across the two faces; where the vertex before
+    the crossing lies on the equator, that vertex is shared instead.  A
+    piece is southern where that sign is negative at its last vertex other
+    than a cut point, so a line on the equator is northern.
+
+    Returns the pieces' points concatenated, the piece id of each point and
+    whether each piece lies on the southern face.
     """
-    pts = line.points
-    if line.closed and pts[0].tolist() != pts[-1].tolist():
-        pts = np.concatenate([pts, pts[:1]])
-    (lat_lo, lon_lo), (lat_hi, lon_hi) = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
-    if lon_hi - lon_lo > 180.0:  # else no step can exceed 180
-        pts = _drop_repeats(np.column_stack([pts[:, 0], np.unwrap(pts[:, 1], period=360.0)]))
-        if len(pts) < 2:
-            return []
-    if lat_lo >= 0.0 or lat_hi <= 0.0:  # no crossing; a line on the equator is north
-        piece = line if pts is line.points and not line.closed else GeoPolyline._trusted(pts)
-        return [(piece, Hemisphere.NORTH if lat_lo >= 0.0 else Hemisphere.SOUTH)]
-    lat, lon = pts[:, 0], pts[:, 1]
+    stops = np.cumsum(counts)
+    ring_start = pts[stops - counts]
+    unclosed = closed & np.any(pts[stops - 1] != ring_start, axis=1)
+    pts = _insert_after(pts, stops[unclosed] - 1, ring_start[unclosed])  # a copy, written below
+    counts = counts + unclosed
+    starts = np.cumsum(counts) - counts
+    first = np.zeros(len(pts), dtype=bool)  # the point starts a line
+    first[starts] = True
+    lon = pts[:, 1]
+    wide = np.maximum.reduceat(lon, starts) - np.minimum.reduceat(lon, starts) > 180.0
+    if wide.any():  # else no step can exceed 180
+        for i, n in zip(starts[wide].tolist(), counts[wide].tolist()):
+            pts[i:i + n, 1] = np.unwrap(pts[i:i + n, 1], period=360.0)
+        line = np.repeat(np.arange(len(counts)), counts)
+        keep = np.ones(len(pts), dtype=bool)
+        keep[1:] = ~(wide[line[1:]] & ~first[1:] & np.all(pts[1:] == pts[:-1], axis=1))
+        keep &= ~(wide & (np.add.reduceat(keep.astype(np.intp), starts) < 2))[line]
+        pts, first = pts[keep], first[keep]
+    lat = pts[:, 0]
     sign = np.sign(lat)
-    sign = sign[np.maximum.accumulate(np.where(sign != 0, np.arange(len(sign)), 0))]
-    cross = np.flatnonzero(sign[1:] * sign[:-1] < 0) + 1  # first vertex past each crossing
-    interp = lat[cross - 1] != 0  # else the vertex before the crossing is on the equator
-    a = cross[interp]
-    t = lat[a - 1] / (lat[a - 1] - lat[a])
-    cut_lon = lon[a - 1] + t * (lon[a] - lon[a - 1])
-    pts = _insert_before(pts, a, np.column_stack([np.zeros(len(a)), cut_lon]))
-    # each piece ends on its cut point, or on the equator vertex before the
-    # crossing, and the next piece starts there
-    ends = cross - 1 + np.cumsum(interp)
-    starts = np.concatenate([[0], ends]).tolist()
-    stops = (ends + 1).tolist() + [len(pts)]
-    sides = [Hemisphere.SOUTH if s < 0 else Hemisphere.NORTH
-             for s in sign[np.append(cross - 1, -1)].tolist()]
-    return [(GeoPolyline._trusted(pts[i:j]), side)
-            for i, j, side in zip(starts, stops, sides)]
+    sign = sign[np.maximum.accumulate(np.where((sign != 0) | first, np.arange(len(sign)), 0))]
+    c = np.flatnonzero((sign[1:] * sign[:-1] < 0) & ~first[1:])  # the vertex before each crossing
+    piece_end = np.ones(len(pts), dtype=bool)
+    piece_end[:-1] = first[1:]
+    piece_end[c] = True
+    south = sign[piece_end] < 0
+    # each piece ends on a point that the next one starts on: a cut point,
+    # placed twice after c, or else c itself, on the equator, placed once more
+    interp = lat[c] != 0
+    a = c[interp]
+    t = lat[a] / (lat[a] - lat[a + 1])
+    cut = np.column_stack([np.zeros(len(a)), pts[a, 1] + t * (pts[a + 1, 1] - pts[a, 1])])
+    extra = 1 + interp
+    grow = np.ones(len(pts), dtype=np.intp)
+    grow[c] += extra
+    nxt = c + np.cumsum(extra)  # where the point that starts the next piece lands
+    pts = np.repeat(pts, grow, axis=0)
+    pts[nxt[interp] - 1] = cut
+    pts[nxt[interp]] = cut
+    piece_start = np.repeat(first, grow)
+    piece_start[nxt - 1] = False  # a cut point, or a c on the equator: never a line start
+    piece_start[nxt] = True
+    return pts, np.cumsum(piece_start) - 1, south
 
 
 # --- panels and projection to page coordinates ------------------------------
@@ -287,25 +416,34 @@ def _panels(size_px: float):
 
 
 def _project_pieces(pieces, mode: ProjectionMode, north: _Panel, south: _Panel):
-    """Project (GeoPolyline, Hemisphere) pieces with adaptive densification.
-
-    All pieces are concatenated, with a piece id per vertex, and bisected
-    breadth-first together: each pass projects the new midpoints in one
-    call and halves every segment whose page chord exceeds MAX_CHORD_PX,
-    for at most MAX_SUBDIV_DEPTH passes.  A segment joining two pieces is
-    never split.  A segment short enough to keep is never split later, so
-    every segment split in pass k is k halvings deep, and the vertices and
-    their order are those of a depth-first recursion over each input
-    segment.  A pass places the midpoints into lat/lon, page points and
-    piece ids with one scatter each (_insert_before).  Segments still longer than MAX_CHORD_PX after the last
-    pass are kept, and their count over all pieces is logged as one warning.
-    Returns one (n, 2) array of page points per piece.
-    """
+    """_densify of (GeoPolyline, Hemisphere) pieces."""
     if not pieces:
         return []
     latlon = np.concatenate([piece.points for piece, _ in pieces])
     pid = np.repeat(np.arange(len(pieces)), [len(piece.points) for piece, _ in pieces])
     south_piece = np.array([side is Hemisphere.SOUTH for _, side in pieces])
+    return _densify(latlon, pid, south_piece, mode, north, south)
+
+
+def _densify(latlon, pid, south_piece, mode: ProjectionMode, north: _Panel, south: _Panel):
+    """Project pieces to the page with adaptive densification.
+
+    latlon holds the points of all pieces, pid the piece id of each point
+    (ids run 0, 1, ... in order) and south_piece[k] whether piece k is drawn
+    on the southern face.  All pieces are bisected breadth-first together:
+    each pass projects the new midpoints in one call and halves every
+    segment whose page chord exceeds MAX_CHORD_PX, for at most
+    MAX_SUBDIV_DEPTH passes.  A segment joining two pieces is never split.
+    A segment short enough to keep is never split later, so every segment
+    split in pass k is k halvings deep, and the vertices and their order are
+    those of a depth-first recursion over each input segment.  A pass places
+    the midpoints into lat/lon, page points and piece ids with one scatter
+    each (_insert_after).  Segments still longer than MAX_CHORD_PX after the
+    last pass are kept, and their count over all pieces is logged as one
+    warning.  Returns one (n, 2) array of page points per piece.
+    """
+    if not len(latlon):
+        return []
     cx = np.where(south_piece, south.cx, north.cx)
     sign = np.where(south_piece, south.sign, north.sign)
 
@@ -321,13 +459,13 @@ def _project_pieces(pieces, mode: ProjectionMode, north: _Panel, south: _Panel):
         if not len(at) or depth == MAX_SUBDIV_DEPTH:
             break
         mid = 0.5 * (latlon[at] + latlon[at + 1])
-        xy = _insert_before(xy, at + 1, to_page(mid, pid[at]))
-        latlon = _insert_before(latlon, at + 1, mid)
-        pid = _insert_before(pid, at + 1, pid[at])
+        xy = _insert_after(xy, at, to_page(mid, pid[at]))
+        latlon = _insert_after(latlon, at, mid)
+        pid = _insert_after(pid, at, pid[at])
     if len(at):
         log.warning("%d segment(s) still longer than %g px after %d subdivision passes",
                     len(at), MAX_CHORD_PX, MAX_SUBDIV_DEPTH)
-    return np.split(xy, np.flatnonzero(np.diff(pid)) + 1)
+    return _runs(xy, pid)
 
 
 _RIM_STYLE = 'fill="none" stroke="black" stroke-width="1.5"'
@@ -341,10 +479,11 @@ def render_map(lines, mode: ProjectionMode, graticule_deg: int,
 
     Graticule parallels are concentric circles at the projected radii of
     each latitude multiple of graticule_deg (the rim is the equator);
-    meridians are radial lines at equal angles.  Each line is split at the
-    equator, and the pieces of all lines are projected and densified
-    together by _project_pieces, so a job makes a fixed number of
-    projection calls and logs at most one depth-cap warning.
+    meridians are radial lines at equal angles.  The points of all lines are
+    concatenated once and split at the equator in one pass (_split, the body
+    of split_at_equator), and all pieces are projected and densified
+    together (_densify), so a job makes a fixed number of projection calls
+    and logs at most one depth-cap warning.
     """
     if size_px < 100:
         raise ValueError(f"size_px must be >= 100, got {size_px}")
@@ -365,9 +504,12 @@ def render_map(lines, mode: ProjectionMode, graticule_deg: int,
                            for c, r in zip(colat.tolist(), radii))
         spokes = np.stack(panel.to_page(np.array([0.0, 1.0]), phi), axis=-1)
         doc.polylines.extend((spoke, _GRATICULE_STYLE, False) for spoke in spokes)
-    pieces = [piece for line in lines for piece in split_at_equator(line)]
-    doc.polylines.extend((pts, _COAST_STYLE, False)
-                         for pts in _project_pieces(pieces, mode, north, south))
+    if lines:
+        pieces = _split(np.concatenate([line.points for line in lines]),
+                        np.array([len(line.points) for line in lines]),
+                        np.array([line.closed for line in lines], dtype=bool))
+        doc.polylines.extend((pts, _COAST_STYLE, False)
+                             for pts in _densify(*pieces, mode, north, south))
     return doc
 
 

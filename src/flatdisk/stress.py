@@ -264,7 +264,8 @@ def second_variation(rf: RadialFunction, perturbation: RadialFunction,
     integrand = np.empty_like(thetas)
     integrand[0] = 0.0  # df ~ df'(0)*theta, so df^2/sin -> 0
     s = np.sin(thetas[1:])
-    integrand[1:] = dfp[1:] ** 2 * s + df[1:] ** 2 / s
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        integrand[1:] = dfp[1:] ** 2 * s + df[1:] ** 2 / s
     bad = ~np.isfinite(integrand)
     if np.any(bad):
         raise StressEvaluationError(float(thetas[bad][0]))

@@ -159,7 +159,7 @@ def solve_discrete(n: int) -> RadialProfile:
     except LinAlgError as exc:
         raise SolverError(f"banded Cholesky solve failed: {exc}") from None
     if not np.all(np.isfinite(f)):
-        raise SolverError("tridiagonal elimination produced non-finite values")
+        raise SolverError("banded Cholesky solve produced non-finite values")
     values = np.concatenate(([0.0], f))
     profile = RadialProfile(thetas=thetas, values=values)
     if not profile.is_strictly_increasing():

@@ -1,0 +1,96 @@
+"""Frozen bytes of `flatdisk render map` on small inputs and on 1,000 rings.
+
+The sha256 and length of each SVG, in both modes at the CLI's default size
+and graticule, are kept in data/golden/render_map_sha256.json; rerun
+`python tests/data/regenerate_render_golden.py` only when a change to the
+output is intended.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from flatdisk import cli
+
+DATA = Path(__file__).parent / "data"
+HASHES = DATA / "golden" / "render_map_sha256.json"
+MANY_RINGS = "many_rings.geojson"
+INPUTS = ["fixture_coastline.geojson", "render_antimeridian.geojson",
+          "render_equator.geojson", "render_poles.geojson", MANY_RINGS]
+MODES = ["ggv", "stress-minimal"]
+# eight directions with exactly representable components, so every
+# coordinate of many_rings() is the same double on every platform
+DIRECTIONS = [(1.0, 0.0), (0.75, 0.75), (0.0, 1.0), (-0.75, 0.75),
+              (-1.0, 0.0), (-0.75, -0.75), (0.0, -1.0), (0.75, -0.75)]
+
+
+def many_rings() -> dict:
+    """1,000 single-ring features from a formula: 600 Polygons, 400 LineStrings.
+
+    Centres step over lat -80..80 and lon -180..179.5, so some rings cross
+    the equator and some cross ±180° (their longitudes may pass 180).
+    """
+    features = []
+    for k in range(1000):
+        lat0 = -80.0 + (k * 37) % 161
+        lon0 = -180.0 + (k * 113) % 360 + 0.5 * (k % 2)
+        r = 0.5 + 0.75 * (k % 7)
+        ring = [[lon0 + r * du * (1.0 + 0.25 * (j % 3)), lat0 + r * dv * (1.0 + 0.25 * (j % 3))]
+                for j, (du, dv) in enumerate(DIRECTIONS * 2) if j < 4 + k % 9]
+        if k % 5 < 3:
+            geometry = {"type": "Polygon", "coordinates": [ring + [ring[0]]]}
+        else:
+            geometry = {"type": "LineString", "coordinates": ring}
+        features.append({"type": "Feature", "properties": {}, "geometry": geometry})
+    return {"type": "FeatureCollection", "features": features}
+
+
+def input_dir(name: str, workdir: Path) -> Path:
+    """The directory that holds input `name`, writing many_rings() to workdir."""
+    if name != MANY_RINGS:
+        return DATA
+    (workdir / MANY_RINGS).write_text(json.dumps(many_rings()))
+    return workdir
+
+
+def render_map_bytes(directory: Path, name: str, mode: str, out: Path) -> bytes:
+    """`flatdisk render map` of directory/name, run there so the header names the file."""
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["render", "map", "--geojson", name, "--mode", mode,
+                             "--out", str(out)])
+    finally:
+        os.chdir(cwd)
+    assert code == 0
+    return out.read_bytes()
+
+
+def digest(svg: bytes) -> dict:
+    return {"sha256": hashlib.sha256(svg).hexdigest(), "bytes": len(svg)}
+
+
+def key(name: str, mode: str) -> str:
+    return f"{name} {mode}"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", INPUTS)
+def test_render_map_bytes_are_frozen(tmp_path, name, mode):
+    svg = render_map_bytes(input_dir(name, tmp_path), name, mode, tmp_path / "map.svg")
+    assert digest(svg) == json.loads(HASHES.read_text())[key(name, mode)]
+
+
+def test_many_rings_is_what_it_says():
+    features = many_rings()["features"]
+    assert len(features) == 1000
+    rings = [f["geometry"]["coordinates"] for f in features]
+    assert sum(f["geometry"]["type"] == "Polygon" for f in features) == 600
+    lats = [pos[1] for ring in rings for pos in (ring[0] if isinstance(ring[0][0], list) else ring)]
+    assert min(lats) < -80 and max(lats) > 80 and max(map(abs, lats)) <= 90

@@ -262,6 +262,12 @@ class TestSecondVariation:
         with pytest.raises(ValueError, match="vanish"):
             stress.second_variation(stress.closed_form_radial(), Duck(), 256)
 
+    def test_overflow_is_a_stress_evaluation_error(self):
+        # the squared slope overflows; no RuntimeWarning may come first
+        with pytest.raises(stress.StressEvaluationError):
+            stress.second_variation(stress.closed_form_radial(),
+                                    stress.identity_radial(1e200), 64)
+
 
 class TestMinimizerVariationalProperties:
     """Finite-difference minimality of the closed form, no ODE involved."""

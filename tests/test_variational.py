@@ -156,6 +156,15 @@ class TestSolveDiscrete:
         with pytest.raises(ValueError):
             va.solve_discrete(8)
 
+    def test_non_finite_solution_names_the_banded_solve(self, monkeypatch):
+        import scipy.linalg
+
+        monkeypatch.setattr(scipy.linalg, "solveh_banded",
+                            lambda ab, b: np.full_like(b, np.nan))
+        with pytest.raises(va.SolverError,
+                           match="^banded Cholesky solve produced non-finite values$"):
+            va.solve_discrete(64)
+
 
 def reference_parse(text):
     """(thetas, values) of a profile text by the per-line loop parse_profile replaced."""
