@@ -47,15 +47,17 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GeoPolyline:
-    """Ordered lat/lon path; consecutive duplicate points are dropped."""
+    """Ordered lat/lon path, a ring if it ends on its first point; repeats are dropped."""
 
     points: np.ndarray  # shape (n, 2), columns (lat_deg, lon_deg)
-    closed: bool = False
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array of lat/lon degrees")
+        bad = ~((np.abs(pts[:, 0]) <= 90.0) & np.isfinite(pts[:, 1]))  # lon may pass ±180
+        if bad.any():
+            raise ValueError("coordinate out of range: ({1}, {0})".format(*pts[bad.argmax()]))
         keep = np.ones(len(pts), dtype=bool)
         keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
         pts = pts[keep]
@@ -64,11 +66,10 @@ class GeoPolyline:
         object.__setattr__(self, "points", pts)
 
     @classmethod
-    def _trusted(cls, points: np.ndarray, closed: bool = False) -> "GeoPolyline":
+    def _trusted(cls, points: np.ndarray) -> "GeoPolyline":
         """A polyline of points already known to pass the checks."""
         line = object.__new__(cls)
         object.__setattr__(line, "points", points)
-        object.__setattr__(line, "closed", closed)
         return line
 
 
@@ -152,29 +153,26 @@ def load_geojson(path) -> list[GeoPolyline]:
     """Read a FeatureCollection into polylines.
 
     LineString/MultiLineString become open polylines; Polygon/MultiPolygon
-    rings become closed ones.  Unsupported geometry types are skipped with a
-    logged warning; malformed features and out-of-range coordinates abort
-    with the feature index.
+    rings become rings, ending on their first point.  Unsupported geometry
+    types are skipped with a logged warning; malformed features and
+    out-of-range coordinates abort with the feature index.
 
     _read_rings gathers the positions of every ring into one array (and
     lets the parsed document go).  One mask over it finds out-of-range
-    coordinates, one drops each ring's closing point and consecutive
-    repeats, and a ring left with fewer than 2 points is an error.  The
-    first error in feature and ring order is reported, with the text a
-    ring-by-ring check gives: a malformed structure, else the first
-    coordinate out of range, else too few distinct points (a structure
-    error ends the walk, so the rings before it are checked first).  The
-    polylines returned are views of one lat/lon array.
+    coordinates, one drops consecutive repeats, and a ring left with fewer
+    than 2 points is an error.  The first error in feature and ring order is
+    reported, with the text a ring-by-ring check gives: a malformed
+    structure, else the first coordinate out of range, else too few distinct
+    points (a structure error ends the walk, so the rings before it are
+    checked first).  The polylines returned are views of one lat/lon array.
     """
-    lonlat, counts, ring_feature, ring_closed, skipped, fault = _read_rings(path)
+    lonlat, counts, ring_feature, skipped, fault = _read_rings(path)
     stops = np.cumsum(counts)
     starts = stops - counts
     out_of_range = np.flatnonzero(~(np.abs(lonlat) <= (360.0, 90.0)).all(axis=1))
     keep = np.ones(len(lonlat), dtype=bool)
     keep[1:] = np.any(lonlat[1:] != lonlat[:-1], axis=1)
     keep[starts] = True
-    closing = ring_closed[:len(counts)] & np.all(lonlat[starts] == lonlat[stops - 1], axis=1)
-    keep[stops[closing] - 1] = False
     kept = np.concatenate([[0], np.cumsum(keep)])  # points kept before each index
     too_few = np.flatnonzero(kept[stops] - kept[starts] < 2)
     if len(out_of_range) or len(too_few):
@@ -193,18 +191,19 @@ def load_geojson(path) -> list[GeoPolyline]:
     if skipped:
         log.warning("skipped %d unsupported feature(s)", len(skipped))
     latlon = lonlat[keep, ::-1]
-    return [GeoPolyline._trusted(latlon[i:j], closed) for i, j, closed
-            in zip(kept[starts].tolist(), kept[stops].tolist(), ring_closed.tolist())]
+    return [GeoPolyline._trusted(latlon[i:j])
+            for i, j in zip(kept[starts].tolist(), kept[stops].tolist())]
 
 
 def _read_rings(path):
     """The rings of a FeatureCollection file, their positions in one array.
 
     One walk over the features collects every ring, up to the first
-    malformed feature, and _gather converts their positions.  Returns the
-    (n, 2) lon/lat array, and per ring its count, feature index and whether
-    it is closed; the skipped features as (index, geometry type); and the
-    first structure error as (feature index, message), or None.
+    malformed feature, and _gather converts their positions; a Polygon ring
+    not ending on its first point (RFC 7946 writes it) gets it appended.
+    Returns the (n, 2) lon/lat array, and per ring its count and feature
+    index; the skipped features as (index, geometry type); and the first
+    structure error as (feature index, message), or None.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -248,7 +247,11 @@ def _read_rings(path):
     lonlat, counts = _gather(rings)
     if len(counts) < len(rings):
         fault = (ring_feature[len(counts)], _BAD_POSITIONS)
-    return lonlat, counts, ring_feature, ring_closed, skipped, fault
+    stops = np.cumsum(counts)
+    ring_start = lonlat[stops - counts]
+    unclosed = ring_closed[:len(counts)] & np.any(lonlat[stops - 1] != ring_start, axis=1)
+    lonlat = _insert_after(lonlat, stops[unclosed] - 1, ring_start[unclosed])
+    return lonlat, counts + unclosed, ring_feature, skipped, fault
 
 
 def _gather(rings):
@@ -271,13 +274,13 @@ def _gather(rings):
             if len(numbers) > 2 * len(sizes):  # altitudes: keep lon, lat of each position
                 numbers = numbers[(np.cumsum(sizes) - sizes)[:, None] + np.arange(2)]
             return numbers.reshape(-1, 2), counts
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     arrays = []
     for ring in rings:
         try:
             lonlat = np.array([pos[:2] for pos in ring], dtype=float)
-        except (TypeError, ValueError):  # null, ragged or non-numeric positions
+        except (TypeError, ValueError, OverflowError):  # null, ragged, non-numeric or huge
             break
         if lonlat.ndim != 2 or lonlat.shape[1] != 2:
             break
@@ -305,11 +308,11 @@ def _insert_after(arr: np.ndarray, at: np.ndarray, rows) -> np.ndarray:
 def split_at_equator(line: GeoPolyline):
     """Cut a polyline into single-hemisphere pieces, the short way across ±180°.
 
-    Returns a list of (GeoPolyline, Hemisphere); render_map runs the same
-    body (_split) on all its lines at once, and its docstring has the rules.
+    Returns a list of (GeoPolyline, Hemisphere); a ring is cut like any other
+    line, its last point being its first.  render_map runs the same body
+    (_split) on all its lines at once, and its docstring has the rules.
     """
-    pts, piece, south = _split(line.points, np.array([len(line.points)]),
-                               np.array([line.closed]))
+    pts, piece, south = _split(line.points, np.array([len(line.points)]))
     return [(GeoPolyline._trusted(p), Hemisphere.SOUTH if s else Hemisphere.NORTH)
             for p, s in zip(_runs(pts, piece), south.tolist())]
 
@@ -320,11 +323,11 @@ def _runs(arr: np.ndarray, ids: np.ndarray) -> list:
     return [arr[i:j] for i, j in zip([0] + cut, cut + [len(arr)])]
 
 
-def _split(pts: np.ndarray, counts: np.ndarray, closed: np.ndarray):
+def _split(pts: np.ndarray, counts: np.ndarray):
     """Equator pieces of lines given as their concatenated lat/lon points.
 
-    Line i has counts[i] points (at least 1) and is a ring if closed[i]; a
-    ring that does not end on its first point is closed with it.  A line
+    Line i has counts[i] points (at least 1); a ring is a line that ends on
+    its first point, so its pieces join up like those of any line.  A line
     whose longitudes span more than 180° is unwrapped (`np.unwrap`, period
     360, one line at a time), so a step of more than 180° becomes its
     complement and a step of exactly ±180° is kept as written; other lines
@@ -345,17 +348,13 @@ def _split(pts: np.ndarray, counts: np.ndarray, closed: np.ndarray):
     Returns the pieces' points concatenated, the piece id of each point and
     whether each piece lies on the southern face.
     """
-    stops = np.cumsum(counts)
-    ring_start = pts[stops - counts]
-    unclosed = closed & np.any(pts[stops - 1] != ring_start, axis=1)
-    pts = _insert_after(pts, stops[unclosed] - 1, ring_start[unclosed])  # a copy, written below
-    counts = counts + unclosed
     starts = np.cumsum(counts) - counts
     first = np.zeros(len(pts), dtype=bool)  # the point starts a line
     first[starts] = True
     lon = pts[:, 1]
     wide = np.maximum.reduceat(lon, starts) - np.minimum.reduceat(lon, starts) > 180.0
     if wide.any():  # else no step can exceed 180
+        pts = pts.copy()  # the caller's points stay as they are
         for i, n in zip(starts[wide].tolist(), counts[wide].tolist()):
             pts[i:i + n, 1] = np.unwrap(pts[i:i + n, 1], period=360.0)
         line = np.repeat(np.arange(len(counts)), counts)
@@ -506,8 +505,7 @@ def render_map(lines, mode: ProjectionMode, graticule_deg: int,
         doc.polylines.extend((spoke, _GRATICULE_STYLE, False) for spoke in spokes)
     if lines:
         pieces = _split(np.concatenate([line.points for line in lines]),
-                        np.array([len(line.points) for line in lines]),
-                        np.array([line.closed for line in lines], dtype=bool))
+                        np.array([len(line.points) for line in lines]))
         doc.polylines.extend((pts, _COAST_STYLE, False)
                              for pts in _densify(*pieces, mode, north, south))
     return doc

@@ -1,6 +1,6 @@
-"""Rewrite golden/render_map_sha256.json from the current `flatdisk render map`.
+"""Rewrite golden/render_map_sha256.json from the current `flatdisk render`.
 
-Run from the repository root, only when a change to the map output is intended:
+Run from the repository root, only when a change to the output is intended:
 
     PYTHONPATH=src python tests/data/regenerate_render_golden.py
 """
@@ -24,6 +24,9 @@ def main() -> None:
             for mode in golden.MODES:
                 svg = golden.render_map_bytes(directory, name, mode, workdir / "map.svg")
                 hashes[golden.key(name, mode)] = golden.digest(svg)
+        for size in golden.PROFILE_SIZES:
+            svg = golden.render_profile_bytes(size, workdir / "profile.svg")
+            hashes[golden.profile_key(size)] = golden.digest(svg)
     golden.HASHES.write_text(json.dumps(hashes, indent=2) + "\n")
     print(f"wrote {golden.HASHES}")
 

@@ -440,6 +440,30 @@ class TestRender:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "o.svg").exists()
 
+    def test_huge_integer_coordinate_is_error_line(self, capsys, tmp_path):
+        path = tmp_path / "huge.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            {"type": "Feature", "geometry": {"type": "LineString",
+                                             "coordinates": [[10**400, 1], [2, 3]]}}]}))
+        code, out, err = run(capsys, "render", "map", "--geojson", str(path),
+                             "--out", str(tmp_path / "o.svg"))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {path}: feature 0: "
+                       "expected an array of positions of 2 or more numbers\n")
+
+    def test_huge_integer_altitude_is_ignored(self, capsys, tmp_path):
+        svgs = []
+        for altitude in ([10**400], []):
+            path = tmp_path / "coast.geojson"
+            path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+                {"type": "Feature", "geometry": {"type": "Polygon", "coordinates": [
+                    [[0, 10] + altitude, [40, -20], [80, 10], [0, 10]]]}}]}))
+            code, _, err = run(capsys, "render", "map", "--geojson", str(path),
+                               "--out", str(tmp_path / "o.svg"))
+            assert (code, err) == (0, "")
+            svgs.append((tmp_path / "o.svg").read_bytes())
+        assert svgs[0] == svgs[1]
+
     def test_map_without_geojson_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["render", "map", "--out", str(tmp_path / "o.svg")])

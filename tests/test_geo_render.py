@@ -35,7 +35,6 @@ class TestLoadGeojson:
         lines = gr.load_geojson(path)
         assert len(lines) == 1
         assert len(lines[0].points) == 3
-        assert not lines[0].closed
         # GeoJSON is lon,lat; points are lat,lon
         assert lines[0].points[0].tolist() == [10.0, 0.0]
 
@@ -47,8 +46,8 @@ class TestLoadGeojson:
         }])
         lines = gr.load_geojson(path)
         assert len(lines) == 1
-        assert lines[0].closed
-        assert len(lines[0].points) == 4  # closing duplicate dropped
+        assert len(lines[0].points) == 5  # the closing point is kept
+        assert lines[0].points[0].tolist() == lines[0].points[-1].tolist()
 
     def test_empty_collection(self, tmp_path):
         path = write_geojson(tmp_path, [])
@@ -125,6 +124,37 @@ class TestLoadGeojson:
         lines = gr.load_geojson(FIXTURE)
         assert len(lines) == 5  # 2 LineStrings + 1 Polygon ring + 2 MultiLineString parts
 
+    def test_unclosed_polygon_ring_gets_its_first_point(self, tmp_path):
+        path = write_geojson(tmp_path, [{
+            "type": "Feature", "properties": {},
+            "geometry": {"type": "MultiPolygon",
+                         "coordinates": [[[[0, 0], [10, 0], [10, 10]], [[1, 1], [2, 1], [1, 1]]]]},
+        }])
+        assert [line.points.tolist() for line in gr.load_geojson(path)] == [
+            [[0.0, 0.0], [0.0, 10.0], [10.0, 10.0], [0.0, 0.0]],
+            [[1.0, 1.0], [1.0, 2.0], [1.0, 1.0]]]
+
+
+class TestGeoPolyline:
+    @pytest.mark.parametrize("bad", [[95.0, 1.0], [-90.5, 1.0], [math.nan, 1.0],
+                                     [1.0, math.nan], [1.0, math.inf], [-math.inf, 1.0]])
+    def test_bad_coordinate_is_rejected_as_the_loader_does(self, tmp_path, bad):
+        lat, lon = bad
+        path = tmp_path / "input.geojson"  # json writes nan and inf as NaN and Infinity
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature", "geometry": {
+                "type": "LineString", "coordinates": [[0.0, 10.0], [lon, lat], [2.0, 91.0]]}}]}))
+        with pytest.raises(ValueError) as want:
+            gr.load_geojson(path)
+        with pytest.raises(ValueError) as got:
+            gr.GeoPolyline(points=np.array([[10.0, 0.0], bad, [91.0, 2.0]]))
+        assert str(got.value) == f"coordinate out of range: ({lon}, {lat})"
+        assert f"feature 0: {got.value}" == str(want.value)
+
+    def test_pole_latitudes_and_wide_longitudes_are_accepted(self):
+        pts = np.array([[90.0, -720.0], [-90.0, 540.5]])
+        np.testing.assert_array_equal(gr.GeoPolyline(points=pts).points, pts)
+
 
 class TestSplitAtEquator:
     def test_all_north_single_piece(self):
@@ -179,8 +209,6 @@ def reference_split(line):
     """The per-vertex split loop that split_at_equator replaced: its oracle
     on lines whose steps all have |dlon| <= 180."""
     pts = line.points
-    if line.closed:
-        pts = np.vstack([pts, pts[:1]])
     pieces = []
     current = [pts[0]]
     sign = 0 if pts[0][0] == 0 else (1 if pts[0][0] > 0 else -1)
@@ -224,12 +252,14 @@ def short_steps_line(rng):
     steps = np.where(rng.random(n) < 0.1, rng.choice([-180.0, 180.0], n),
                      rng.uniform(-180.0, 180.0, n))
     lon = np.clip(rng.uniform(-360.0, 360.0) + np.cumsum(steps), -360.0, 360.0)
+    pts = np.column_stack([lat, lon])
+    if rng.random() < 0.5:  # closed: it ends on its first point
+        pts = np.vstack([pts, pts[:1]])
     try:  # clipping can leave fewer than 2 distinct points
-        line = gr.GeoPolyline(points=np.column_stack([lat, lon]), closed=bool(rng.random() < 0.5))
+        line = gr.GeoPolyline(points=pts)
     except ValueError:
         return None
-    pts = np.vstack([line.points, line.points[:1]]) if line.closed else line.points
-    return line if np.all(np.abs(np.diff(pts[:, 1])) <= 180.0) else None
+    return line if np.all(np.abs(np.diff(line.points[:, 1])) <= 180.0) else None
 
 
 def crossing_line(rng):
@@ -249,7 +279,8 @@ def crossing_line(rng):
         closed = bool(rng.random() < 0.3)
     turn = rng.random(n) < 0.2
     lon[turn] += np.where(lon[turn] > 0, -360.0, 360.0)
-    return gr.GeoPolyline(points=np.column_stack([np.clip(lat, -90, 90), lon]), closed=closed)
+    pts = np.column_stack([np.clip(lat, -90, 90), lon])
+    return gr.GeoPolyline(points=np.vstack([pts, pts[:1]]) if closed else pts)
 
 
 def coast_vertices(doc):
@@ -268,7 +299,6 @@ class TestAntimeridian:
             assert [side for _, side in got] == [side for _, side in want]
             for (piece, _), (ref, _) in zip(got, want):
                 np.testing.assert_array_equal(piece.points, ref.points)
-                assert not piece.closed
             checked += 1
         assert checked > 1500
 

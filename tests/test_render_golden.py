@@ -1,7 +1,9 @@
-"""Frozen bytes of `flatdisk render map` on small inputs and on 1,000 rings.
+"""Frozen bytes of `flatdisk render map` on small inputs and on 1,000 rings,
+and of `flatdisk render profile`.
 
-The sha256 and length of each SVG, in both modes at the CLI's default size
-and graticule, are kept in data/golden/render_map_sha256.json; rerun
+The sha256 and length of each SVG, the maps in both modes at the CLI's
+default size and graticule and the profile plot at two sizes, are kept in
+data/golden/render_map_sha256.json; rerun
 `python tests/data/regenerate_render_golden.py` only when a change to the
 output is intended.
 """
@@ -23,6 +25,7 @@ MANY_RINGS = "many_rings.geojson"
 INPUTS = ["fixture_coastline.geojson", "render_antimeridian.geojson",
           "render_equator.geojson", "render_poles.geojson", MANY_RINGS]
 MODES = ["ggv", "stress-minimal"]
+PROFILE_SIZES = [100, 400]
 # eight directions with exactly representable components, so every
 # coordinate of many_rings() is the same double on every platform
 DIRECTIONS = [(1.0, 0.0), (0.75, 0.75), (0.0, 1.0), (-0.75, 0.75),
@@ -72,6 +75,13 @@ def render_map_bytes(directory: Path, name: str, mode: str, out: Path) -> bytes:
     return out.read_bytes()
 
 
+def render_profile_bytes(size: int, out: Path) -> bytes:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["render", "profile", "--size", str(size), "--out", str(out)])
+    assert code == 0
+    return out.read_bytes()
+
+
 def digest(svg: bytes) -> dict:
     return {"sha256": hashlib.sha256(svg).hexdigest(), "bytes": len(svg)}
 
@@ -80,11 +90,21 @@ def key(name: str, mode: str) -> str:
     return f"{name} {mode}"
 
 
+def profile_key(size: int) -> str:
+    return f"render profile --size {size}"
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", INPUTS)
 def test_render_map_bytes_are_frozen(tmp_path, name, mode):
     svg = render_map_bytes(input_dir(name, tmp_path), name, mode, tmp_path / "map.svg")
     assert digest(svg) == json.loads(HASHES.read_text())[key(name, mode)]
+
+
+@pytest.mark.parametrize("size", PROFILE_SIZES)
+def test_render_profile_bytes_are_frozen(tmp_path, size):
+    svg = render_profile_bytes(size, tmp_path / "profile.svg")
+    assert digest(svg) == json.loads(HASHES.read_text())[profile_key(size)]
 
 
 def test_many_rings_is_what_it_says():
