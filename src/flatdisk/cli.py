@@ -85,10 +85,17 @@ def cmd_solve(args) -> int:
 
 
 def _profile_stress(path, grid_size: int) -> stress.StressReport:
-    """Total stress of the profile file at path, through its spline."""
+    """Total stress of the profile file at path, through its spline.
+
+    The grid must run from theta = 0 to pi/2 (to within closedform.CLAMP_TOL),
+    or the spline would extrapolate its end pieces over the rest.
+    """
     profile = variational.load_profile(path)
     if not profile.is_strictly_increasing():
         raise ValueError("profile is not strictly increasing")
+    thetas = profile.thetas
+    if thetas[0] != 0.0 or abs(thetas[-1] - closedform.HALF_PI) > closedform.CLAMP_TOL:
+        raise ValueError("profile must run from theta = 0 to pi/2")
     return stress.total_stress(stress.profile_radial(profile), grid_size)
 
 

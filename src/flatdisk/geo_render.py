@@ -9,7 +9,10 @@ runs one array pass per stage, whatever its ring count: `load_geojson`
 gathers the positions of every ring into one array and checks them with one
 mask each, `render_map` splits all lines at the equator together and
 densifies all pieces together, carrying a line or piece id per vertex, and
-`MapDocument.to_svg` formats the points of every polyline with one `%`.
+`MapDocument.to_svg` writes the page as one template with a `%.3f` slot for
+every number, filled by one `%`, so one rule formats them all.  One page
+transform (_to_page) places both faces: the graticule and the coastlines
+alike go through it.
 Output is a pure function of the inputs: rendering twice gives identical
 bytes, which makes golden-file regression tests possible.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -87,61 +91,52 @@ class MapDocument:
     def to_svg(self) -> str:
         """The page as SVG text, every number with 3 decimals and no "-0.000".
 
-        The points of all polylines are written in one `%` operation, over a
-        template of one element per polyline built from its vertex count and
-        style, and the flattened coordinates of all of them (_coordinates).
+        The whole page is one template with a `%.3f` slot for every number
+        (width and height, circles, polyline points, text x/y), filled by one
+        `%` from _coordinates.  Literal text (the header, styles and text
+        strings) enters the template through `lit`, which escapes its `%`.
+        The header is an XML comment, so its text never holds "--".
         """
         opts = " ".join(f"{k}={v}" for k, v in sorted(self.metadata.items()))
-        out = [
+        comment = re.sub("-(?=-)", "- ", f"{TOOL_VERSION} | {opts}")
+        head = [self.width, self.height] * 3
+        for cx, cy, r, _ in self.circles:
+            head += cx, cy, r
+        lit = lambda text: text.replace("%", "%%")
+        lines = [
             '<?xml version="1.0" encoding="UTF-8"?>',
-            f"<!-- {TOOL_VERSION} | {opts} -->",
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{_fmt(self.width)}" height="{_fmt(self.height)}" '
-            f'viewBox="0 0 {_fmt(self.width)} {_fmt(self.height)}">',
-            f'<rect width="{_fmt(self.width)}" height="{_fmt(self.height)}" fill="white"/>',
+            f"<!-- {lit(comment)} -->",
+            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            'width="%.3f" height="%.3f" viewBox="0 0 %.3f %.3f">',
+            '<rect width="%.3f" height="%.3f" fill="white"/>',
         ]
-        for cx, cy, r, style in self.circles:
-            out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {style}/>')
-        if self.polylines:
-            template = "\n".join(
-                f'<{"polygon" if closed else "polyline"} points="{_points_template(len(pts))}"'
-                f' {style.replace("%", "%%")}/>' for pts, style, closed in self.polylines)
-            out.append(template % _coordinates([pts for pts, _, _ in self.polylines]))
-        for x, y, text, style in self.texts:
-            out.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" {style}>{text}</text>')
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
+        lines += [f'<circle cx="%.3f" cy="%.3f" r="%.3f" {lit(style)}/>'
+                  for *_, style in self.circles]
+        lines += [f'<{"polygon" if closed else "polyline"} points="'
+                  f'{("%.3f,%.3f " * len(pts))[:-1]}" {lit(style)}/>'
+                  for pts, style, closed in self.polylines]
+        lines += [f'<text x="%.3f" y="%.3f" {lit(style)}>{lit(text)}</text>'
+                  for *_, text, style in self.texts]
+        lines.append("</svg>\n")
+        template = "\n".join(lines)
+        tail = [v for x, y, _, _ in self.texts for v in (x, y)]
+        return template % _coordinates(head, [pts for pts, _, _ in self.polylines], tail)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_svg())
 
 
-def _fmt(v: float) -> str:
-    # 3 decimals: sub-pixel accuracy with byte-stable diffs
-    s = f"{v:.3f}"
-    return "0.000" if s == "-0.000" else s
-
-
-def _points_template(n: int) -> str:
-    return ("%.3f,%.3f " * n)[:-1]
-
-
-def _coordinates(arrays) -> tuple:
-    """Every number of arrays, flattened in order, with _fmt's rule applied.
+def _coordinates(head: list, arrays: list, tail: list) -> tuple:
+    """The numbers of head, of the (n, 2) arrays and of tail, in page order.
 
     `.3f` rounds correctly, so exactly the values with |v| < 0.0005 (the
     double nearest 0.0005 lies above it) print as "0.000" or "-0.000";
-    writing 0.0 for them gives "0.000" without touching any other text.
+    writing 0.0 for them gives "0.000" and leaves every other number as it is.
     """
-    v = np.concatenate(arrays).ravel()
+    v = np.concatenate([head, np.concatenate(arrays).ravel() if arrays else [], tail])
     v[np.abs(v) < 0.0005] = 0.0
     return tuple(v.tolist())
-
-
-def _fmt_points(pts) -> str:
-    """`x,y x,y ...` with _fmt's rule, in one `%` operation over all vertices."""
-    return _points_template(len(pts)) % _coordinates([pts])
 
 
 # --- GeoJSON ingestion ------------------------------------------------------
@@ -389,50 +384,30 @@ def _split(pts: np.ndarray, counts: np.ndarray):
     return pts, np.cumsum(piece_start) - 1, south
 
 
-# --- panels and projection to page coordinates ------------------------------
+# --- projection to page coordinates -----------------------------------------
 
-@dataclass(frozen=True)
-class _Panel:
-    cx: float  # an array of per-vertex values when a job's faces are mapped together
-    cy: float
-    radius: float
-    sign: float  # -1 on the southern face, drawn mirrored with phi -> -phi
+def _to_page(r, phi, south, radius: float):
+    """Page (x, y) of disk points (r, phi) on panels of the given radius.
 
-    def to_page(self, r, phi):
-        x = self.cx + self.radius * np.asarray(r) * np.cos(self.sign * np.asarray(phi))
-        y = self.cy - self.radius * np.asarray(r) * np.sin(self.sign * np.asarray(phi))
-        return x, y
-
-
-def _panels(size_px: float):
-    radius = size_px / 2.0
-    cy = MARGIN_PX + radius
-    north = _Panel(cx=MARGIN_PX + radius, cy=cy, radius=radius, sign=1.0)
-    south = _Panel(cx=MARGIN_PX + 3 * radius + GUTTER_PX, cy=cy, radius=radius, sign=-1.0)
-    width = 2 * size_px + GUTTER_PX + 2 * MARGIN_PX
-    height = size_px + 2 * MARGIN_PX
-    return north, south, width, height
+    The northern face is the left panel; where `south` is true the point is
+    on the right panel, mirrored (phi -> -phi) so rim longitudes coincide
+    when the page is folded.  Takes arrays, broadcast together, or scalars.
+    """
+    cx = np.where(south, MARGIN_PX + 3 * radius + GUTTER_PX, MARGIN_PX + radius)
+    phi = np.where(south, -phi, phi)
+    return cx + radius * r * np.cos(phi), (MARGIN_PX + radius) - radius * r * np.sin(phi)
 
 
-def _project_pieces(pieces, mode: ProjectionMode, north: _Panel, south: _Panel):
-    """_densify of (GeoPolyline, Hemisphere) pieces."""
-    if not pieces:
-        return []
-    latlon = np.concatenate([piece.points for piece, _ in pieces])
-    pid = np.repeat(np.arange(len(pieces)), [len(piece.points) for piece, _ in pieces])
-    south_piece = np.array([side is Hemisphere.SOUTH for _, side in pieces])
-    return _densify(latlon, pid, south_piece, mode, north, south)
-
-
-def _densify(latlon, pid, south_piece, mode: ProjectionMode, north: _Panel, south: _Panel):
+def _densify(latlon, pid, south_piece, mode: ProjectionMode, radius: float):
     """Project pieces to the page with adaptive densification.
 
     latlon holds the points of all pieces, pid the piece id of each point
     (ids run 0, 1, ... in order) and south_piece[k] whether piece k is drawn
-    on the southern face.  All pieces are bisected breadth-first together:
-    each pass projects the new midpoints in one call and halves every
-    segment whose page chord exceeds MAX_CHORD_PX, for at most
-    MAX_SUBDIV_DEPTH passes.  A segment joining two pieces is never split.
+    on the southern face; _to_page places them on panels of the given
+    radius.  All pieces are bisected breadth-first together: each pass
+    projects the new midpoints in one call and halves every segment whose
+    page chord exceeds MAX_CHORD_PX, for at most MAX_SUBDIV_DEPTH passes.
+    A segment joining two pieces is never split.
     A segment short enough to keep is never split later, so every segment
     split in pass k is k halvings deep, and the vertices and their order are
     those of a depth-first recursion over each input segment.  A pass places
@@ -443,13 +418,10 @@ def _densify(latlon, pid, south_piece, mode: ProjectionMode, north: _Panel, sout
     """
     if not len(latlon):
         return []
-    cx = np.where(south_piece, south.cx, north.cx)
-    sign = np.where(south_piece, south.sign, north.sign)
 
     def to_page(points, ids):
         r, phi, _ = projection.forward_arrays(points[:, 0], points[:, 1], mode)
-        panel = _Panel(cx=cx[ids], cy=north.cy, radius=north.radius, sign=sign[ids])
-        return np.column_stack(panel.to_page(r, phi))
+        return np.column_stack(_to_page(r, phi, south_piece[ids], radius))
 
     xy = to_page(latlon, pid)
     for depth in range(MAX_SUBDIV_DEPTH + 1):
@@ -488,8 +460,9 @@ def render_map(lines, mode: ProjectionMode, graticule_deg: int,
         raise ValueError(f"size_px must be >= 100, got {size_px}")
     if graticule_deg <= 0 or 90 % graticule_deg != 0:
         raise ValueError(f"graticule_deg must divide 90, got {graticule_deg}")
-    north, south, width, height = _panels(float(size_px))
-    doc = MapDocument(width=width, height=height, metadata={
+    radius = size_px / 2.0
+    doc = MapDocument(width=2 * size_px + GUTTER_PX + 2 * MARGIN_PX,
+                      height=size_px + 2 * MARGIN_PX, metadata={
         "mode": mode.value, "graticule": graticule_deg,
         "size": size_px, "source": source or "-",
     })
@@ -497,17 +470,17 @@ def render_map(lines, mode: ProjectionMode, graticule_deg: int,
     colat = np.arange(graticule_deg, 91, graticule_deg)
     radii = projection.radius_from_colatitude(np.radians(colat), mode).tolist()
     phi = np.radians(np.arange(0, 360, graticule_deg))[:, None]
-    for panel in (north, south):
-        doc.circles.extend((panel.cx, panel.cy, r * panel.radius,
-                            _RIM_STYLE if c == 90 else _GRATICULE_STYLE)
+    for south in (False, True):
+        spokes = np.stack(_to_page(np.array([0.0, 1.0]), phi, south, radius), axis=-1)
+        cx, cy = spokes[0, 0].tolist()  # every spoke starts at the centre, r = 0
+        doc.circles.extend((cx, cy, r * radius, _RIM_STYLE if c == 90 else _GRATICULE_STYLE)
                            for c, r in zip(colat.tolist(), radii))
-        spokes = np.stack(panel.to_page(np.array([0.0, 1.0]), phi), axis=-1)
         doc.polylines.extend((spoke, _GRATICULE_STYLE, False) for spoke in spokes)
     if lines:
         pieces = _split(np.concatenate([line.points for line in lines]),
                         np.array([len(line.points) for line in lines]))
         doc.polylines.extend((pts, _COAST_STYLE, False)
-                             for pts in _densify(*pieces, mode, north, south))
+                             for pts in _densify(*pieces, mode, radius))
     return doc
 
 

@@ -24,6 +24,12 @@ def main() -> None:
             for mode in golden.MODES:
                 svg = golden.render_map_bytes(directory, name, mode, workdir / "map.svg")
                 hashes[golden.key(name, mode)] = golden.digest(svg)
+        for mode in golden.MODES:
+            for size, graticule in golden.PAGE_OPTIONS:
+                options = golden.page_args(size, graticule)
+                svg = golden.render_map_bytes(golden.DATA, golden.INPUTS[0], mode,
+                                              workdir / "map.svg", options)
+                hashes[golden.key(golden.INPUTS[0], mode, options)] = golden.digest(svg)
         for size in golden.PROFILE_SIZES:
             svg = golden.render_profile_bytes(size, workdir / "profile.svg")
             hashes[golden.profile_key(size)] = golden.digest(svg)

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,29 @@ class TestStress:
         code, out, err = run(capsys, "stress", "--profile", str(path))
         assert (code, out) == (1, "")
         assert err == f"error: {path}: non-finite stress integrand at theta = 0.0\n"
+
+
+    @pytest.mark.parametrize("thetas", [
+        pytest.param([0.0, 0.5, 1.0, 1.5], id="short"),
+        pytest.param(np.linspace(0.0, 3.0, 33).tolist(), id="past"),
+        pytest.param(np.linspace(0.1, math.pi / 2, 33).tolist(), id="late-start"),
+        pytest.param(np.linspace(0.0, math.pi / 2 + 1e-11, 33).tolist(), id="overshoot"),
+    ])
+    def test_profile_off_the_quarter_turn_rejected(self, capsys, tmp_path, thetas):
+        path = tmp_path / "short.txt"
+        path.write_text("".join(f"{t!r} {0.5 * k!r}\n" for k, t in enumerate(thetas)))
+        code, out, err = run(capsys, "stress", "--profile", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: profile must run from theta = 0 to pi/2\n"
+
+    def test_profile_within_tolerance_of_pi_2_scores(self, capsys, tmp_path):
+        for n, end in [(64, math.pi / 2 + 5e-13), (64, math.pi / 2 - 5e-13)]:
+            path = tmp_path / "p.txt"
+            thetas = np.linspace(0.0, end, n + 1)
+            path.write_text("".join(f"{t!r} {2 * t!r}\n" for t in thetas.tolist()))
+            code, out, err = run(capsys, "stress", "--profile", str(path))
+            assert (code, err) == (0, "")
+            assert out.startswith(f"{path}\n  total  ")
 
 
 class TestFailuresAreErrorLines:
@@ -463,6 +487,25 @@ class TestRender:
             assert (code, err) == (0, "")
             svgs.append((tmp_path / "o.svg").read_bytes())
         assert svgs[0] == svgs[1]
+
+    @pytest.mark.parametrize("name, written", [
+        pytest.param("a--b.geojson", "a- -b.geojson", id="two"),
+        pytest.param("a---b.geojson", "a- - -b.geojson", id="three"),
+    ])
+    def test_dashes_in_source_keep_the_header_a_comment(self, capsys, tmp_path, monkeypatch,
+                                                         name, written):
+        # XML forbids "--" inside a comment: the header writes "- " for each "-" before "-"
+        (tmp_path / name).write_bytes(FIXTURE.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, "render", "map", "--geojson", name, "--out", "map.svg")
+        assert code == 0
+        ET.parse(tmp_path / "map.svg")
+        got = (tmp_path / "map.svg").read_text().splitlines()
+        golden = (DATA / "golden" / "fixture_map_stress-minimal_g15.svg").read_text()
+        want = golden.splitlines()
+        assert got[1] == want[1].replace("source=fixture_coastline.geojson",
+                                         f"source={written}")
+        assert got[:1] + got[2:] == want[:1] + want[2:]
 
     def test_map_without_geojson_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

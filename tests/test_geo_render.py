@@ -376,6 +376,16 @@ class TestRenderMap:
             for colat in (30, 60, 90))
         assert radii == pytest.approx(expected, abs=1e-9)
 
+    def test_page_layout(self):
+        # two panels of radius 200 inside a 10 px margin, with a 20 px gutter
+        doc = gr.render_map([], ProjectionMode.GGV, 90, 400)
+        assert (doc.width, doc.height) == (840.0, 420.0)
+        assert [c[:3] for c in doc.circles] == [(210.0, 210.0, 200.0), (630.0, 210.0, 200.0)]
+        # phi = 90°: up from the centre on the north face, mirrored down on the south
+        x, y = gr._to_page(np.ones(2), np.full(2, math.pi / 2), np.array([False, True]), 200.0)
+        assert y.tolist() == [10.0, 410.0]
+        assert x == pytest.approx([210.0, 630.0], abs=1e-12)
+
     def test_projected_points_stay_inside_panels(self):
         lines = gr.load_geojson(FIXTURE)
         doc = gr.render_map(lines, ProjectionMode.STRESS_MINIMAL, 15, 400)
@@ -422,13 +432,13 @@ class TestRenderMap:
             gr.render_map([], ProjectionMode.GGV, 30, 50)
 
 
-def reference_project_piece(piece, mode, panel):
-    """Depth-first densify per segment: the oracle for _project_pieces."""
+def reference_project_piece(piece, mode, south, radius):
+    """Depth-first densify per segment: the oracle for _densify."""
     out = [piece.points[0]]
 
     def densify(a, b, depth):
         r, phi, _ = pj.forward_arrays(np.array([a[0], b[0]]), np.array([a[1], b[1]]), mode)
-        x, y = panel.to_page(r, phi)
+        x, y = gr._to_page(r, phi, south, radius)
         if math.hypot(x[1] - x[0], y[1] - y[0]) > gr.MAX_CHORD_PX \
                 and depth < gr.MAX_SUBDIV_DEPTH:
             densify(a, 0.5 * (a + b), depth + 1)
@@ -440,7 +450,7 @@ def reference_project_piece(piece, mode, panel):
         densify(a, b, 0)
     latlon = np.array(out)
     r, phi, _ = pj.forward_arrays(latlon[:, 0], latlon[:, 1], mode)
-    return np.column_stack(panel.to_page(r, phi))
+    return np.column_stack(gr._to_page(r, phi, south, radius))
 
 
 def random_piece(rng, side):
@@ -453,11 +463,18 @@ def random_piece(rng, side):
     return gr.GeoPolyline(points=np.column_stack([sign * lat, lon]))
 
 
-def project_one(piece, mode, panel):
-    """_project_pieces on a single piece drawn on the given panel."""
-    side = Hemisphere.SOUTH if panel.sign < 0 else Hemisphere.NORTH
-    north, south, _, _ = gr._panels(2 * panel.radius)
-    (got,) = gr._project_pieces([(piece, side)], mode, north, south)
+def densify_pieces(pieces, mode, radius):
+    """_densify of (GeoPolyline, Hemisphere) pieces, its arrays built here."""
+    latlon = np.concatenate([piece.points for piece, _ in pieces])
+    pid = np.repeat(np.arange(len(pieces)), [len(piece.points) for piece, _ in pieces])
+    south_piece = np.array([side is Hemisphere.SOUTH for _, side in pieces])
+    return gr._densify(latlon, pid, south_piece, mode, radius)
+
+
+def project_one(piece, mode, south, radius):
+    """_densify of a single piece, on the southern face if south."""
+    (got,) = densify_pieces([(piece, Hemisphere.SOUTH if south else Hemisphere.NORTH)],
+                            mode, radius)
     return got
 
 
@@ -465,27 +482,26 @@ class TestDensify:
     @pytest.mark.parametrize("mode", list(ProjectionMode))
     @pytest.mark.parametrize("size", [100, 400, 2000])
     def test_matches_depth_first_recursion(self, mode, size):
-        north, south, _, _ = gr._panels(float(size))
+        radius = size / 2.0
         rng = np.random.default_rng(size)
         for _ in range(20):
             side = Hemisphere.SOUTH if rng.random() < 0.5 else Hemisphere.NORTH
             piece = random_piece(rng, side)
-            panel = south if side is Hemisphere.SOUTH else north
-            got = project_one(piece, mode, panel)
-            want = reference_project_piece(piece, mode, panel)
+            south = side is Hemisphere.SOUTH
+            got = project_one(piece, mode, south, radius)
+            want = reference_project_piece(piece, mode, south, radius)
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("mode", list(ProjectionMode))
     def test_one_call_for_many_pieces_never_bisects_joins(self, mode):
-        north, south, _, _ = gr._panels(400.0)
         rng = np.random.default_rng(7)
         sides = [Hemisphere.NORTH, Hemisphere.SOUTH] * 12
         pieces = [(random_piece(rng, side), side) for side in sides]
-        got = gr._project_pieces(pieces, mode, north, south)
+        got = densify_pieces(pieces, mode, 200.0)
         assert len(got) == len(pieces)
         for pts, (piece, side) in zip(got, pieces):
-            panel = south if side is Hemisphere.SOUTH else north
-            np.testing.assert_array_equal(pts, reference_project_piece(piece, mode, panel))
+            want = reference_project_piece(piece, mode, side is Hemisphere.SOUTH, 200.0)
+            np.testing.assert_array_equal(pts, want)
         # each join crosses the gutter, far longer than a chord: had one been
         # bisected, a midpoint would sit at the end of the piece before it
         joins = np.hypot(*(np.array([a[-1] for a in got[:-1]]) -
@@ -497,17 +513,15 @@ class TestDensify:
         # 2 degrees of longitude, interpolated the long way round through lon 0;
         # on a 4000 px panel that arc needs more than 2^MAX_SUBDIV_DEPTH chords
         piece = gr.GeoPolyline(points=np.array([[10.0, 179.0], [10.0, -179.0]]))
-        north, _, _, _ = gr._panels(4000.0)
-        got = project_one(piece, mode, north)
-        np.testing.assert_array_equal(got, reference_project_piece(piece, mode, north))
+        got = project_one(piece, mode, False, 2000.0)
+        np.testing.assert_array_equal(got, reference_project_piece(piece, mode, False, 2000.0))
         chords = np.hypot(*np.diff(got, axis=0).T)
         assert chords.max() > gr.MAX_CHORD_PX  # the cap, not the chord, stopped it
 
     def test_depth_cap_hits_are_logged(self, caplog):
         piece = gr.GeoPolyline(points=np.array([[10.0, 179.0], [10.0, -179.0]]))
-        north, south, _, _ = gr._panels(4000.0)
         with caplog.at_level("WARNING", logger=gr.log.name):
-            got = project_one(piece, ProjectionMode.GGV, north)
+            got = project_one(piece, ProjectionMode.GGV, False, 2000.0)
         capped = int(np.count_nonzero(np.hypot(*np.diff(got, axis=0).T) > gr.MAX_CHORD_PX))
         assert capped > 0
         assert [r.getMessage() for r in caplog.records] == [
@@ -516,39 +530,78 @@ class TestDensify:
         caplog.clear()
         mirrored = gr.GeoPolyline(points=-piece.points)
         with caplog.at_level("WARNING", logger=gr.log.name):
-            gr._project_pieces([(piece, Hemisphere.NORTH), (mirrored, Hemisphere.SOUTH)],
-                               ProjectionMode.GGV, north, south)
+            densify_pieces([(piece, Hemisphere.NORTH), (mirrored, Hemisphere.SOUTH)],
+                           ProjectionMode.GGV, 2000.0)
         assert [r.getMessage() for r in caplog.records] == [
             f"{2 * capped} segment(s) still longer than 2 px after 12 subdivision passes"]
 
     def test_short_segments_log_nothing(self, caplog):
         piece = gr.GeoPolyline(points=np.array([[10.0, 10.0], [10.5, 10.5]]))
-        north, _, _, _ = gr._panels(4000.0)
         with caplog.at_level("WARNING", logger=gr.log.name):
-            project_one(piece, ProjectionMode.GGV, north)
+            project_one(piece, ProjectionMode.GGV, False, 2000.0)
         assert not caplog.records
 
 
+def fmt(v):
+    """One number as the SVG writes it: 3 decimals, "-0.000" written "0.000"."""
+    s = f"{v:.3f}"
+    return "0.000" if s == "-0.000" else s
+
+
+def oracle_svg_lines(doc):
+    """The lines of doc.to_svg() after the header comment, one number at a time."""
+    w, h = fmt(doc.width), fmt(doc.height)
+    return [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+            f'<rect width="{w}" height="{h}" fill="white"/>',
+            *(f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(r)}" {style}/>'
+              for cx, cy, r, style in doc.circles),
+            *(f'<{"polygon" if closed else "polyline"} points="'
+              + " ".join(f"{fmt(x)},{fmt(y)}" for x, y in pts) + f'" {style}/>'
+              for pts, style, closed in doc.polylines),
+            *(f'<text x="{fmt(x)}" y="{fmt(y)}" {style}>{text}</text>'
+              for x, y, text, style in doc.texts),
+            "</svg>"]
+
+
+def page_of(values):
+    """A page with every value in the size, a circle, a polyline and a text.
+
+    Each value is written in every slot of its element: both columns and both
+    ends of the polyline, cx, cy and r of the circle, x and y of the text.
+    """
+    doc = gr.MapDocument(width=values[0], height=values[-1])
+    for v in values:
+        doc.circles.append((v, -1.0, v, gr._RIM_STYLE))
+        doc.circles.append((1.0, v, v, gr._GRATICULE_STYLE))
+        doc.polylines.append((np.array([[v, 1.0], [-1.0, v], [v, v]]), gr._COAST_STYLE, False))
+        doc.texts.append((v, 2.0, "x", gr._LABEL_STYLE))
+        doc.texts.append((-2.0, v, "y", gr._LABEL_STYLE))
+    vals = np.array(values)
+    doc.polylines.append((np.column_stack([vals, vals[::-1]]), gr._COAST_STYLE, False))
+    return doc
+
+
 class TestFormatPoints:
+    """to_svg against the per-number oracle, in every slot that holds a number."""
+
     ADVERSARIAL = [0.0, -0.0, -0.0004, 0.0004, -0.0005, 0.0005, -0.0015, -1e-9, 1e-9,
                    999.9995, -999.9995, 1e6, -1e6, -10.0, -100.0004, 12.3456,
                    math.nan, -math.nan, math.inf, -math.inf]
 
-    def per_vertex(self, pts):
-        return " ".join(f"{gr._fmt(x)},{gr._fmt(y)}" for x, y in pts)
-
     def test_matches_per_vertex_fmt(self):
-        vals = np.array(self.ADVERSARIAL)
-        pts = np.column_stack([vals, vals[::-1]])
-        assert gr._fmt_points(pts) == self.per_vertex(pts)
-        for x in self.ADVERSARIAL:  # every value in both columns and at both ends
-            pts = np.array([[x, 1.0], [-1.0, x], [x, x]])
-            assert gr._fmt_points(pts) == self.per_vertex(pts)
+        doc = page_of(self.ADVERSARIAL)
+        assert doc.to_svg().splitlines()[2:] == oracle_svg_lines(doc)
+        for v in self.ADVERSARIAL:  # each value alone, also as the page size
+            doc = page_of([v])
+            assert doc.to_svg().splitlines()[2:] == oracle_svg_lines(doc), v
 
     def test_matches_per_vertex_fmt_random(self):
         rng = np.random.default_rng(3)
         pts = np.round(rng.normal(0, 1, (5000, 2)) * 10.0 ** rng.integers(-4, 4, (5000, 2)), 4)
-        assert gr._fmt_points(pts) == self.per_vertex(pts)
+        doc = page_of(pts[:50, 0].tolist())
+        doc.polylines.append((pts, gr._COAST_STYLE, False))
+        assert doc.to_svg().splitlines()[2:] == oracle_svg_lines(doc)
 
 
 class TestRenderProfilePlot:

@@ -354,16 +354,18 @@ class TestSplitAgainstOracle:
                 [len(w.points) for w, _ in want], seed
 
     def test_render_map_draws_the_oracle_pieces(self, tmp_path):
-        north, south, _, _ = gr._panels(100.0)
         for seed in range(0, N_DOCUMENTS, 4):
             try:
                 lines = oracle_load_geojson(write(tmp_path, random_document(seed)))
             except ValueError:
                 continue
             pieces = [piece for line in lines for piece in oracle_split(line)]
+            latlon = np.concatenate([p.points for p, _ in pieces] or [np.empty((0, 2))])
+            pid = np.repeat(np.arange(len(pieces)), [len(p.points) for p, _ in pieces])
+            south = np.array([side is Hemisphere.SOUTH for _, side in pieces])
             for mode in ProjectionMode:
                 got = coast(gr.render_map(geo_polylines(lines), mode, 15, 100))
-                want = gr._project_pieces(pieces, mode, north, south)
+                want = gr._densify(latlon, pid, south, mode, 50.0)
                 assert len(got) == len(want), seed
                 for g, w in zip(got, want):
                     np.testing.assert_array_equal(bits(g), bits(w))
@@ -402,11 +404,15 @@ class TestSvgText:
     def test_styles_are_written_as_given(self):
         style = 'stroke-dashoffset="-0.000" width="50%"'
         doc = gr.MapDocument(width=10.0, height=10.0,
+                             circles=[(1.0, -0.0, 2.0, style)],
                              polylines=[(np.array([[-0.0, 1.0], [2.0, -0.0004]]), style, False),
-                                        (np.array([[0.5, 0.5]]), gr._COAST_STYLE, True)])
+                                        (np.array([[0.5, 0.5]]), gr._COAST_STYLE, True)],
+                             texts=[(-0.0, 3.0, "50% at -0.000 %s %%", style)])
         lines = doc.to_svg().splitlines()
-        assert lines[4] == f'<polyline points="0.000,1.000 2.000,0.000" {style}/>'
-        assert lines[5] == f'<polygon points="0.500,0.500" {gr._COAST_STYLE}/>'
+        assert lines[4] == f'<circle cx="1.000" cy="0.000" r="2.000" {style}/>'
+        assert lines[5] == f'<polyline points="0.000,1.000 2.000,0.000" {style}/>'
+        assert lines[6] == f'<polygon points="0.500,0.500" {gr._COAST_STYLE}/>'
+        assert lines[7] == f'<text x="0.000" y="3.000" {style}>50% at -0.000 %s %%</text>'
 
     def test_empty_polylines(self):
         doc = gr.MapDocument(width=10.0, height=10.0,
@@ -417,9 +423,22 @@ class TestSvgText:
     def test_rounding_to_zero_boundary(self):
         edge = [math.nextafter(0.0005, 0.0), 0.0005, math.nextafter(0.0005, 1.0),
                 math.nextafter(0.0015, 0.0), 0.0015, 0.0625, -0.0625, 1e-300, -5e-324]
-        vals = np.array(edge + [-v for v in edge])
-        pts = np.column_stack([vals, vals[::-1]])
-        assert gr._fmt_points(pts) == " ".join(f"{gr._fmt(x)},{gr._fmt(y)}" for x, y in pts)
+        vals = edge + [-v for v in edge]
+        doc = gr.MapDocument(width=vals[0], height=vals[-1],
+                             circles=[(v, -v, v, "c") for v in vals],
+                             polylines=[(np.column_stack([vals, vals[::-1]]), "p", False)],
+                             texts=[(v, -v, "t", "s") for v in vals])
+        num = lambda v: "0.000" if f"{v:.3f}" == "-0.000" else f"{v:.3f}"
+        w, h = num(vals[0]), num(vals[-1])
+        assert doc.to_svg().splitlines()[2:] == [
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+            f'<rect width="{w}" height="{h}" fill="white"/>',
+            *(f'<circle cx="{num(v)}" cy="{num(-v)}" r="{num(v)}" c/>' for v in vals),
+            '<polyline points="' + " ".join(f"{num(x)},{num(y)}" for x, y in
+                                            zip(vals, vals[::-1])) + '" p/>',
+            *(f'<text x="{num(v)}" y="{num(-v)}" s>t</text>' for v in vals),
+            "</svg>"]
 
     def test_warnings_only_before_the_bad_feature(self, tmp_path, caplog):
         point = {"type": "Feature", "geometry": {"type": "Point", "coordinates": [0, 0]}}

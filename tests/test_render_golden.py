@@ -2,7 +2,8 @@
 and of `flatdisk render profile`.
 
 The sha256 and length of each SVG, the maps in both modes at the CLI's
-default size and graticule and the profile plot at two sizes, are kept in
+default size and graticule, the fixture's map in both modes at two more page
+sizes and graticules, and the profile plot at two sizes, are kept in
 data/golden/render_map_sha256.json; rerun
 `python tests/data/regenerate_render_golden.py` only when a change to the
 output is intended.
@@ -26,6 +27,9 @@ INPUTS = ["fixture_coastline.geojson", "render_antimeridian.geojson",
           "render_equator.geojson", "render_poles.geojson", MANY_RINGS]
 MODES = ["ggv", "stress-minimal"]
 PROFILE_SIZES = [100, 400]
+# (--size, --graticule) of the extra fixture maps: the smallest page with a
+# coarse graticule, and a large page with only the rim and the spokes at 90°
+PAGE_OPTIONS = [(100, 30), (1000, 90)]
 # eight directions with exactly representable components, so every
 # coordinate of many_rings() is the same double on every platform
 DIRECTIONS = [(1.0, 0.0), (0.75, 0.75), (0.0, 1.0), (-0.75, 0.75),
@@ -61,14 +65,19 @@ def input_dir(name: str, workdir: Path) -> Path:
     return workdir
 
 
-def render_map_bytes(directory: Path, name: str, mode: str, out: Path) -> bytes:
+def page_args(size: int, graticule: int) -> list:
+    return ["--size", str(size), "--graticule", str(graticule)]
+
+
+def render_map_bytes(directory: Path, name: str, mode: str, out: Path,
+                     options: list = ()) -> bytes:
     """`flatdisk render map` of directory/name, run there so the header names the file."""
     cwd = os.getcwd()
     os.chdir(directory)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["render", "map", "--geojson", name, "--mode", mode,
-                             "--out", str(out)])
+                             "--out", str(out), *options])
     finally:
         os.chdir(cwd)
     assert code == 0
@@ -86,8 +95,8 @@ def digest(svg: bytes) -> dict:
     return {"sha256": hashlib.sha256(svg).hexdigest(), "bytes": len(svg)}
 
 
-def key(name: str, mode: str) -> str:
-    return f"{name} {mode}"
+def key(name: str, mode: str, options: list = ()) -> str:
+    return " ".join([name, mode, *options])
 
 
 def profile_key(size: int) -> str:
@@ -99,6 +108,14 @@ def profile_key(size: int) -> str:
 def test_render_map_bytes_are_frozen(tmp_path, name, mode):
     svg = render_map_bytes(input_dir(name, tmp_path), name, mode, tmp_path / "map.svg")
     assert digest(svg) == json.loads(HASHES.read_text())[key(name, mode)]
+
+
+@pytest.mark.parametrize("size, graticule", PAGE_OPTIONS)
+@pytest.mark.parametrize("mode", MODES)
+def test_render_map_page_sizes_are_frozen(tmp_path, mode, size, graticule):
+    name, options = INPUTS[0], page_args(size, graticule)
+    svg = render_map_bytes(DATA, name, mode, tmp_path / "map.svg", options)
+    assert digest(svg) == json.loads(HASHES.read_text())[key(name, mode, options)]
 
 
 @pytest.mark.parametrize("size", PROFILE_SIZES)
