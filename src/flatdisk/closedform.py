@@ -67,9 +67,9 @@ _P_COEFFS = [1.0 / ((k + 1) * (k + 2)) for k in range(45)]
 def _vectorized(fn):
     """Run fn on a float ndarray; return a float when the argument was a scalar."""
     @functools.wraps(fn)
-    def wrapper(x, *args):
+    def wrapper(x, *args, **kwargs):
         arr = np.asarray(x, dtype=float)
-        out = fn(arr, *args)
+        out = fn(arr, *args, **kwargs)
         return float(out) if arr.ndim == 0 else out
     return wrapper
 

@@ -94,7 +94,9 @@ class MapDocument:
         The whole page is one template with a `%.3f` slot for every number
         (width and height, circles, polyline points, text x/y), filled by one
         `%` from _coordinates.  Literal text (the header, styles and text
-        strings) enters the template through `lit`, which escapes its `%`.
+        strings) enters the template through `lit`, which escapes its `%`;
+        `xml` also escapes a text string's `&`, `<` and `>`.  Styles are
+        attribute fragments and go in as given.
         The header is an XML comment, so its text never holds "--".
         """
         opts = " ".join(f"{k}={v}" for k, v in sorted(self.metadata.items()))
@@ -103,6 +105,8 @@ class MapDocument:
         for cx, cy, r, _ in self.circles:
             head += cx, cy, r
         lit = lambda text: text.replace("%", "%%")
+        xml = lambda text: lit(text.replace("&", "&amp;").replace("<", "&lt;")
+                               .replace(">", "&gt;"))
         lines = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f"<!-- {lit(comment)} -->",
@@ -115,7 +119,7 @@ class MapDocument:
         lines += [f'<{"polygon" if closed else "polyline"} points="'
                   f'{("%.3f,%.3f " * len(pts))[:-1]}" {lit(style)}/>'
                   for pts, style, closed in self.polylines]
-        lines += [f'<text x="%.3f" y="%.3f" {lit(style)}>{lit(text)}</text>'
+        lines += [f'<text x="%.3f" y="%.3f" {lit(style)}>{xml(text)}</text>'
                   for *_, text, style in self.texts]
         lines.append("</svg>\n")
         template = "\n".join(lines)

@@ -4,6 +4,8 @@ Each hemisphere maps to one face of a unit disk.  In GGV mode the disk
 radius is proportional to colatitude (azimuthal equidistant per face); in
 stress-minimal mode it follows the minimum-stress radial function,
 normalized so the equator lands on the rim (r = 1) in both modes.
+Its vectorized functions give a float for a scalar, by the one rule of the
+closed-form evaluators (closedform._vectorized).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ class ProjectionMode(enum.Enum):
     STRESS_MINIMAL = "stress-minimal"
 
 
+@closedform._vectorized
 def _wrap(x, period: float):
     """x reduced into (-period/2, period/2] (vectorized; a float for a scalar).
 
@@ -58,13 +61,11 @@ def _wrap(x, period: float):
     off the ends; -0.0 and NaN pass through.  Infinite values raise
     ValueError "math domain error", as math.fmod does.
     """
-    arr = np.asarray(x, dtype=float)
-    if np.isinf(arr).any():
+    if np.isinf(x).any():
         raise ValueError("math domain error")
-    out = np.fmod(arr, period)
+    out = np.fmod(x, period)
     half = 0.5 * period
-    out = np.where(out <= -half, out + period, np.where(out > half, out - period, out))
-    return float(out) if arr.ndim == 0 else out
+    return np.where(out <= -half, out + period, np.where(out > half, out - period, out))
 
 
 def normalize_lon(lon):
@@ -72,17 +73,16 @@ def normalize_lon(lon):
     return _wrap(lon, 360.0)
 
 
+@closedform._vectorized
 def _unit_radius(r):
     """Disk radius r clamped onto [0, 1] (vectorized; a float for a scalar).
 
     NaN, or a value more than _R_TOL outside [0, 1], raises ValueError.
     """
-    arr = np.asarray(r, dtype=float)
-    bad = ~((arr >= -_R_TOL) & (arr <= 1.0 + _R_TOL))
+    bad = ~((r >= -_R_TOL) & (r <= 1.0 + _R_TOL))
     if np.any(bad):
-        raise ValueError(f"disk radius out of range [0, 1]: {float(arr[bad][0])!r}")
-    out = np.clip(arr, 0.0, 1.0)
-    return float(out) if arr.ndim == 0 else out
+        raise ValueError(f"disk radius out of range [0, 1]: {float(r[bad][0])!r}")
+    return np.clip(r, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,12 @@ def radial_function(mode: ProjectionMode) -> stress.RadialFunction:
     return stress.closed_form_radial()
 
 
+@closedform._vectorized
 def radius_from_colatitude(theta, mode: ProjectionMode):
-    """Normalized disk radius as a function of colatitude (vectorized)."""
+    """Normalized disk radius of colatitude theta (vectorized; a float for a scalar)."""
     if mode is ProjectionMode.GGV:
-        return np.asarray(theta, dtype=float) / HALF_PI
-    return np.asarray(closedform.eval_f(theta)) / closedform.TWO_LN2
+        return theta / HALF_PI
+    return closedform.eval_f(theta) / closedform.TWO_LN2
 
 
 def forward_arrays(lat_deg, lon_deg, mode: ProjectionMode):
@@ -136,7 +137,6 @@ def forward_arrays(lat_deg, lon_deg, mode: ProjectionMode):
     lat = np.asarray(lat_deg, dtype=float)
     north = lat >= 0.0
     theta = np.radians(90.0 - np.abs(lat))
-    theta = np.minimum(theta, HALF_PI)  # guard float noise at the equator
     r = radius_from_colatitude(theta, mode)
     phi = np.where(r == 0.0, 0.0, np.radians(normalize_lon(lon_deg)) + 0.0)
     return r, phi, north
@@ -149,26 +149,27 @@ def forward(p: GeoCoord, mode: ProjectionMode) -> DiskPoint:
     return DiskPoint(r=float(r), phi=float(phi), side=side)
 
 
+@closedform._vectorized
 def inverse_radius(r, mode: ProjectionMode):
-    """Colatitude theta such that the normalized disk radius equals r.
+    """Colatitude theta at which the normalized disk radius is r (a float for a scalar).
 
     GGV inverts analytically.  Stress-minimal runs Newton's method from
     theta = pi/2, clipped to [0, pi/2]: f is increasing and convex there,
     so the iterates fall monotonically onto the root.  It stops once every
     step is below _NEWTON_TOL rad, or after _NEWTON_MAX_ITER steps.
     """
-    arr = np.asarray(_unit_radius(r))
+    r = _unit_radius(r)
     if mode is ProjectionMode.GGV:
-        return arr * HALF_PI
-    target = arr * closedform.TWO_LN2
-    theta = np.full_like(arr, HALF_PI)
+        return r * HALF_PI
+    target = r * closedform.TWO_LN2
+    theta = np.full_like(target, HALF_PI)
     for _ in range(_NEWTON_MAX_ITER):
         f, f_prime = closedform._f_and_prime(theta)
         step = (f - target) / f_prime
         theta = np.clip(theta - step, 0.0, HALF_PI)
         if not np.any(np.abs(step) >= _NEWTON_TOL):
             break
-    return float(theta) if np.ndim(r) == 0 else theta
+    return theta
 
 
 def inverse(d: DiskPoint, mode: ProjectionMode) -> GeoCoord:

@@ -9,7 +9,9 @@ the hoop stretch rho = f/sin(theta) - 1.  The total stress is
 evaluated here by composite Simpson quadrature.  The second-variation form
 4 pi * integral (df'^2 + df^2/sin^2) sin dtheta is also provided; it is
 nonnegative for every admissible perturbation, which is what makes the
-closed-form critical point the global minimum.
+closed-form critical point the global minimum.  Both integrals go through
+one guarded quadrature, _integrate: one grid, one overflow guard, one
+non-finite check and one Simpson sum.
 
 A sampled profile enters the functional through its not-a-knot cubic
 spline, built here by the same algorithm as scipy.interpolate.CubicSpline
@@ -200,17 +202,25 @@ def rho(rf: RadialFunction, theta):
     return float(out) if theta.ndim == 0 else out
 
 
-def _simpson(y: np.ndarray, h: float) -> float:
-    """Composite Simpson on a uniform grid with an even interval count."""
-    return h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2]))
+def _integrate(grid_size: int, integrands: Callable) -> list:
+    """Composite-Simpson sums of integrands(thetas) over [0, pi/2].
 
-
-def _quadrature_grid(grid_size: int) -> tuple[np.ndarray, float]:
+    The grid has grid_size intervals, rounded up to an even count.  The
+    integrands are formed with overflow and invalid-value warnings off; a
+    theta where their sum is not finite raises StressEvaluationError instead.
+    """
     if grid_size < 16:
         raise ValueError(f"grid_size must be >= 16, got {grid_size}")
     n = grid_size + (grid_size % 2)  # Simpson needs an even interval count
     thetas = np.linspace(0.0, HALF_PI, n + 1)
-    return thetas, thetas[1] - thetas[0]
+    h = thetas[1] - thetas[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        ys = integrands(thetas)
+        bad = ~np.isfinite(sum(ys))
+    if np.any(bad):
+        raise StressEvaluationError(float(thetas[bad][0]))
+    return [h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2]))
+            for y in ys]
 
 
 @dataclass(frozen=True)
@@ -229,24 +239,12 @@ def total_stress(rf: RadialFunction, grid_size: int) -> StressReport:
     The theta=0 sample of the hoop term uses the L'Hopital limit, so the
     integrand is smooth and the estimate converges at fourth order.
     """
-    thetas, h = _quadrature_grid(grid_size)
-    weight = 2.0 * math.pi * np.sin(thetas)
-    sig = sigma(rf, thetas)
-    rh = rho(rf, thetas)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        tang = sig * sig * weight
-        hoop = rh * rh * weight
-    bad = ~np.isfinite(tang + hoop)
-    if np.any(bad):
-        raise StressEvaluationError(float(thetas[bad][0]))
-    tangential = _simpson(tang, h)
-    hoop_val = _simpson(hoop, h)
-    return StressReport(
-        total=tangential + hoop_val,
-        tangential_part=tangential,
-        hoop_part=hoop_val,
-        grid_size=grid_size,
-    )
+    def integrands(thetas):
+        weight = 2.0 * math.pi * np.sin(thetas)
+        sig, rh = sigma(rf, thetas), rho(rf, thetas)
+        return sig * sig * weight, rh * rh * weight
+    tangential, hoop = _integrate(grid_size, integrands)
+    return StressReport(tangential + hoop, tangential, hoop, grid_size)
 
 
 def second_variation(rf: RadialFunction, perturbation: RadialFunction,
@@ -258,15 +256,10 @@ def second_variation(rf: RadialFunction, perturbation: RadialFunction,
     """
     if abs(float(perturbation.value(0.0))) > 1e-10:
         raise ValueError("perturbation must vanish at theta = 0")
-    thetas, h = _quadrature_grid(grid_size)
-    dfp = np.asarray(perturbation.derivative(thetas), dtype=float)
-    df = np.asarray(perturbation.value(thetas), dtype=float)
-    integrand = np.empty_like(thetas)
-    integrand[0] = 0.0  # df ~ df'(0)*theta, so df^2/sin -> 0
-    s = np.sin(thetas[1:])
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        integrand[1:] = dfp[1:] ** 2 * s + df[1:] ** 2 / s
-    bad = ~np.isfinite(integrand)
-    if np.any(bad):
-        raise StressEvaluationError(float(thetas[bad][0]))
-    return 4.0 * math.pi * _simpson(integrand, h)
+
+    def integrand(thetas):
+        dfp = np.asarray(perturbation.derivative(thetas), dtype=float)
+        df = np.asarray(perturbation.value(thetas), dtype=float)
+        s = np.sin(thetas[1:])  # at theta = 0, df ~ df'(0)*theta, so df^2/sin -> 0
+        return (np.concatenate(([0.0], dfp[1:] ** 2 * s + df[1:] ** 2 / s)),)
+    return 4.0 * math.pi * _integrate(grid_size, integrand)[0]

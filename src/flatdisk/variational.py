@@ -19,10 +19,11 @@ Two verification routes, neither of which evaluates the closed form:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .closedform import HALF_PI
 
 __all__ = [
     "RadialProfile",
@@ -37,8 +38,6 @@ __all__ = [
     "load_profile",
     "save_profile",
 ]
-
-HALF_PI = math.pi / 2
 
 
 class SolverError(RuntimeError):

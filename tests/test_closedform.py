@@ -269,6 +269,11 @@ class TestSeries:
         for j in range(3, 202, 2):
             assert (j + 1) * sc.coefficient(j) == (j - 2) * sc.coefficient(j - 2)
 
+    @pytest.mark.parametrize("j", [0, -1, 6])
+    def test_coefficient_outside_stored_range(self, j):
+        with pytest.raises(IndexError, match=f"^index {j} outside stored range 1..5$"):
+            cf.series_coefficients(5).coefficient(j)
+
     def test_rejects_even_or_nonpositive(self):
         for bad in (0, -3, 4):
             with pytest.raises(ValueError):

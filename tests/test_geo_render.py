@@ -2,6 +2,7 @@
 
 import json
 import math
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,11 @@ class TestGeoPolyline:
             gr.GeoPolyline(points=np.array([[10.0, 0.0], bad, [91.0, 2.0]]))
         assert str(got.value) == f"coordinate out of range: ({lon}, {lat})"
         assert f"feature 0: {got.value}" == str(want.value)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 2, 2)])
+    def test_points_must_be_n_by_2(self, shape):
+        with pytest.raises(ValueError, match=r"^points must be an \(n, 2\) array"):
+            gr.GeoPolyline(points=np.zeros(shape))
 
     def test_pole_latitudes_and_wide_longitudes_are_accepted(self):
         pts = np.array([[90.0, -720.0], [-90.0, 540.5]])
@@ -342,6 +348,19 @@ class TestAntimeridian:
         assert piece.points.tolist() == [[10.0, 170.0], [10.0, 180.0], [10.0, 190.0]]
         point = gr.GeoPolyline(points=np.array([[10.0, 180.0], [10.0, -180.0]]))
         assert gr.split_at_equator(point) == []
+
+    @pytest.mark.parametrize("mode", list(ProjectionMode))
+    def test_line_that_collapses_to_a_point_draws_nothing(self, tmp_path, mode):
+        # lon 0 and lon 360 are one meridian, so the loaded line has no pieces
+        # and the page is that of an empty collection
+        path = tmp_path / "turn.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature", "geometry": {
+                "type": "LineString", "coordinates": [[0.0, 10.0], [360.0, 10.0]]}}]}))
+        lines = gr.load_geojson(path)
+        assert len(lines) == 1
+        got = gr.render_map(lines, mode, 15, 400, source="x")
+        assert got.to_svg() == gr.render_map([], mode, 15, 400, source="x").to_svg()
 
     @pytest.mark.parametrize("mode", list(ProjectionMode))
     def test_two_degree_crosser_stays_short(self, mode):
@@ -620,3 +639,19 @@ class TestRenderProfilePlot:
 
     def test_deterministic(self):
         assert gr.render_profile_plot(500).to_svg() == gr.render_profile_plot(500).to_svg()
+
+    def test_rejects_tiny_canvas(self):
+        with pytest.raises(ValueError, match="^size_px must be >= 100, got 99$"):
+            gr.render_profile_plot(99)
+
+
+class TestTextEscaping:
+    def test_markup_characters_in_text_read_back(self):
+        doc = gr.MapDocument(width=10.0, height=10.0, texts=[(1.0, 2.0, "a < b & c > d", "")])
+        root = ET.fromstring(doc.to_svg())
+        (text,) = root.iter("{http://www.w3.org/2000/svg}text")
+        assert text.text == "a < b & c > d"
+
+    def test_percent_and_markup_together(self):
+        doc = gr.MapDocument(width=10.0, height=10.0, texts=[(1.0, 2.0, "<5% & %s>", "")])
+        assert '>&lt;5% &amp; %s&gt;</text>' in doc.to_svg()

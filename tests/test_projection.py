@@ -170,13 +170,16 @@ class TestInverseRadius:
         assert np.max(np.abs(got / want - 1.0)) <= 1e-15
 
     def test_exact_endpoints(self):
-        mode = ProjectionMode.STRESS_MINIMAL
-        assert pj.inverse_radius(0.0, mode) == 0.0
-        assert pj.inverse_radius(1.0, mode) == math.pi / 2
-        assert type(pj.inverse_radius(0.5, mode)) is float
-        got = pj.inverse_radius(np.array([0.0, 1.0]), mode)
-        assert got.tolist() == [0.0, math.pi / 2]
-        assert pj.inverse_radius(np.array([]), mode).shape == (0,)
+        for mode in ProjectionMode:
+            assert pj.inverse_radius(0.0, mode) == 0.0
+            assert pj.inverse_radius(1.0, mode) == math.pi / 2
+            # a scalar gives a float in both modes, as every closedform evaluator does
+            assert type(pj.inverse_radius(0.5, mode)) is float
+            assert type(pj.radius_from_colatitude(0.5, mode)) is float
+            assert pj.inverse_radius(0.5, mode=mode) == pj.inverse_radius(0.5, mode)
+            got = pj.inverse_radius(np.array([0.0, 1.0]), mode)
+            assert got.tolist() == [0.0, math.pi / 2]
+            assert pj.inverse_radius(np.array([]), mode).shape == (0,)
 
 
     @pytest.mark.parametrize("shape", [(), (32768,)])

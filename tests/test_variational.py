@@ -165,6 +165,24 @@ class TestSolveDiscrete:
                            match="^banded Cholesky solve produced non-finite values$"):
             va.solve_discrete(64)
 
+    def test_failed_factorization_is_solver_error(self, monkeypatch):
+        import scipy.linalg
+
+        def fail(ab, b):
+            raise scipy.linalg.LinAlgError("2-th leading minor not positive definite")
+
+        monkeypatch.setattr(scipy.linalg, "solveh_banded", fail)
+        with pytest.raises(va.SolverError, match="^banded Cholesky solve failed: 2-th leading"):
+            va.solve_discrete(64)
+
+    def test_non_increasing_solution_is_solver_error(self, monkeypatch):
+        import scipy.linalg
+
+        monkeypatch.setattr(scipy.linalg, "solveh_banded", lambda ab, b: -np.abs(b))
+        with pytest.raises(va.SolverError,
+                           match="^discrete minimizer is not strictly increasing$"):
+            va.solve_discrete(64)
+
 
 def reference_parse(text):
     """(thetas, values) of a profile text by the per-line loop parse_profile replaced."""
@@ -274,6 +292,17 @@ class TestProfileSerialization:
             got = va.parse_profile(text)
             assert got.thetas.tolist() == want.thetas.tolist(), repr(text)
             assert got.values.tolist() == want.values.tolist(), repr(text)
+
+    def test_profile_rejects_unequal_shapes(self):
+        with pytest.raises(ValueError, match="^thetas and values must be 1-d arrays of equal"):
+            va.RadialProfile(thetas=np.zeros(3), values=np.zeros(4))
+
+    def test_header_without_newline_is_too_short(self):
+        # "# header" with no newline ends inside the header; the general
+        # parser then finds no rows
+        assert va._split_columns("# header") is None
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            va.parse_profile("# header")
 
     def test_profile_requires_zero_origin(self):
         with pytest.raises(ValueError):
