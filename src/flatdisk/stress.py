@@ -162,22 +162,48 @@ def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable
                          check_finite=False)
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
-    return (_piecewise_polynomial(x, (c3, c2, c1, c0)),
-            _piecewise_polynomial(x, (3 * c3, 2 * c2, c1)),
-            _piecewise_polynomial(x, (6 * c3, 2 * c2)))
+    piece = _piece_finder(x)
+    return (_piecewise_polynomial(x, piece, (c3, c2, c1, c0)),
+            _piecewise_polynomial(x, piece, (3 * c3, 2 * c2, c1)),
+            _piecewise_polynomial(x, piece, (6 * c3, 2 * c2)))
 
 
-def _piecewise_polynomial(x: np.ndarray, c: tuple) -> Callable:
+def _piece_finder(x: np.ndarray) -> Callable:
+    """Function giving the piece of each t: np.searchsorted(x[1:-1], t, side="right").
+
+    On a uniform grid the piece is floor((t - x[0]) / h) up to one step
+    either way, so it is found by arithmetic and checked against its
+    bracket x[i] <= t < x[i+1] (open at both ends).  A point that fails the
+    check, as on a non-uniform grid or for NaN, is found by searchsorted.
+    """
+    inner = x[1:-1]
+    lower = np.concatenate(([-np.inf], inner))  # bracket of piece i
+    upper = np.concatenate((inner, [np.inf]))
+    last = len(inner)
+    scale = (len(x) - 1) / (x[-1] - x[0])
+
+    def find(t):
+        flat = np.ravel(t)
+        clipped = np.fmax(np.fmin(flat, x[-1]), x[0])  # NaN becomes x[-1]
+        i = np.minimum(((clipped - x[0]) * scale).astype(np.intp), last)
+        i += clipped >= upper[i]
+        i -= clipped < lower[i]
+        missed = np.flatnonzero(~((lower[i] <= flat) & (flat < upper[i])))
+        i[missed] = np.searchsorted(inner, flat[missed], side="right")
+        return i.reshape(np.shape(t))
+    return find
+
+
+def _piecewise_polynomial(x: np.ndarray, piece: Callable, c: tuple) -> Callable:
     """Evaluator of the piecewise polynomial with breakpoints x, coefficients c.
 
-    c holds one array per power, highest first, with one entry per piece.  A
-    point outside [x[0], x[-1]] uses the nearest end piece, and NaN gives NaN.
+    c holds one array per power, highest first, with one entry per piece,
+    and piece(t) gives each t's piece (see _piece_finder).  A point outside
+    [x[0], x[-1]] uses the nearest end piece, and NaN gives NaN.
     """
-    inner = x[1:-1]  # t's piece is the count of inner breakpoints <= t
-
     def evaluate(t):
         t = np.asarray(t, dtype=float)
-        i = np.searchsorted(inner, t, side="right")
+        i = piece(t)
         s = t - x[i]
         out, z = c[-1][i], 1.0
         for row in c[-2::-1]:  # the sum in increasing powers of s, as PPoly forms it

@@ -15,6 +15,19 @@ Two verification routes, neither of which evaluates the closed form:
   The natural boundary condition f'(pi/2) = 1 is not imposed; it emerges
   from the free endpoint, and the resulting profile can be compared
   node-by-node against any candidate solution.
+
+profile_to_text writes a profile as rows of "%.17g %.17g" text, bit-exact
+for parse_profile to read back.  The rows are spelled by one numpy kernel,
+_rows_to_text, whose bytes equal the % formatting of every number.  For a
+positive finite x with decimal exponent e in [-6, 16], 10**(16 - e) is an
+exact double, and Dekker's two-product (T. J. Dekker, Numer. Math. 18,
+1971) splits x * 10**(16 - e) exactly into hi + lo.  hi is then an even
+integer at least 2**53, so its 17 digits are hi + rint(lo), rounded half to
+even as CPython's correctly rounded conversion rounds.  e is taken from
+log10 and kept only where hi + lo lies in [1e16, 1e17) and the 17 digits
+stay below 1e17.  Every other number is formatted by % one at a time: zero,
+-0.0, negatives, inf, nan, positive x below 1e-6 or from 1e17 up, and the
+rare x next to a power of ten whose log10 gives the wrong e.
 """
 
 from __future__ import annotations
@@ -188,14 +201,141 @@ def discrete_objective(profile: RadialProfile) -> float:
 def profile_to_text(profile: RadialProfile, comment: str = "") -> str:
     """The profile as text: # header lines, then one "theta f" row per node.
 
-    Both columns are written with %.17g, so parse_profile reads back the
-    same floats bit for bit.  comment, if given, is a second # line.
+    Each row holds the bytes of "%.17g %.17g\\n" % (theta, f), so
+    parse_profile reads back the same floats bit for bit.  comment, if
+    given, is a second # line.  The numbers are spelled by _rows_to_text,
+    by integer arithmetic from about 1e-6 to below 1e17 and by % elsewhere
+    (the module docstring gives the argument).
     """
     lines = ["# flat-disk radial profile: theta f(theta)"]
     if comment:
         lines.append(f"# {comment}")
-    rows = np.column_stack((profile.thetas, profile.values)).ravel().tolist()
-    return "\n".join(lines) + "\n" + ("%.17g %.17g\n" * len(profile.thetas)) % tuple(rows)
+    rows = _rows_to_text(np.column_stack((profile.thetas, profile.values)))
+    return "\n".join(lines) + "\n" + rows.decode("ascii")
+
+
+_ROWS_PER_BLOCK = 4096  # bounds the temporaries: 1.6 MB of byte positions for 2 columns
+
+# One number's source bytes, a row of 8 uint32: the digit groups "000d",
+# "dddd" x 4 of its 17 significant digits (bytes 0-19, byte 0 a spare "0"),
+# ".e-" and the exponent digit of e-05 / e-06 (20-23), and the separator
+# that follows it (24).  A number outside the exact domain has its %
+# spelling in bytes 0-23 instead.
+_ZERO, _POINT, _E, _MINUS, _EXP, _SEP = 0, 20, 21, 22, 23, 24
+_DIGITS4 = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+            % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_POINT_E_MINUS = np.frombuffer(b".e-0", np.uint32)[0]
+_TRAILING_ZEROS4 = np.zeros(10000, np.uint8)  # trailing zeros of a 4-digit group
+for _step in (10, 100, 1000, 10000):
+    _TRAILING_ZEROS4[::_step] += 1
+
+_POW10 = 10.0 ** np.arange(23)  # 10**p is an exact double for p <= 22
+_DEKKER_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def _dekker_split(a):
+    """(high, low) with high + low == a, each with at most 26 significant bits."""
+    c = _DEKKER_SPLIT * a
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _dekker_split(_POW10)
+
+
+def _spellings():
+    """Source-byte positions of each spelling, then of the separator.
+
+    Row (e + 6) * 17 + nd - 1 spells a number with decimal exponent e in
+    [-6, 16] and nd significant digits the way %.17g does: ddd[.ddd] for
+    e >= 0, 0.000ddd for e >= -4, d[.ddd]e-0X below; row _FALLBACK + n
+    copies n bytes of a % spelling.
+    """
+    digits = list(range(3, 20))
+    bodies = []
+    for e in range(-6, 17):
+        for nd in range(1, 18):
+            if e >= 0:
+                body = digits[:max(nd, e + 1)]
+                if nd > e + 1:
+                    body.insert(e + 1, _POINT)
+            elif e >= -4:
+                body = [_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits[:nd]
+            else:
+                body = digits[:nd] + [_E, _MINUS, _ZERO, _EXP]
+                if nd > 1:
+                    body.insert(1, _POINT)
+            bodies.append(body)
+    bodies += [list(range(n)) for n in range(25)]
+    positions = np.zeros((len(bodies), _SEP + 1), np.intp)
+    lengths = np.empty(len(bodies), np.uint8)
+    for k, body in enumerate(bodies):
+        positions[k, :len(body) + 1] = body + [_SEP]
+        lengths[k] = len(body)
+    return positions, lengths
+
+
+_SPELLING, _SPELLING_LEN = _spellings()
+_FALLBACK = 23 * 17
+_COLUMNS = np.arange(_SEP + 1, dtype=np.uint8)
+
+
+def _rows_to_text(rows):
+    """Bytes of each row of the 2-d float array rows as "%.17g %.17g ... %.17g\\n"."""
+    sep = np.full(rows.shape[1], ord(" "), np.uint8)
+    sep[-1] = ord("\n")
+    sep = np.tile(sep, min(len(rows), _ROWS_PER_BLOCK))
+    blocks = (rows[i:i + _ROWS_PER_BLOCK].ravel() for i in range(0, len(rows), _ROWS_PER_BLOCK))
+    return b"".join(_numbers_to_text(x, sep[:len(x)]) for x in blocks)
+
+
+def _numbers_to_text(x, sep):
+    """Bytes of "%.17g" % x[i] followed by the byte sep[i], for every i.
+
+    sep is a uint8 array as long as x.  The kernel spells x only where the
+    exponent e from log10 is right; % spells the rest (module docstring).
+    """
+    ok = (x > 0) & (x < np.inf)
+    xs = np.where(ok, x, 1.0)
+    e = np.floor(np.log10(xs)).astype(np.intp)
+    ok &= (e >= -6) & (e <= 16)
+    xs[~ok], e[~ok] = 1.0, 0
+    p = 16 - e  # hi + lo == xs * 10**p exactly: Dekker's two-product, no underflow here
+    hi = xs * _POW10[p]
+    xh, xl = _dekker_split(xs)
+    ph, pl = _POW10_HIGH[p], _POW10_LOW[p]
+    lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # digits == 10**16 also comes from hi + lo in [1e16 - 0.5, 1e16)
+    ok &= (digits < 10**17) & ((digits > 10**16) | ((digits == 10**16) & (lo >= 0)))
+
+    src = np.empty((len(x), 8), np.uint32)
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    high8 = rest // 10**8
+    low8 = rest - high8 * 10**8
+    groups = [lead, high8 // 10**4, high8 % 10**4, low8 // 10**4, low8 % 10**4]
+    for col, group in enumerate(groups):
+        src[:, col] = _DIGITS4[group]
+    src[:, 5] = _POINT_E_MINUS
+    text = src.view(np.uint8)
+    text[:, _EXP] = ord("0") - e
+    text[:, _SEP] = sep
+    zeros = _TRAILING_ZEROS4[groups[4]]  # trailing zeros after the lead digit
+    j = np.flatnonzero(zeros == 4)
+    for group in groups[3:0:-1]:
+        zeros[j] += _TRAILING_ZEROS4[group[j]]
+        j = j[group[j] == 0]
+    spelling = (e + 6) * 17 + (16 - zeros)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        fallback = ["%.17g" % v for v in x[bad].tolist()]
+        text[bad, :24] = np.array(fallback, "S24").view(np.uint8).reshape(-1, 24)
+        spelling[bad] = _FALLBACK + np.array([len(s) for s in fallback])
+    positions = _SPELLING.take(spelling, axis=0)
+    positions += np.arange(0, text.size, text.shape[1])[:, None]
+    chars = text.ravel().take(positions)
+    return chars[_COLUMNS <= _SPELLING_LEN[spelling][:, None]].tobytes()
 
 
 def _split_columns(text: str):

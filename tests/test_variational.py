@@ -218,13 +218,17 @@ class TestProfileSerialization:
         assert lines[0].startswith("#")
         assert len([l for l in lines if not l.startswith("#")]) == 17
 
-    @pytest.mark.parametrize("n", [16, 4096])
+    @pytest.mark.parametrize("n", [16, 4096, 2**15])
     def test_text_matches_per_row_formatting(self, n):
-        # the one-call "%" formatting must give the bytes of a per-row f-string
+        # the text must give the bytes of a per-row f-string
         profile = va.solve_discrete(n)
         want = "# flat-disk radial profile: theta f(theta)\n# run 7\n" + "".join(
             f"{t:.17g} {v:.17g}\n" for t, v in zip(profile.thetas, profile.values))
-        assert va.profile_to_text(profile, comment="run 7") == want
+        text = va.profile_to_text(profile, comment="run 7")
+        assert text == want
+        back = va.parse_profile(text)
+        assert np.array_equal(back.thetas.view(np.int64), profile.thetas.view(np.int64))
+        assert np.array_equal(back.values.view(np.int64), profile.values.view(np.int64))
 
     def test_parse_reports_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
@@ -321,6 +325,57 @@ class TestProfileSerialization:
         s_sampled = stress.total_stress(rf, 1024).total
         s_closed = stress.total_stress(stress.closed_form_radial(), 1024).total
         assert s_sampled == pytest.approx(s_closed, abs=1e-5)
+
+
+def assert_spelled_as_percent(x):
+    """The kernel's text of x, one number a row, is "%.17g" % v for every v."""
+    x = np.asarray(x, dtype=float)
+    got = va._rows_to_text(x.reshape(-1, 1)).decode("ascii").split("\n")
+    want = ["%.17g" % v for v in x.tolist()] + [""]
+    wrong = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+
+
+class TestExactSpelling:
+    """_rows_to_text against CPython's "%.17g", byte for byte.
+
+    The suite turns warnings into errors, so each case also shows that no
+    input, in the kernel's domain or outside it, raises a RuntimeWarning.
+    """
+
+    @pytest.mark.parametrize("n", [16, 1024, 4096, 2**15])
+    def test_solver_profiles(self, n):
+        profile = va.solve_discrete(n)
+        assert_spelled_as_percent(np.concatenate((profile.thetas, profile.values)))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(15)
+        anywhere = rng.integers(0, 2**64, 500_000, dtype=np.uint64)  # signs, nan, inf, subnormals
+        # 2**-24 to 2**61: the exact domain [1e-6, 1e17) and a binade or more past each end
+        exponent = rng.integers(1023 - 24, 1023 + 61, 500_000).astype(np.uint64)
+        mantissa = rng.integers(0, 2**52, 500_000, dtype=np.uint64)
+        near = (exponent << np.uint64(52)) | mantissa
+        assert_spelled_as_percent(np.concatenate((anywhere, near)).view(np.float64))
+
+    def test_exact_ties_round_half_to_even(self):
+        rng = np.random.default_rng(16)
+        k = rng.integers(2**50, 2**51, 20_000).astype(float)
+        # x * 10**(16 - e) = m * 5**p / 2 with m odd: halfway between two 17-digit values
+        ties = []
+        for p in range(2, 23):
+            m = rng.integers(-(-2 * 10**16 // 5**p), min(2 * 10**17 // 5**p, 2**53), 500)
+            ties.append(np.ldexp((m | 1).astype(float), -(p + 1)))
+        assert_spelled_as_percent(np.concatenate([k + 0.25, k + 0.75, *ties]))
+
+    def test_powers_of_ten_and_neighbours(self):
+        tens = np.array([float(f"1e{k}") for k in range(-9, 20)])
+        tens = np.concatenate([tens, 9 * tens, 5 * tens])
+        assert_spelled_as_percent(np.concatenate(
+            [tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)]))
+
+    def test_values_outside_the_domain(self):
+        assert_spelled_as_percent([0.0, -0.0, -1.5, 5e-324, 1e-300, 1e300, np.inf, -np.inf,
+                                   np.nan, 0.5, 1e-6, 9.999999999999999e16, 1e17, 2.0**-1074])
 
 
 def test_import_leaves_scipy_unloaded():
