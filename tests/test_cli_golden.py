@@ -1,7 +1,9 @@
 """Frozen (exit code, stdout, stderr) of every `flatdisk` command but `render`.
 
 The matrix covers `eval` at 14 colatitudes, `solve --n 4096`, `stress` in
-both modes and `--compare` at two grids and on the solved profile, `project`
+both modes and `--compare` at two grids and on the solved profile, `stress
+--profile` on a CRLF profile and on four bad ones (a bad token, a ragged
+row, two rows, a trailing "# c" on a data row), `project`
 in both modes on two 2,000-row inputs built from a formula, and every error
 and usage line that test_cli.py's TestFailuresAreErrorLines and
 TestBadValuesAreUsageErrors check.  All commands run in one working
@@ -18,6 +20,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import sys
@@ -70,6 +73,30 @@ def project_rows_b() -> list:
 PROJECT_INPUTS = {"rows_a": project_rows_a, "rows_b": project_rows_b}
 
 
+def profile_rows(n: int = 32) -> list:
+    """"theta f" rows of f = theta + sin(theta) on n uniform steps over [0, pi/2]."""
+    thetas = [k * (math.pi / 2) / n for k in range(n + 1)]
+    return [f"{t!r} {t + math.sin(t)!r}" for t in thetas]
+
+
+def profile_with(row: int, text: str) -> list:
+    """profile_rows() with row replaced by text."""
+    rows = profile_rows()
+    rows[row] = text
+    return rows
+
+
+# name -> (lines, line end) of each `stress --profile` input; a # header is line 1
+PROFILE_INPUTS = {
+    "profile_bad_token.txt": (["# h", "0 0", "1 x", "2 2"], "\n"),
+    "profile_ragged.txt": (["# h", *profile_with(3, "0.5 0.9 1.3")], "\n"),
+    "profile_two_rows.txt": (["# h", *profile_rows(1)], "\n"),
+    "profile_crlf.txt": (["# h", "# crlf", *profile_rows()], "\r\n"),
+    "profile_trailing_comment.txt": (["# h", *profile_with(2, profile_rows()[2] + " # c")],
+                                     "\n"),
+}
+
+
 def matrix() -> list:
     """(argv, stdin name or None) of every frozen run, in the order they run.
 
@@ -81,6 +108,7 @@ def matrix() -> list:
         runs.append((["stress", "--compare", "--grid", grid], None))
         runs += [(["stress", "--mode", mode, "--grid", grid], None) for mode in MODES]
         runs.append((["stress", "--profile", PROFILE, "--grid", grid], None))
+    runs += [(["stress", "--profile", name, "--grid", "1024"], None) for name in PROFILE_INPUTS]
     runs += [(["project", "--mode", mode], name) for name in PROJECT_INPUTS for mode in MODES]
     render = ["--geojson", FIXTURE, "--out", "o.svg"]
     runs += [(argv, None) for argv in [
@@ -105,10 +133,12 @@ def key(argv: list, stdin) -> str:
 
 
 def prepare(workdir: Path) -> None:
-    """Put the fixture and the `project` inputs in workdir."""
+    """Put the fixture and the `project` and `stress --profile` inputs in workdir."""
     shutil.copy(DATA / FIXTURE, workdir / FIXTURE)
     for name, rows in PROJECT_INPUTS.items():
         (workdir / name).write_text("\n".join(rows()) + "\n")
+    for name, (lines, end) in PROFILE_INPUTS.items():
+        (workdir / name).write_bytes("".join(line + end for line in lines).encode("ascii"))
 
 
 def run(argv: list, stdin, workdir: Path) -> tuple:
