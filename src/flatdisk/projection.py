@@ -3,7 +3,9 @@
 Each hemisphere maps to one face of a unit disk.  In GGV mode the disk
 radius is proportional to colatitude (azimuthal equidistant per face); in
 stress-minimal mode it follows the minimum-stress radial function,
-normalized so the equator lands on the rim (r = 1) in both modes.
+normalized by f(pi/2) = 2 ln 2.  The equator lands on the rim, r = 1,
+exactly in GGV mode; in stress-minimal mode it lands within 1 ulp below
+1, because the computed f(pi/2) may round below closedform.TWO_LN2.
 Its vectorized functions give a float for a scalar, by the one rule of the
 closed-form evaluators (closedform._vectorized).
 """
@@ -100,7 +102,8 @@ class GeoCoord:
 
 @dataclass(frozen=True)
 class DiskPoint:
-    """Polar point on one face of the unit two-sided disk (rim at r = 1)."""
+    """Polar point on one face of the unit two-sided disk, rim at r = 1 (the
+    equator lands there, or within 1 ulp inside it: module docstring)."""
 
     r: float
     phi: float

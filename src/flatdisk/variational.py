@@ -28,10 +28,17 @@ log10 and kept only where hi + lo lies in [1e16, 1e17) and the 17 digits
 stay below 1e17.  Every other number is formatted by % one at a time: zero,
 -0.0, negatives, inf, nan, positive x below 1e-6 or from 1e17 up, and the
 rare x next to a power of ten whose log10 gives the wrong e.
+
+parse_profile reads the written layout with np.loadtxt; anything else,
+every error included, is read line by line by _parse_lines, to the numbers
+float() gives.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,15 +229,8 @@ _ROWS_PER_BLOCK = 4096  # bounds the temporaries: 1.6 MB of byte positions for 2
 # that follows it (24).  A number outside the exact domain has its %
 # spelling in bytes 0-23 instead.
 _ZERO, _POINT, _E, _MINUS, _EXP, _SEP = 0, 20, 21, 22, 23, 24
-_DIGITS4 = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
-            % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-_POINT_E_MINUS = np.frombuffer(b".e-0", np.uint32)[0]
-_TRAILING_ZEROS4 = np.zeros(10000, np.uint8)  # trailing zeros of a 4-digit group
-for _step in (10, 100, 1000, 10000):
-    _TRAILING_ZEROS4[::_step] += 1
-
-_POW10 = 10.0 ** np.arange(23)  # 10**p is an exact double for p <= 22
 _DEKKER_SPLIT = 134217729.0  # 2**27 + 1
+_FALLBACK = 23 * 17
 
 
 def _dekker_split(a):
@@ -240,17 +240,26 @@ def _dekker_split(a):
     return high, a - high
 
 
-_POW10_HIGH, _POW10_LOW = _dekker_split(_POW10)
+@functools.cache
+def _tables():
+    """The kernel's read-only tables, built on the first profile written.
 
-
-def _spellings():
-    """Source-byte positions of each spelling, then of the separator.
-
-    Row (e + 6) * 17 + nd - 1 spells a number with decimal exponent e in
+    In order: the 4 digits of each k < 10**4 as one uint32; the trailing
+    zeros of each 4-digit group; 10**p for p <= 22 (each an exact double),
+    split high and low by _dekker_split; the source-byte positions of each
+    spelling and then of the separator, and the spelling lengths.  Row
+    (e + 6) * 17 + nd - 1 spells a number with decimal exponent e in
     [-6, 16] and nd significant digits the way %.17g does: ddd[.ddd] for
     e >= 0, 0.000ddd for e >= -4, d[.ddd]e-0X below; row _FALLBACK + n
     copies n bytes of a % spelling.
     """
+    k = np.arange(10000, dtype=np.uint16)[:, None]
+    digits4 = (k // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0"))
+    digits4 = digits4.astype(np.uint8).view(np.uint32).ravel()
+    trailing_zeros4 = np.zeros(10000, np.uint8)
+    for step in (10, 100, 1000, 10000):
+        trailing_zeros4[::step] += 1
+    pow10 = 10.0 ** np.arange(23)
     digits = list(range(3, 20))
     bodies = []
     for e in range(-6, 17):
@@ -272,12 +281,10 @@ def _spellings():
     for k, body in enumerate(bodies):
         positions[k, :len(body) + 1] = body + [_SEP]
         lengths[k] = len(body)
-    return positions, lengths
-
-
-_SPELLING, _SPELLING_LEN = _spellings()
-_FALLBACK = 23 * 17
-_COLUMNS = np.arange(_SEP + 1, dtype=np.uint8)
+    tables = digits4, trailing_zeros4, pow10, *_dekker_split(pow10), positions, lengths
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _rows_to_text(rows):
@@ -285,25 +292,28 @@ def _rows_to_text(rows):
     sep = np.full(rows.shape[1], ord(" "), np.uint8)
     sep[-1] = ord("\n")
     sep = np.tile(sep, min(len(rows), _ROWS_PER_BLOCK))
+    tables = _tables()
     blocks = (rows[i:i + _ROWS_PER_BLOCK].ravel() for i in range(0, len(rows), _ROWS_PER_BLOCK))
-    return b"".join(_numbers_to_text(x, sep[:len(x)]) for x in blocks)
+    return b"".join(_numbers_to_text(x, sep[:len(x)], tables) for x in blocks)
 
 
-def _numbers_to_text(x, sep):
+def _numbers_to_text(x, sep, tables):
     """Bytes of "%.17g" % x[i] followed by the byte sep[i], for every i.
 
-    sep is a uint8 array as long as x.  The kernel spells x only where the
-    exponent e from log10 is right; % spells the rest (module docstring).
+    sep is a uint8 array as long as x, tables those of _tables().  The
+    kernel spells x only where the exponent e from log10 is right; % spells
+    the rest (module docstring).
     """
+    digits4, trailing_zeros4, pow10, pow10_high, pow10_low, spellings, spelling_len = tables
     ok = (x > 0) & (x < np.inf)
     xs = np.where(ok, x, 1.0)
     e = np.floor(np.log10(xs)).astype(np.intp)
     ok &= (e >= -6) & (e <= 16)
     xs[~ok], e[~ok] = 1.0, 0
     p = 16 - e  # hi + lo == xs * 10**p exactly: Dekker's two-product, no underflow here
-    hi = xs * _POW10[p]
+    hi = xs * pow10[p]
     xh, xl = _dekker_split(xs)
-    ph, pl = _POW10_HIGH[p], _POW10_LOW[p]
+    ph, pl = pow10_high[p], pow10_low[p]
     lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
     digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     # digits == 10**16 also comes from hi + lo in [1e16 - 0.5, 1e16)
@@ -316,15 +326,15 @@ def _numbers_to_text(x, sep):
     low8 = rest - high8 * 10**8
     groups = [lead, high8 // 10**4, high8 % 10**4, low8 // 10**4, low8 % 10**4]
     for col, group in enumerate(groups):
-        src[:, col] = _DIGITS4[group]
-    src[:, 5] = _POINT_E_MINUS
+        src[:, col] = digits4[group]
+    src[:, 5] = np.frombuffer(b".e-0", np.uint32)
     text = src.view(np.uint8)
     text[:, _EXP] = ord("0") - e
     text[:, _SEP] = sep
-    zeros = _TRAILING_ZEROS4[groups[4]]  # trailing zeros after the lead digit
+    zeros = trailing_zeros4[groups[4]]  # trailing zeros after the lead digit
     j = np.flatnonzero(zeros == 4)
     for group in groups[3:0:-1]:
-        zeros[j] += _TRAILING_ZEROS4[group[j]]
+        zeros[j] += trailing_zeros4[group[j]]
         j = j[group[j] == 0]
     spelling = (e + 6) * 17 + (16 - zeros)
     if not ok.all():
@@ -332,44 +342,10 @@ def _numbers_to_text(x, sep):
         fallback = ["%.17g" % v for v in x[bad].tolist()]
         text[bad, :24] = np.array(fallback, "S24").view(np.uint8).reshape(-1, 24)
         spelling[bad] = _FALLBACK + np.array([len(s) for s in fallback])
-    positions = _SPELLING.take(spelling, axis=0)
+    positions = spellings.take(spelling, axis=0)
     positions += np.arange(0, text.size, text.shape[1])[:, None]
     chars = text.ravel().take(positions)
-    return chars[_COLUMNS <= _SPELLING_LEN[spelling][:, None]].tobytes()
-
-
-def _split_columns(text: str):
-    """(thetas, values) of text, or None.
-
-    Only the layout profile_to_text writes takes this path: # lines at the
-    top, then rows of two numbers split by one space, each ended by a
-    newline.  The text is split once, and the rows rebuilt from its tokens
-    must equal the text below the # lines, which checks every row's column
-    count on its own.  None for any other layout, or for a token that
-    float() rejects.
-    """
-    start = 0
-    while text.startswith("#", start):
-        start = text.find("\n", start) + 1
-        if not start:
-            return None
-    head = text[:start]
-    if len(head.splitlines()) != head.count("\n") or text.find("#", start) >= 0:
-        return None
-    if "\r" in text or "\t" in text:  # CRLF or tab layouts: skip a split bound to fail
-        return None
-    tokens = text.split()
-    del tokens[:len(head.split())]
-    if len(tokens) % 2:
-        return None
-    rows = ("%s %s\n" * (len(tokens) // 2)) % tuple(tokens)
-    if len(rows) != len(text) - start or not text.endswith(rows):
-        return None
-    try:
-        numbers = np.fromiter(map(float, tokens), float, len(tokens))
-    except ValueError:
-        return None
-    return numbers[0::2].copy(), numbers[1::2].copy()
+    return chars[np.arange(_SEP + 1, dtype=np.uint8) <= spelling_len[spelling][:, None]].tobytes()
 
 
 def _parse_lines(text: str):
@@ -399,12 +375,28 @@ def parse_profile(text: str) -> RadialProfile:
 
     Format: one sample per line, theta and f(theta) as two whitespace-
     separated floats (profile_to_text writes %.17g); blank lines and lines
-    whose first non-blank character is # are skipped.  Text in exactly the
-    written layout is split and converted in one pass; any other text is
-    read line by line, with the same numbers, and a bad line raises
-    ValueError naming its line number.
+    whose first non-blank character is # are skipped.  Below its top #
+    lines, ASCII text with no line break but "\n" is read by np.loadtxt;
+    any other text, and any text loadtxt rejects or reads as other than two
+    columns, is read line by line by _parse_lines.  Both give the numbers
+    float() gives, and a bad line raises ValueError naming its line number.
     """
-    thetas, values = _split_columns(text) or _parse_lines(text)
+    body = text
+    while body.startswith("#"):
+        body = body.partition("\n")[2]
+    rows = None
+    # loadtxt ends lines at "\n" alone, where str.splitlines also ends them
+    # at "\r" and the other breaks; on a blank body it warns "no data".
+    # With comments=None, a # below the top lines is a token it rejects.
+    # It reads bytes: a StringIO would hold the body at 4 bytes a character.
+    if (text.isascii() and not any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e")
+            and body and not body.isspace()):
+        with contextlib.suppress(ValueError):
+            rows = np.loadtxt(io.BytesIO(body.encode()), comments=None, ndmin=2)
+    if rows is not None and rows.shape[1] == 2:
+        thetas, values = np.ascontiguousarray(rows.T)
+    else:
+        thetas, values = _parse_lines(text)
     if len(thetas) < 3:
         raise ValueError("profile needs at least 3 samples")
     return RadialProfile(thetas=thetas, values=values)

@@ -104,6 +104,16 @@ class TestForward:
     def test_equator_maps_to_rim(self, mode, lon):
         assert pj.forward(GeoCoord(0.0, lon), mode).r == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("mode, lowest", [(ProjectionMode.GGV, 1.0),
+                                              (ProjectionMode.STRESS_MINIMAL, 1.0 - 2**-53)])
+    def test_equator_radius_is_one_or_one_ulp_below(self, mode, lowest):
+        # eval_f(pi/2) rounds 1 ulp below TWO_LN2, so stress-minimal may land inside the rim
+        lon = np.array([-180.0, -90.0, 0.0, 90.0, 180.0])
+        r, _, _ = pj.forward_arrays(np.zeros_like(lon), lon, mode)
+        scalar = pj.forward(GeoCoord(0.0, 10.0), mode).r
+        assert np.all((lowest <= r) & (r <= 1.0)) and lowest <= scalar <= 1.0
+        assert lowest <= pj.radius_from_colatitude(cf.HALF_PI, mode) <= 1.0
+
     def test_equator_owned_by_north(self):
         assert pj.forward(GeoCoord(0.0, 10.0), ProjectionMode.GGV).side is Hemisphere.NORTH
 

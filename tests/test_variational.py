@@ -202,6 +202,51 @@ def reference_parse(text):
     return np.array(thetas), np.array(values)
 
 
+def assert_parses_as_reference(text):
+    """parse_profile(text) gives reference_parse's numbers bit for bit, or its error text."""
+    try:
+        thetas, values = reference_parse(text)
+        if len(thetas) < 3:
+            raise ValueError("profile needs at least 3 samples")
+        want = va.RadialProfile(thetas, values)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            va.parse_profile(text)
+        return
+    got = va.parse_profile(text)
+    assert got.thetas.view(np.int64).tolist() == want.thetas.view(np.int64).tolist(), repr(text)
+    assert got.values.view(np.int64).tolist() == want.values.view(np.int64).tolist(), repr(text)
+
+
+def odd_layouts():
+    """Texts at the edges of the np.loadtxt path, around the rows "0 0", "10 2", "20 4".
+
+    Each ASCII character, the non-ASCII line breaks and spaces and full-width
+    digits go inside a token, between tokens, at a line start and into the
+    # header; then come "\r" line ends, numbers that float() and loadtxt
+    read differently, mid-row #, one and three columns, and empty and blank
+    texts.
+    """
+    marks = [chr(c) for c in range(128)] + ["\x85", "\u2028", "\u2029", "\xa0", "\uff11\uff10"]
+    for mark in marks:
+        for row in (f"1{mark}0 2", f"10{mark}2", f"{mark}10 2"):
+            yield f"# h\n0 0\n{row}\n20 4\n"
+        yield f"# h{mark}0 0\n10 2\n20 4\n"
+    yield from [
+        "\uff10 \uff10\n\uff11\uff10 \uff12\n\uff12\uff10 \uff14\n",
+        "0 0\r10 2\r20 4\r", "# h\r0 0\r10 2\r20 4\r", "# h\n0 0\r\n10 2\r20 4",
+        "0 0\n1_0 2\n20 4\n", "0 0\n0x1p3 2\n20 4\n", "0 0\n10 2\n20 1e400\n",
+        "0 0\n10 # 2\n20 4\n", "0 0\n10 2 # c\n20 4\n", "0 0\n10 2#\n20 4\n", "0 0 # c\n",
+        "0 0 0\n10 2 1\n20 4 2\n", "0 0 0\n", "0\n10\n20\n",
+        "0\x0c1\n2 3\n", "0\u20281\n", "0 0\r1 2\r",
+        "", " ", "\n\n", " \t\n\n", "# h\n", "# h\n \n\t\n", "# h", "#",
+    ]
+
+
+def reject_line_reader(text):
+    raise AssertionError("the line reader was called")
+
+
 class TestProfileSerialization:
     def test_round_trip(self, tmp_path):
         profile = va.solve_discrete(32)
@@ -235,12 +280,12 @@ class TestProfileSerialization:
             va.parse_profile("# header\n0 0\n0.1 0.2 0.3\n")
 
     @pytest.mark.parametrize("n", [16, 4096, 2**15])
-    def test_parse_matches_per_line_reference(self, n):
+    def test_parse_matches_per_line_reference(self, n, monkeypatch):
         profile = va.solve_discrete(n)
         text = va.profile_to_text(profile, comment=f"n={n}")
-        assert va._split_columns(text) is not None  # the one-split path is taken
-        got = va.parse_profile(text)
         thetas, values = reference_parse(text)
+        monkeypatch.setattr(va, "_parse_lines", reject_line_reader)  # np.loadtxt reads it all
+        got = va.parse_profile(text)
         assert np.array_equal(got.thetas.view(np.int64), thetas.view(np.int64))
         assert np.array_equal(got.values.view(np.int64), values.view(np.int64))
         assert np.array_equal(got.values, profile.values)
@@ -284,29 +329,23 @@ class TestProfileSerialization:
             text = rng.choice(["", "# h\n", "#\n# h2\n"]) + "".join(
                 rng.choice(["", " "]) + rng.choice(seps).join(row) + rng.choice(ends)
                 for row in rows)
-            try:
-                thetas, values = reference_parse(text)
-                if len(thetas) < 3:
-                    raise ValueError("profile needs at least 3 samples")
-                want = va.RadialProfile(thetas, values)
-            except ValueError as exc:
-                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                    va.parse_profile(text)
-                continue
-            got = va.parse_profile(text)
-            assert got.thetas.tolist() == want.thetas.tolist(), repr(text)
-            assert got.values.tolist() == want.values.tolist(), repr(text)
+            assert_parses_as_reference(text)
+        for text in odd_layouts():
+            assert_parses_as_reference(text)
 
     def test_profile_rejects_unequal_shapes(self):
         with pytest.raises(ValueError, match="^thetas and values must be 1-d arrays of equal"):
             va.RadialProfile(thetas=np.zeros(3), values=np.zeros(4))
 
-    def test_header_without_newline_is_too_short(self):
-        # "# header" with no newline ends inside the header; the general
-        # parser then finds no rows
-        assert va._split_columns("# header") is None
+    def test_header_without_newline_is_too_short(self, monkeypatch):
+        # "# header" with no newline ends inside the header; it is not the
+        # written layout, so the line reader reads it and finds no rows
         with pytest.raises(ValueError, match="at least 3 samples"):
             va.parse_profile("# header")
+        monkeypatch.setattr(va, "_parse_lines", reject_line_reader)
+        with pytest.raises(AssertionError, match="line reader"):
+            va.parse_profile("# header")
+        va.parse_profile(va.profile_to_text(va.solve_discrete(16)))  # one # line, no comment
 
     def test_profile_requires_zero_origin(self):
         with pytest.raises(ValueError):
