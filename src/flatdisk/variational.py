@@ -29,16 +29,23 @@ stay below 1e17.  Every other number is formatted by % one at a time: zero,
 -0.0, negatives, inf, nan, positive x below 1e-6 or from 1e17 up, and the
 rare x next to a power of ten whose log10 gives the wrong e.
 
-parse_profile reads the written layout with np.loadtxt; anything else,
+parse_profile reads the written layout, rows "token token\n" of the
+characters 0-9 . e - +, by their digits (_read_rows; W. D. Clinger, PLDI
+1990, and D. Lemire, Softw. Pract. Exper. 51, 2021).  np.fromstring reads
+each token with its "." dropped as an int64 d, so the token is the decimal
+d / 10**k, k its digits after the point.  _quotients gives a candidate x,
+kept only where _digits17, the writer's own rule, spells x as the token's
+decimal: "%.17g" % x and the token then name one number, and 17 digits
+round-trip, so float(token) == x.  float() reads every other token: with a
+sign or an exponent, zero, 18 digits or more (np.fromstring saturates at
+2**63 - 1), over 22 after the point, or failing the check.  Any other text,
 every error included, is read line by line by _parse_lines, to the numbers
 float() gives.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,9 +247,16 @@ def _dekker_split(a):
     return high, a - high
 
 
+def _two_product(a, b, b_high, b_low):
+    """(hi, lo) with hi = a * b rounded and hi + lo == a * b exactly; (b_high, b_low) splits b."""
+    hi = a * b
+    ah, al = _dekker_split(a)
+    return hi, ((ah * b_high - hi) + ah * b_low + al * b_high) + al * b_low
+
+
 @functools.cache
 def _tables():
-    """The kernel's read-only tables, built on the first profile written.
+    """The kernel's read-only tables, built on the first profile written or read.
 
     In order: the 4 digits of each k < 10**4 as one uint32; the trailing
     zeros of each 4-digit group; 10**p for p <= 22 (each an exact double),
@@ -297,6 +311,23 @@ def _rows_to_text(rows):
     return b"".join(_numbers_to_text(x, sep[:len(x)], tables) for x in blocks)
 
 
+def _digits17(x, tables):
+    """(digits, e, ok): "%.17g" % x[i] spells the int64 digits[i] * 10**(e[i] - 16)
+    wherever ok[i], which marks x in the exact domain (module docstring)."""
+    pow10, pow10_high, pow10_low = tables[2:5]
+    ok = (x > 0) & (x < np.inf)
+    xs = np.where(ok, x, 1.0)
+    e = np.floor(np.log10(xs)).astype(np.intp)
+    ok &= (e >= -6) & (e <= 16)
+    xs[~ok], e[~ok] = 1.0, 0
+    p = 16 - e  # hi + lo == xs * 10**p exactly: Dekker's two-product, no underflow here
+    hi, lo = _two_product(xs, pow10[p], pow10_high[p], pow10_low[p])
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # digits == 10**16 also comes from hi + lo in [1e16 - 0.5, 1e16)
+    ok &= (digits < 10**17) & ((digits > 10**16) | ((digits == 10**16) & (lo >= 0)))
+    return digits, e, ok
+
+
 def _numbers_to_text(x, sep, tables):
     """Bytes of "%.17g" % x[i] followed by the byte sep[i], for every i.
 
@@ -304,21 +335,8 @@ def _numbers_to_text(x, sep, tables):
     kernel spells x only where the exponent e from log10 is right; % spells
     the rest (module docstring).
     """
-    digits4, trailing_zeros4, pow10, pow10_high, pow10_low, spellings, spelling_len = tables
-    ok = (x > 0) & (x < np.inf)
-    xs = np.where(ok, x, 1.0)
-    e = np.floor(np.log10(xs)).astype(np.intp)
-    ok &= (e >= -6) & (e <= 16)
-    xs[~ok], e[~ok] = 1.0, 0
-    p = 16 - e  # hi + lo == xs * 10**p exactly: Dekker's two-product, no underflow here
-    hi = xs * pow10[p]
-    xh, xl = _dekker_split(xs)
-    ph, pl = pow10_high[p], pow10_low[p]
-    lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    # digits == 10**16 also comes from hi + lo in [1e16 - 0.5, 1e16)
-    ok &= (digits < 10**17) & ((digits > 10**16) | ((digits == 10**16) & (lo >= 0)))
-
+    digits4, trailing_zeros4, _, _, _, spellings, spelling_len = tables
+    digits, e, ok = _digits17(x, tables)
     src = np.empty((len(x), 8), np.uint32)
     lead = digits // 10**16
     rest = digits - lead * 10**16
@@ -346,6 +364,64 @@ def _numbers_to_text(x, sep, tables):
     positions += np.arange(0, text.size, text.shape[1])[:, None]
     chars = text.ravel().take(positions)
     return chars[np.arange(_SEP + 1, dtype=np.uint8) <= spelling_len[spelling][:, None]].tobytes()
+
+
+_READ_BLOCK = 2**16  # bytes per step of _read_rows, cut after a "\n": bounds its temporaries
+_SIGNS_TO_ZEROS = bytes.maketrans(b"e-+", b"000")
+
+
+def _quotients(d, k, tables):
+    """d / 10**k for int64 d >= 0 and k <= 22: the quotient of d's high bits (an
+    exact double), corrected once by its exact remainder.  Checked by _read_rows."""
+    pow10, pow10_high, pow10_low = tables[2:5]
+    high = d & -(2**26)
+    p = pow10[k]
+    q = high / p
+    hi, lo = _two_product(q, p, pow10_high[k], pow10_low[k])
+    return q + (((high - hi) - lo) + (d - high)) / p
+
+
+def _read_rows(body: str):
+    """(thetas, values) of a non-empty ASCII body as float() reads it, or None if
+    it is not rows "token token\\n" (module docstring), read in blocks of rows."""
+    tables = _tables()
+    pow10_int = tables[2][:18].astype(np.int64)
+    rows, row, start = np.empty((2, body.count("\n"))), 0, 0
+    while start < len(body):
+        end = body.find("\n", start + _READ_BLOCK) + 1 or len(body)  # 0: no "\n" left
+        block, start = body[start:end].encode(), end
+        signs = block.translate(None, b"0123456789. \n")
+        if signs.translate(None, b"e-+"):
+            return None
+        a = np.frombuffer(block, np.uint8)
+        ends = np.flatnonzero(a <= ord(" "))  # " " and "\n", by the guard above
+        if (len(ends) % 2 or np.any(a[ends[::2]] != ord(" "))
+                or np.any(a[ends[1::2]] != ord("\n"))):
+            return None
+        dots = np.flatnonzero(a == ord("."))
+        token = np.searchsorted(ends, dots)
+        # an empty token, a lone "." or bytes after the last "\n" change the count
+        d = np.fromstring(block.translate(_SIGNS_TO_ZEROS, b"."), np.int64, sep=" ")
+        if len(d) != len(ends) or np.any(np.diff(token) == 0):
+            return None
+        k = np.zeros(len(ends), np.intp)  # digits after the point: token i is d[i] / 10**k[i]
+        k[token] = ends[token] - dots - 1
+        if signs:  # a token with a sign or an exponent is left to float()
+            marks = (a > ord("9")) | ((a > ord(" ")) & (a < ord(".")))  # e, + and -
+            d[np.searchsorted(ends, np.flatnonzero(marks))] = 0
+        x = _quotients(d, np.minimum(k, 22), tables)  # k > 22 fails the check on e below
+        nd = np.searchsorted(pow10_int, d, side="right")
+        digits, e, ok = _digits17(x, tables)
+        want = d * pow10_int[17 - np.minimum(nd, 17)]  # the token's 17 digits
+        exact = ok & (digits == want) & (e == nd - 1 - k)  # so x == float(token)
+        for i in np.flatnonzero(~exact).tolist():
+            try:
+                x[i] = float(block[ends[i - 1] + 1 if i else 0:ends[i]])
+            except ValueError:
+                return None
+        rows[:, row:row + len(x) // 2] = x.reshape(-1, 2).T
+        row += len(x) // 2
+    return rows
 
 
 def _parse_lines(text: str):
@@ -376,27 +452,21 @@ def parse_profile(text: str) -> RadialProfile:
     Format: one sample per line, theta and f(theta) as two whitespace-
     separated floats (profile_to_text writes %.17g); blank lines and lines
     whose first non-blank character is # are skipped.  Below its top #
-    lines, ASCII text with no line break but "\n" is read by np.loadtxt;
-    any other text, and any text loadtxt rejects or reads as other than two
-    columns, is read line by line by _parse_lines.  Both give the numbers
-    float() gives, and a bad line raises ValueError naming its line number.
+    lines, ASCII text in the written layout is read by _read_rows; any
+    other text, and any token float() rejects, is read line by line by
+    _parse_lines.  Both give the numbers float() gives, and a bad line
+    raises ValueError naming its line number.
     """
     body = text
     while body.startswith("#"):
         body = body.partition("\n")[2]
     rows = None
-    # loadtxt ends lines at "\n" alone, where str.splitlines also ends them
-    # at "\r" and the other breaks; on a blank body it warns "no data".
-    # With comments=None, a # below the top lines is a token it rejects.
-    # It reads bytes: a StringIO would hold the body at 4 bytes a character.
+    # _read_rows ends lines at "\n" alone, where str.splitlines also ends them
+    # at "\r" and the other breaks, also inside the top # lines
     if (text.isascii() and not any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e")
             and body and not body.isspace()):
-        with contextlib.suppress(ValueError):
-            rows = np.loadtxt(io.BytesIO(body.encode()), comments=None, ndmin=2)
-    if rows is not None and rows.shape[1] == 2:
-        thetas, values = np.ascontiguousarray(rows.T)
-    else:
-        thetas, values = _parse_lines(text)
+        rows = _read_rows(body)
+    thetas, values = _parse_lines(text) if rows is None else rows
     if len(thetas) < 3:
         raise ValueError("profile needs at least 3 samples")
     return RadialProfile(thetas=thetas, values=values)

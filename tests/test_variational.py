@@ -6,6 +6,8 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -219,13 +221,18 @@ def assert_parses_as_reference(text):
 
 
 def odd_layouts():
-    """Texts at the edges of the np.loadtxt path, around the rows "0 0", "10 2", "20 4".
+    """Texts at the edges of the digit reader, around the rows "0 0", "10 2", "20 4".
 
     Each ASCII character, the non-ASCII line breaks and spaces and full-width
     digits go inside a token, between tokens, at a line start and into the
-    # header; then come "\r" line ends, numbers that float() and loadtxt
-    read differently, mid-row #, one and three columns, and empty and blank
-    texts.
+    # header; then come "\r" line ends, numbers that float() reads but the
+    digit reader leaves to it, mid-row #, one, three and four columns, a
+    last row cut short, and empty and blank texts.  Last come value tokens
+    at the edges of its exact check, written in place of "2" and "4": 18 to
+    20 digits (np.fromstring saturates), signs, lone points, exponents,
+    exact ties between two doubles, 17 digits on each side of a power of
+    ten, and 17 digits one unit either side of the midpoint of two adjacent
+    doubles.
     """
     marks = [chr(c) for c in range(128)] + ["\x85", "\u2028", "\u2029", "\xa0", "\uff11\uff10"]
     for mark in marks:
@@ -238,9 +245,30 @@ def odd_layouts():
         "0 0\n1_0 2\n20 4\n", "0 0\n0x1p3 2\n20 4\n", "0 0\n10 2\n20 1e400\n",
         "0 0\n10 # 2\n20 4\n", "0 0\n10 2 # c\n20 4\n", "0 0\n10 2#\n20 4\n", "0 0 # c\n",
         "0 0 0\n10 2 1\n20 4 2\n", "0 0 0\n", "0\n10\n20\n",
+        "0 0 10 2\n20 4\n", "0 0\n10 2 20 4\n", "0 0\n10 2\n20 ", "0 0\n10 2\n20",
         "0\x0c1\n2 3\n", "0\u20281\n", "0 0\r1 2\r",
         "", " ", "\n\n", " \t\n\n", "# h\n", "# h\n \n\t\n", "# h", "#",
     ]
+    tokens = ["9" * 18, "1" + "0" * 17, "9" * 19, "9223372036854775807", "9223372036854775808",
+              "9" * 20, "12345678901234567.8", "1.2345678901234567891", "0.000", "-0.0", ".5",
+              "5.", "+5.0", "1.2.3", "0.5.0", "1.2.5", "1e5", "1.5e-05", ".", "-", "e", "1.5e",
+              "--1", "1-2",
+              "4503599627370496.5", "4503599627370497.5", "9007199254740993", "9007199254740995"]
+    for e in range(-7, 18):
+        tokens += [format(Decimal(f"9.9999999999999999e{e - 1}"), "f"),
+                   format(Decimal(f"1.0000000000000001e{e}"), "f"),
+                   "%.17g" % np.nextafter(10.0**e, 0), "%.17g" % np.nextafter(10.0**e, np.inf)]
+    rng = np.random.default_rng(17)
+    lows = np.concatenate(([1.0, 0.1, 1e-6, 2.0**-20, 9.5e16], 10.0 ** rng.uniform(-6, 17, 60)))
+    for low in lows.tolist():
+        with localcontext(Context(prec=100)):  # exact for these doubles
+            mid = (Decimal(low) + Decimal(float(np.nextafter(low, np.inf)))) / 2
+        with localcontext(Context(prec=17)):
+            mid17 = +mid
+            unit = Decimal(1).scaleb(mid17.adjusted() - 16)
+            tokens += [format(mid17 - unit, "f"), format(mid17 + unit, "f")]
+    for first, second in zip(tokens, tokens[1:] + tokens[:1]):
+        yield f"0 0\n10 {first}\n20 {second}\n"
 
 
 def reject_line_reader(text):
@@ -415,6 +443,97 @@ class TestExactSpelling:
     def test_values_outside_the_domain(self):
         assert_spelled_as_percent([0.0, -0.0, -1.5, 5e-324, 1e-300, 1e300, np.inf, -np.inf,
                                    np.nan, 0.5, 1e-6, 9.999999999999999e16, 1e17, 2.0**-1074])
+
+
+class TestExactReading:
+    """_read_rows against float(), bit for bit, and against the line reader's error texts."""
+
+    @pytest.mark.parametrize("n", [16, 1024, 4096, 2**15, 2**18])
+    def test_solver_profiles(self, n, monkeypatch):
+        profile = va.solve_discrete(n)
+        text = va.profile_to_text(profile, comment=f"n={n}")
+        monkeypatch.setattr(va, "_parse_lines", reject_line_reader)
+        got = va.parse_profile(text)
+        assert np.array_equal(got.thetas.view(np.int64), profile.thetas.view(np.int64))
+        assert np.array_equal(got.values.view(np.int64), profile.values.view(np.int64))
+
+    def test_only_zeros_and_exponents_reach_float(self, monkeypatch):
+        # every other token of a solver profile, or a power of ten, passes the exact check
+        body = va.profile_to_text(va.solve_discrete(2**15)).partition("\n")[2]
+        body += "1 10\n0.01 100000\n"
+        seen = []
+        monkeypatch.setattr(va, "float", lambda token: seen.append(token) or float(token),
+                            raising=False)
+        va._read_rows(body)
+        assert seen == [b"0", b"0"] + [t.encode() for t in body.split() if "e" in t]
+        assert len(seen) == 6
+
+    def test_wrong_quotients_are_never_kept(self, monkeypatch):
+        # a candidate one ulp off, ten times too large or infinite fails the
+        # check, so its token goes to float() like any other
+        body = va.profile_to_text(va.solve_discrete(1024)).partition("\n")[2]
+        body += "0.5 0.5\n0.5 1\n1 1\n"
+        quotients = va._quotients
+
+        def wrong(d, k, tables):
+            x = quotients(d, k, tables)
+            x[0::3] = np.nextafter(x[0::3], np.inf)
+            x[1::3] *= 10
+            x[2::3] = np.inf
+            return x
+
+        monkeypatch.setattr(va, "_quotients", wrong)
+        want = np.array([float(t) for t in body.split()])
+        assert np.array_equal(va._read_rows(body).T.ravel().view(np.int64), want.view(np.int64))
+
+    def test_random_bit_patterns(self):
+        # the finite values of TestExactSpelling.test_random_bit_patterns, two a row
+        rng = np.random.default_rng(15)
+        anywhere = rng.integers(0, 2**64, 500_000, dtype=np.uint64)
+        exponent = rng.integers(1023 - 24, 1023 + 61, 500_000).astype(np.uint64)
+        mantissa = rng.integers(0, 2**52, 500_000, dtype=np.uint64)
+        near = (exponent << np.uint64(52)) | mantissa
+        x = np.concatenate((anywhere, near)).view(np.float64)
+        x = x[np.isfinite(x)]
+        for rows in np.array_split(x[:len(x) // 2 * 2].reshape(-1, 2), 10):
+            body = va._rows_to_text(rows).decode("ascii")
+            want = np.array([float(t) for t in body.split()])
+            got = va._read_rows(body)
+            assert np.array_equal(got.T.ravel().view(np.int64), want.view(np.int64))
+
+    def test_rows_across_a_block_cut(self, monkeypatch):
+        profile = va.solve_discrete(4096)
+        text = va.profile_to_text(profile)
+        mark = text.index("\n") + 1 + va._READ_BLOCK
+        first = text.rindex("\n", 0, mark) + 1  # the row that holds the mark
+        cut = text.index("\n", mark) + 1  # the first row of the next block
+        assert first < mark < cut - 1
+        with monkeypatch.context() as patch:
+            patch.setattr(va, "_parse_lines", reject_line_reader)
+            got = va.parse_profile(text)
+        assert np.array_equal(got.values.view(np.int64), profile.values.view(np.int64))
+        lineno = text.count("\n", 0, cut) + 1
+        for start, line in ((first, lineno - 1), (cut, lineno)):
+            for bad in ("x", ".", "1.2.3", "1e"):
+                broken = text[:start] + bad + text[text.index(" ", start):]
+                with pytest.raises(ValueError, match=f"^line {line}: could not convert string "
+                                                     f"to float: '{re.escape(bad)}'$"):
+                    va.parse_profile(broken)
+        assert_parses_as_reference(text[:cut] + "1 2 3" + text[text.index("\n", cut):])
+
+    def test_temporaries_are_bounded(self):
+        text = va.profile_to_text(va.solve_discrete(2**15))
+        va.parse_profile(text)  # builds the tables
+        tracemalloc.start()
+        try:
+            va.parse_profile(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1.35 MB measured: parse_profile's copy of the text below its # line
+        # is as long as the text; then come the 0.5 MB result, held twice, and
+        # one block's temporaries.  Any whole-text temporary would add 1.3 MB.
+        assert peak - len(text) < 2_000_000
 
 
 def test_import_leaves_scipy_unloaded():
