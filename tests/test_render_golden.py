@@ -26,10 +26,12 @@ MANY_RINGS = "many_rings.geojson"
 INPUTS = ["fixture_coastline.geojson", "render_antimeridian.geojson",
           "render_equator.geojson", "render_poles.geojson", MANY_RINGS]
 MODES = ["ggv", "stress-minimal"]
-PROFILE_SIZES = [100, 400]
+# 6000 px pages put coordinates past 10,000, so their integer parts take
+# more than one 4-digit group
+PROFILE_SIZES = [100, 400, 6000]
 # (--size, --graticule) of the extra fixture maps: the smallest page with a
-# coarse graticule, and a large page with only the rim and the spokes at 90°
-PAGE_OPTIONS = [(100, 30), (1000, 90)]
+# coarse graticule, and large pages with only the rim and the spokes at 90°
+PAGE_OPTIONS = [(100, 30), (1000, 90), (6000, 90)]
 # eight directions with exactly representable components, so every
 # coordinate of many_rings() is the same double on every platform
 DIRECTIONS = [(1.0, 0.0), (0.75, 0.75), (0.0, 1.0), (-0.75, 0.75),
