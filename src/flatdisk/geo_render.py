@@ -9,8 +9,8 @@ runs one array pass per stage, whatever its ring count: `load_geojson`
 gathers the positions of every ring into one array and checks them with one
 mask each, `render_map` splits all lines at the equator together and
 densifies all pieces together, carrying a line or piece id per vertex, and
-`MapDocument.to_svg` writes the page as one template with a `%.3f` slot for
-every number, filled by one `%`, so one rule formats them all.  One page
+`MapDocument.to_svg` spells every number of the page with one call of an
+exact numpy `%.3f` kernel (_decimal.fixed3), so one rule formats them all.  One page
 transform (_to_page) places both faces: the graticule and the coastlines
 alike go through it.
 Output is a pure function of the inputs: rendering twice gives identical
@@ -91,56 +91,55 @@ class MapDocument:
     def to_svg(self) -> str:
         """The page as SVG text, every number with 3 decimals and no "-0.000".
 
-        The whole page is one template with a `%.3f` slot for every number
-        (width and height, circles, polyline points, text x/y), filled by one
-        `%` from _coordinates.  Literal text (the header, styles and text
-        strings) enters the template through `lit`, which escapes its `%`;
-        `xml` also escapes a text string's `&`, `<` and `>`.  Styles are
-        attribute fragments and go in as given.
-        The header is an XML comment, so its text never holds "--".
+        All the numbers of the page (width and height, circles, text x/y,
+        polyline points) are spelled by one call of _decimal.fixed3, which
+        writes each as "%.3f" does, into one ASCII text: the points of each
+        polyline are one slice of it, "x,y x,y ...".  Styles are attribute
+        fragments and go in as given; a text string has its `&`, `<` and `>`
+        escaped.  The header is an XML comment, so its text never holds "--".
         """
+        from ._decimal import fixed3
+
         opts = " ".join(f"{k}={v}" for k, v in sorted(self.metadata.items()))
         comment = re.sub("-(?=-)", "- ", f"{TOOL_VERSION} | {opts}")
-        head = [self.width, self.height] * 3
+        head = [self.width, self.height]
         for cx, cy, r, _ in self.circles:
             head += cx, cy, r
-        lit = lambda text: text.replace("%", "%%")
-        xml = lambda text: lit(text.replace("&", "&amp;").replace("<", "&lt;")
-                               .replace(">", "&gt;"))
+        head += [v for x, y, _, _ in self.texts for v in (x, y)]
+        points = [pts for pts, _, _ in self.polylines]
+        numbers = np.concatenate([head, np.concatenate(points).ravel() if points else []])
+        sep = np.full(len(numbers), ord(" "), np.uint8)
+        sep[len(head)::2] = ord(",")
+        text, ends = fixed3(numbers, sep)
+        text = text.decode("ascii")
+        # number i starts at cut[i]; polyline k holds the numbers from bounds[k] on
+        cut = np.concatenate([[0], ends])
+        bounds = cut[len(head) + 2 * np.cumsum([0] + [len(pts) for pts in points])].tolist()
+        w, h, *words = text[:bounds[0]].split()
+        it = iter(words)
         lines = [
             '<?xml version="1.0" encoding="UTF-8"?>',
-            f"<!-- {lit(comment)} -->",
-            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            'width="%.3f" height="%.3f" viewBox="0 0 %.3f %.3f">',
-            '<rect width="%.3f" height="%.3f" fill="white"/>',
+            f"<!-- {comment} -->",
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+            f'<rect width="{w}" height="{h}" fill="white"/>',
         ]
-        lines += [f'<circle cx="%.3f" cy="%.3f" r="%.3f" {lit(style)}/>'
-                  for *_, style in self.circles]
-        lines += [f'<{"polygon" if closed else "polyline"} points="'
-                  f'{("%.3f,%.3f " * len(pts))[:-1]}" {lit(style)}/>'
-                  for pts, style, closed in self.polylines]
-        lines += [f'<text x="%.3f" y="%.3f" {lit(style)}>{xml(text)}</text>'
-                  for *_, text, style in self.texts]
+        lines += [f'<circle cx="{cx}" cy="{cy}" r="{r}" {style}/>'
+                  for (*_, style), cx, cy, r in zip(self.circles, it, it, it)]
+        lines += [f'<{"polygon" if closed else "polyline"} points="{text[i:j - 1]}" {style}/>'
+                  for (_, style, closed), i, j in zip(self.polylines, bounds, bounds[1:])]
+        lines += [f'<text x="{x}" y="{y}" {style}>{_xml(string)}</text>'
+                  for (*_, string, style), x, y in zip(self.texts, it, it)]
         lines.append("</svg>\n")
-        template = "\n".join(lines)
-        tail = [v for x, y, _, _ in self.texts for v in (x, y)]
-        return template % _coordinates(head, [pts for pts, _, _ in self.polylines], tail)
+        return "\n".join(lines)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_svg())
 
 
-def _coordinates(head: list, arrays: list, tail: list) -> tuple:
-    """The numbers of head, of the (n, 2) arrays and of tail, in page order.
-
-    `.3f` rounds correctly, so exactly the values with |v| < 0.0005 (the
-    double nearest 0.0005 lies above it) print as "0.000" or "-0.000";
-    writing 0.0 for them gives "0.000" and leaves every other number as it is.
-    """
-    v = np.concatenate([head, np.concatenate(arrays).ravel() if arrays else [], tail])
-    v[np.abs(v) < 0.0005] = 0.0
-    return tuple(v.tolist())
+def _xml(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 # --- GeoJSON ingestion ------------------------------------------------------

@@ -21,7 +21,8 @@ for parse_profile to read back.  The rows are spelled by one numpy kernel,
 _rows_to_text, whose bytes equal the % formatting of every number.  For a
 positive finite x with decimal exponent e in [-6, 16], 10**(16 - e) is an
 exact double, and Dekker's two-product (T. J. Dekker, Numer. Math. 18,
-1971) splits x * 10**(16 - e) exactly into hi + lo.  hi is then an even
+1971; in the module _decimal, shared with the SVG writer) splits
+x * 10**(16 - e) exactly into hi + lo.  hi is then an even
 integer at least 2**53, so its 17 digits are hi + rint(lo), rounded half to
 even as CPython's correctly rounded conversion rounds.  e is taken from
 log10 and kept only where hi + lo lies in [1e16, 1e17) and the 17 digits
@@ -46,6 +47,7 @@ float() gives.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,40 +238,26 @@ _ROWS_PER_BLOCK = 4096  # bounds the temporaries: 1.6 MB of byte positions for 2
 # that follows it (24).  A number outside the exact domain has its %
 # spelling in bytes 0-23 instead.
 _ZERO, _POINT, _E, _MINUS, _EXP, _SEP = 0, 20, 21, 22, 23, 24
-_DEKKER_SPLIT = 134217729.0  # 2**27 + 1
 _FALLBACK = 23 * 17
-
-
-def _dekker_split(a):
-    """(high, low) with high + low == a, each with at most 26 significant bits."""
-    c = _DEKKER_SPLIT * a
-    high = c - (c - a)
-    return high, a - high
-
-
-def _two_product(a, b, b_high, b_low):
-    """(hi, lo) with hi = a * b rounded and hi + lo == a * b exactly; (b_high, b_low) splits b."""
-    hi = a * b
-    ah, al = _dekker_split(a)
-    return hi, ((ah * b_high - hi) + ah * b_low + al * b_high) + al * b_low
 
 
 @functools.cache
 def _tables():
     """The kernel's read-only tables, built on the first profile written or read.
 
-    In order: the 4 digits of each k < 10**4 as one uint32; the trailing
-    zeros of each 4-digit group; 10**p for p <= 22 (each an exact double),
-    split high and low by _dekker_split; the source-byte positions of each
+    In order: the 4 digits of each k < 10**4 as one uint32 (the table of
+    _decimal.digit_groups); the trailing zeros of each 4-digit group; 10**p
+    for p <= 22 (each an exact double), split high and low by
+    _decimal.dekker_split; the source-byte positions of each
     spelling and then of the separator, and the spelling lengths.  Row
     (e + 6) * 17 + nd - 1 spells a number with decimal exponent e in
     [-6, 16] and nd significant digits the way %.17g does: ddd[.ddd] for
     e >= 0, 0.000ddd for e >= -4, d[.ddd]e-0X below; row _FALLBACK + n
     copies n bytes of a % spelling.
     """
-    k = np.arange(10000, dtype=np.uint16)[:, None]
-    digits4 = (k // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0"))
-    digits4 = digits4.astype(np.uint8).view(np.uint32).ravel()
+    from ._decimal import dekker_split, digit_groups
+
+    digits4 = digit_groups()[0]
     trailing_zeros4 = np.zeros(10000, np.uint8)
     for step in (10, 100, 1000, 10000):
         trailing_zeros4[::step] += 1
@@ -295,7 +283,7 @@ def _tables():
     for k, body in enumerate(bodies):
         positions[k, :len(body) + 1] = body + [_SEP]
         lengths[k] = len(body)
-    tables = digits4, trailing_zeros4, pow10, *_dekker_split(pow10), positions, lengths
+    tables = digits4, trailing_zeros4, pow10, *dekker_split(pow10), positions, lengths
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -314,6 +302,8 @@ def _rows_to_text(rows):
 def _digits17(x, tables):
     """(digits, e, ok): "%.17g" % x[i] spells the int64 digits[i] * 10**(e[i] - 16)
     wherever ok[i], which marks x in the exact domain (module docstring)."""
+    from ._decimal import two_product
+
     pow10, pow10_high, pow10_low = tables[2:5]
     ok = (x > 0) & (x < np.inf)
     xs = np.where(ok, x, 1.0)
@@ -321,7 +311,7 @@ def _digits17(x, tables):
     ok &= (e >= -6) & (e <= 16)
     xs[~ok], e[~ok] = 1.0, 0
     p = 16 - e  # hi + lo == xs * 10**p exactly: Dekker's two-product, no underflow here
-    hi, lo = _two_product(xs, pow10[p], pow10_high[p], pow10_low[p])
+    hi, lo = two_product(xs, pow10[p], pow10_high[p], pow10_low[p])
     digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     # digits == 10**16 also comes from hi + lo in [1e16 - 0.5, 1e16)
     ok &= (digits < 10**17) & ((digits > 10**16) | ((digits == 10**16) & (lo >= 0)))
@@ -366,6 +356,7 @@ def _numbers_to_text(x, sep, tables):
     return chars[np.arange(_SEP + 1, dtype=np.uint8) <= spelling_len[spelling][:, None]].tobytes()
 
 
+_NOT_BLANK = re.compile(r"\S")  # on ASCII text: a character str.isspace() rejects
 _READ_BLOCK = 2**16  # bytes per step of _read_rows, cut after a "\n": bounds its temporaries
 _SIGNS_TO_ZEROS = bytes.maketrans(b"e-+", b"000")
 
@@ -373,20 +364,22 @@ _SIGNS_TO_ZEROS = bytes.maketrans(b"e-+", b"000")
 def _quotients(d, k, tables):
     """d / 10**k for int64 d >= 0 and k <= 22: the quotient of d's high bits (an
     exact double), corrected once by its exact remainder.  Checked by _read_rows."""
+    from ._decimal import two_product
+
     pow10, pow10_high, pow10_low = tables[2:5]
     high = d & -(2**26)
     p = pow10[k]
     q = high / p
-    hi, lo = _two_product(q, p, pow10_high[k], pow10_low[k])
+    hi, lo = two_product(q, p, pow10_high[k], pow10_low[k])
     return q + (((high - hi) - lo) + (d - high)) / p
 
 
-def _read_rows(body: str):
-    """(thetas, values) of a non-empty ASCII body as float() reads it, or None if
-    it is not rows "token token\\n" (module docstring), read in blocks of rows."""
+def _read_rows(body: str, start: int = 0):
+    """(thetas, values) of the non-empty ASCII body[start:] as float() reads it, or
+    None if it is not rows "token token\\n" (module docstring), read in blocks of rows."""
     tables = _tables()
     pow10_int = tables[2][:18].astype(np.int64)
-    rows, row, start = np.empty((2, body.count("\n"))), 0, 0
+    rows, row = np.empty((2, body.count("\n", start))), 0
     while start < len(body):
         end = body.find("\n", start + _READ_BLOCK) + 1 or len(body)  # 0: no "\n" left
         block, start = body[start:end].encode(), end
@@ -457,15 +450,15 @@ def parse_profile(text: str) -> RadialProfile:
     _parse_lines.  Both give the numbers float() gives, and a bad line
     raises ValueError naming its line number.
     """
-    body = text
-    while body.startswith("#"):
-        body = body.partition("\n")[2]
+    start = 0  # the body: text from start on, past the top # lines, never copied whole
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1 or len(text)  # 0: no "\n" left
     rows = None
     # _read_rows ends lines at "\n" alone, where str.splitlines also ends them
     # at "\r" and the other breaks, also inside the top # lines
     if (text.isascii() and not any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e")
-            and body and not body.isspace()):
-        rows = _read_rows(body)
+            and _NOT_BLANK.search(text, start)):
+        rows = _read_rows(text, start)
     thetas, values = _parse_lines(text) if rows is None else rows
     if len(thetas) < 3:
         raise ValueError("profile needs at least 3 samples")
