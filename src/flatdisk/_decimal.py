@@ -58,8 +58,10 @@ def two_product(a, b, b_high, b_low):
 def digit_groups():
     """(digits4, point3), read-only uint32 tables of 4 ASCII bytes each:
     the digits of k < 10**4 ("0042"), and "." and the 3 digits of k < 1000 (".042")."""
-    k = np.arange(10000, dtype=np.uint16)[:, None]
-    digits = (k // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")).astype(np.uint8)
+    k = np.arange(10000, dtype=np.uint16)
+    digits = np.empty((10000, 4), np.uint8)
+    for col, unit in enumerate((1000, 100, 10, 1)):  # one column at a time: small temporaries
+        digits[:, col] = k // unit % 10 + ord("0")
     point3 = digits[:1000].copy()
     point3[:, 0] = ord(".")
     tables = digits.view(np.uint32).ravel(), point3.view(np.uint32).ravel()
@@ -69,39 +71,46 @@ def digit_groups():
 
 
 def fixed3(x, sep):
-    """(text, ends): the bytes of "%.3f" % x[i] followed by the byte sep[i], for
-    every i, with "-0.000" written "0.000"; ends[i] is the offset in text just
-    past sep[i].  sep is a uint8 array as long as x (module docstring)."""
+    """(text, ends): the str of "%.3f" % x[i] followed by the character sep[i],
+    for every i, with "-0.000" written "0.000"; ends[i] is the offset in text
+    just past sep[i].  sep is a uint8 array of ASCII codes as long as x (module
+    docstring)."""
     digits4, point3 = digit_groups()
-    a = np.abs(x)
-    ok = a < _FIXED3_LIMIT  # False for nan
-    a = np.where(ok, a, 0.0)
-    hi = a * 1000.0
+    # few temporaries, each freed or reused in place as soon as it is spent
+    hi = np.abs(x)
+    ok = hi < _FIXED3_LIMIT  # False for nan
+    hi[~ok] = 0.0
+    hi *= 1000.0
     n = np.rint(hi)
-    tie = np.flatnonzero(np.abs(hi - n) == 0.5)
-    if len(tie):  # hi a half-integer: lo's sign rounds away from it, lo == 0 leaves rint's even
-        step = np.sign(two_product(a[tie], 1000.0, 1000.0, 0.0)[1])
-        n[tie] += np.where(2.0 * (hi[tie] - n[tie]) == step, step, 0.0)
-    whole, frac = np.divmod(n.astype(np.int64), 1000)
-    rows = np.empty((len(a), 4), np.uint32)
+    hi -= n  # exact: the distance of hi from n, +-0.5 where hi is a half-integer
+    tie = np.flatnonzero(np.abs(hi) == 0.5)
+    if len(tie):  # lo's sign rounds away from the half-integer; lo == 0 leaves rint's even
+        step = np.sign(two_product(np.abs(x[tie]), 1000.0, 1000.0, 0.0)[1])
+        n[tie] += np.where(2.0 * hi[tie] == step, step, 0.0)
+    neg = np.flatnonzero((x < 0) & (n > 0))
+    del hi
+    whole, frac = np.divmod(n.astype(np.int32), 1000)
+    del n
+    rows = np.empty((len(x), 4), np.uint32)
     rows[:, 0] = digits4.take(whole // 10000)
     rows[:, 1] = digits4.take(whole % 10000)
     rows[:, 2] = point3.take(frac)
+    del frac
     text = rows.view(np.uint8)
     text[:, _SEP] = sep
     start = 7 - np.searchsorted(_TENS, whole, side="right")  # the first digit
-    neg = np.flatnonzero((x < 0) & (n > 0))
+    del whole
     start[neg] -= 1
     text[neg, start[neg]] = ord("-")
     start[~ok] = _SEP + 1
-    out = text[_KEEP.take(start, axis=0)].tobytes()
+    out = str(text[_KEEP.take(start, axis=0)].data, "ascii")
     ends = np.cumsum(_SEP + 1 - start)
     if ok.all():
         return out, ends
     bad = np.flatnonzero(~ok)
     cuts = ends[bad].tolist()
     spelled = ["%.3f%c" % vs for vs in zip(x[bad].tolist(), sep[bad].tolist())]
-    pieces = [out[i:j] + s.encode() for i, j, s in zip([0] + cuts, cuts, spelled)]
-    extra = np.zeros(len(a), np.intp)
+    extra = np.zeros(len(x), np.intp)
     extra[bad] = [len(s) for s in spelled]
-    return b"".join(pieces) + out[cuts[-1]:], ends + np.cumsum(extra)
+    pieces = [out[i:j] + s for i, j, s in zip([0] + cuts, cuts, spelled)]
+    return "".join(pieces) + out[cuts[-1]:], ends + np.cumsum(extra)

@@ -10,9 +10,9 @@ gathers the positions of every ring into one array and checks them with one
 mask each, `render_map` splits all lines at the equator together and
 densifies all pieces together, carrying a line or piece id per vertex, and
 `MapDocument.to_svg` spells every number of the page with one call of an
-exact numpy `%.3f` kernel (_decimal.fixed3), so one rule formats them all.  One page
-transform (_to_page) places both faces: the graticule and the coastlines
-alike go through it.
+exact numpy `%.3f` kernel (_decimal.fixed3), so one rule formats them all.
+One page transform (_to_page) places both faces: the graticule and the
+coastlines alike go through it.
 Output is a pure function of the inputs: rendering twice gives identical
 bytes, which makes golden-file regression tests possible.
 """
@@ -111,12 +111,12 @@ class MapDocument:
         sep = np.full(len(numbers), ord(" "), np.uint8)
         sep[len(head)::2] = ord(",")
         text, ends = fixed3(numbers, sep)
-        text = text.decode("ascii")
         # number i starts at cut[i]; polyline k holds the numbers from bounds[k] on
         cut = np.concatenate([[0], ends])
         bounds = cut[len(head) + 2 * np.cumsum([0] + [len(pts) for pts in points])].tolist()
         w, h, *words = text[:bounds[0]].split()
-        it = iter(words)
+        it = iter(words)  # three numbers per circle, then two per text
+        xml = lambda s: s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         lines = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f"<!-- {comment} -->",
@@ -128,7 +128,7 @@ class MapDocument:
                   for (*_, style), cx, cy, r in zip(self.circles, it, it, it)]
         lines += [f'<{"polygon" if closed else "polyline"} points="{text[i:j - 1]}" {style}/>'
                   for (_, style, closed), i, j in zip(self.polylines, bounds, bounds[1:])]
-        lines += [f'<text x="{x}" y="{y}" {style}>{_xml(string)}</text>'
+        lines += [f'<text x="{x}" y="{y}" {style}>{xml(string)}</text>'
                   for (*_, string, style), x, y in zip(self.texts, it, it)]
         lines.append("</svg>\n")
         return "\n".join(lines)
@@ -136,10 +136,6 @@ class MapDocument:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_svg())
-
-
-def _xml(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 # --- GeoJSON ingestion ------------------------------------------------------

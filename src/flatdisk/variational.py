@@ -256,7 +256,6 @@ def _tables():
     copies n bytes of a % spelling.
     """
     from ._decimal import dekker_split, digit_groups
-
     digits4 = digit_groups()[0]
     trailing_zeros4 = np.zeros(10000, np.uint8)
     for step in (10, 100, 1000, 10000):
@@ -303,7 +302,6 @@ def _digits17(x, tables):
     """(digits, e, ok): "%.17g" % x[i] spells the int64 digits[i] * 10**(e[i] - 16)
     wherever ok[i], which marks x in the exact domain (module docstring)."""
     from ._decimal import two_product
-
     pow10, pow10_high, pow10_low = tables[2:5]
     ok = (x > 0) & (x < np.inf)
     xs = np.where(ok, x, 1.0)
@@ -365,7 +363,6 @@ def _quotients(d, k, tables):
     """d / 10**k for int64 d >= 0 and k <= 22: the quotient of d's high bits (an
     exact double), corrected once by its exact remainder.  Checked by _read_rows."""
     from ._decimal import two_product
-
     pow10, pow10_high, pow10_low = tables[2:5]
     high = d & -(2**26)
     p = pow10[k]

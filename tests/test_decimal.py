@@ -34,10 +34,10 @@ def assert_spelled_as_percent(values):
     sep[::3] = ord(",")
     text, ends = _decimal.fixed3(x, sep)
     want = [fmt(v) + chr(s) for v, s in zip(x.tolist(), sep.tolist())]
-    got = [text[i:j].decode("ascii") for i, j in zip([0] + ends[:-1].tolist(), ends.tolist())]
+    got = [text[i:j] for i, j in zip([0] + ends[:-1].tolist(), ends.tolist())]
     wrong = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
     assert not wrong, wrong[:5]
-    assert text == "".join(want).encode("ascii")
+    assert text == "".join(want)
 
 
 class TestFixed3:
@@ -71,7 +71,7 @@ class TestFixed3:
         edge = np.concatenate([edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)])
         assert_spelled_as_percent(np.concatenate([edge, -edge]))
         assert _decimal.fixed3(np.array([-0.0004, -0.0]), np.zeros(2, np.uint8))[0] == (
-            b"0.000\x000.000\x00")
+            "0.000\x000.000\x00")
 
     def test_values_outside_the_domain(self):
         tens = 10.0 ** np.arange(3, 20)
@@ -84,12 +84,12 @@ class TestFixed3:
     def test_fallback_spellings_and_offsets(self):
         x = np.array([1.5, np.nan, -2.25, 1e6, 0.0, -np.inf, 3.0])
         text, ends = _decimal.fixed3(x, np.full(len(x), ord(";"), np.uint8))
-        assert text == b"1.500;nan;-2.250;1000000.000;0.000;-inf;3.000;"
+        assert text == "1.500;nan;-2.250;1000000.000;0.000;-inf;3.000;"
         assert ends.tolist() == [6, 10, 17, 29, 35, 40, 46]
 
     def test_empty(self):
         text, ends = _decimal.fixed3(np.empty(0), np.empty(0, np.uint8))
-        assert text == b"" and len(ends) == 0
+        assert text == "" and len(ends) == 0
 
     def test_profile_writer_shares_the_digit_table(self):
         assert va._tables()[0] is _decimal.digit_groups()[0]
