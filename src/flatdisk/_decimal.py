@@ -89,13 +89,15 @@ def fixed3(x, sep):
         n[tie] += np.where(2.0 * hi[tie] == step, step, 0.0)
     neg = np.flatnonzero((x < 0) & (n > 0))
     del hi
-    whole, frac = np.divmod(n.astype(np.int32), 1000)
-    del n
+    n = n.astype(np.int32)
+    whole = n // 1000
+    n -= 1000 * whole  # the 3 decimals
+    high = whole // 10000
     rows = np.empty((len(x), 4), np.uint32)
-    rows[:, 0] = digits4.take(whole // 10000)
-    rows[:, 1] = digits4.take(whole % 10000)
-    rows[:, 2] = point3.take(frac)
-    del frac
+    rows[:, 0] = digits4.take(high)
+    rows[:, 1] = digits4.take(whole - 10000 * high)
+    rows[:, 2] = point3.take(n)
+    del n, high
     text = rows.view(np.uint8)
     text[:, _SEP] = sep
     start = 7 - np.searchsorted(_TENS, whole, side="right")  # the first digit

@@ -21,10 +21,10 @@ for parse_profile to read back.  The rows are spelled by one numpy kernel,
 _rows_to_text, whose bytes equal the % formatting of every number.  For a
 positive finite x with decimal exponent e in [-6, 16], 10**(16 - e) is an
 exact double, and Dekker's two-product (T. J. Dekker, Numer. Math. 18,
-1971; in the module _decimal, shared with the SVG writer) splits
-x * 10**(16 - e) exactly into hi + lo.  hi is then an even
-integer at least 2**53, so its 17 digits are hi + rint(lo), rounded half to
-even as CPython's correctly rounded conversion rounds.  e is taken from
+1971), which the module _decimal shares with the SVG writer, splits
+x * 10**(16 - e) exactly into hi + lo.  hi is then an even integer at least
+2**53, so its 17 digits are hi + rint(lo), rounded half to even as
+CPython's correctly rounded conversion rounds.  e is taken from
 log10 and kept only where hi + lo lies in [1e16, 1e17) and the 17 digits
 stay below 1e17.  Every other number is formatted by % one at a time: zero,
 -0.0, negatives, inf, nan, positive x below 1e-6 or from 1e17 up, and the
