@@ -111,9 +111,8 @@ class MapDocument:
         sep = np.full(len(numbers), ord(" "), np.uint8)
         sep[len(head)::2] = ord(",")
         text, ends = fixed3(numbers, sep)
-        # number i starts at cut[i]; polyline k holds the numbers from bounds[k] on
-        cut = np.concatenate([[0], ends])
-        bounds = cut[len(head) + 2 * np.cumsum([0] + [len(pts) for pts in points])].tolist()
+        # the numbers of polyline k start at bounds[k] in text (number i at ends[i - 1])
+        bounds = ends[len(head) - 1 + 2 * np.cumsum([0] + [len(pts) for pts in points])].tolist()
         w, h, *words = text[:bounds[0]].split()
         it = iter(words)  # three numbers per circle, then two per text
         xml = lambda s: s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")

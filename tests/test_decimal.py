@@ -57,14 +57,28 @@ class TestFixed3:
         assert_spelled_as_percent(np.concatenate([x, np.round(x, 3), np.round(x, 4)]))
 
     def test_exact_ties_round_half_to_even(self):
-        # x * 1000 is a half-integer exactly where x is an odd multiple of 1/16
-        odd = np.arange(1, 2 * 16 * 10**6, 2, dtype=float)
-        ties = np.concatenate([odd[:20_000], odd[-20_000:], odd[::1_000]]) / 16
+        # x * 1000 is a half-integer exactly where x is an odd multiple of 1/16;
+        # the first and last 20,000 below 1e6, and every 1,001st
+        top = 16 * 10**6
+        ties = np.concatenate([np.arange(1, 40_000, 2), np.arange(top - 39_999, top, 2),
+                               np.arange(1, top, 2_002)]) / 16
         assert "%.3f" % 0.0625 == "0.062" and "%.3f" % 0.1875 == "0.188"
         assert_spelled_as_percent(np.concatenate([ties, -ties]))
-        # one step away x * 1000 may still round to the half-integer; lo decides
         near = np.concatenate([np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
         assert_spelled_as_percent(np.concatenate([near, -near]))
+
+    def test_decimal_ties_round_by_the_exact_product(self):
+        # the double nearest (2k + 1) / 2000 is no tie, but x * 1000 often rounds
+        # to the half-integer k + 0.5; then lo decides: 0.0025 * 1000 rounds to 2.5,
+        # and rint(2.5) is 2, but the double 0.0025 lies above 0.0025
+        top = 2 * 10**9
+        odd = np.concatenate([np.arange(1, 40_000, 2), np.arange(top - 39_999, top, 2),
+                              np.arange(1, top, 200_002)])
+        x = odd / 2000
+        assert "%.3f" % 0.0025 == "0.003" and 0.0025 * 1000.0 == 2.5
+        hi = x * 1000.0
+        assert np.count_nonzero(hi == np.floor(hi) + 0.5) > len(x) // 4
+        assert_spelled_as_percent(np.concatenate([x, -x]))
 
     def test_rounding_to_zero(self):
         edge = np.array([0.0005, 0.0015, 0.0025, 0.0625, 1e-300, 5e-324, 2.0**-1022])
