@@ -18,10 +18,10 @@ between hi and hi + lo: below 2**52 every half-integer is a double, and it
 would be nearer to hi + lo than hi, the nearest double.  Where hi is a
 half-integer, the sign of lo picks the side, and lo == 0 is a true tie,
 which rint rounds to even.  A value that rounds to zero is written "0.000",
-never "-0.000"; as .3f rounds correctly, those are exactly the x with
-|x| < 0.0005 (the double nearest 0.0005 lies above it), which the SVG writer
-writes as 0.0.  Every other value, non-finite or at least 1e6 in magnitude,
-is spelled by % one at a time.
+never "-0.000", the SVG writer's rule; as .3f rounds correctly, those are
+exactly the x with |x| < 0.0005 (the double nearest 0.0005 lies above it).
+Values outside the domain, non-finite or at least 1e6 in magnitude, are
+spelled by % one at a time.
 """
 
 from __future__ import annotations
