@@ -16,37 +16,14 @@ Two verification routes, neither of which evaluates the closed form:
   from the free endpoint, and the resulting profile can be compared
   node-by-node against any candidate solution.
 
-profile_to_text writes a profile as rows of "%.17g %.17g" text, bit-exact
-for parse_profile to read back.  The rows are spelled by one numpy kernel,
-_rows_to_text, whose bytes equal the % formatting of every number.  For a
-positive finite x with decimal exponent e in [-6, 16], 10**(16 - e) is an
-exact double, and Dekker's two-product (T. J. Dekker, Numer. Math. 18,
-1971), which the module _decimal shares with the SVG writer, splits
-x * 10**(16 - e) exactly into hi + lo.  hi is then an even integer at least
-2**53, so its 17 digits are hi + rint(lo), rounded half to even as
-CPython's correctly rounded conversion rounds.  e is taken from
-log10 and kept only where hi + lo lies in [1e16, 1e17) and the 17 digits
-stay below 1e17.  Every other number is formatted by % one at a time: zero,
--0.0, negatives, inf, nan, positive x below 1e-6 or from 1e17 up, and the
-rare x next to a power of ten whose log10 gives the wrong e.
-
-parse_profile reads the written layout, rows "token token\n" of the
-characters 0-9 . e - +, by their digits (_read_rows; W. D. Clinger, PLDI
-1990, and D. Lemire, Softw. Pract. Exper. 51, 2021).  np.fromstring reads
-each token with its "." dropped as an int64 d, so the token is the decimal
-d / 10**k, k its digits after the point.  _quotients gives a candidate x,
-kept only where _digits17, the writer's own rule, spells x as the token's
-decimal: "%.17g" % x and the token then name one number, and 17 digits
-round-trip, so float(token) == x.  float() reads every other token: with a
-sign or an exponent, zero, 18 digits or more (np.fromstring saturates at
-2**63 - 1), over 22 after the point, or failing the check.  Any other text,
-every error included, is read line by line by _parse_lines, to the numbers
-float() gives.
+profile_to_text and parse_profile write and read a profile as text: # lines,
+then one row "theta f" per node, each number spelled as "%.17g" spells it,
+so that it reads back bit for bit.  The module _decimal spells the numbers
+and reads them back.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
@@ -198,6 +175,8 @@ def solve_discrete(n: int) -> RadialProfile:
 def endpoint_slope(profile: RadialProfile) -> float:
     """One-sided three-point slope estimate at theta = pi/2."""
     v = profile.values
+    if len(v) < 3:
+        raise ValueError(f"endpoint_slope needs at least 3 samples, got {len(v)}")
     h = profile.thetas[1] - profile.thetas[0]
     return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))
 
@@ -217,141 +196,18 @@ def discrete_objective(profile: RadialProfile) -> float:
 def profile_to_text(profile: RadialProfile, comment: str = "") -> str:
     """The profile as text: # header lines, then one "theta f" row per node.
 
-    Each row holds the bytes of "%.17g %.17g\\n" % (theta, f), so
-    parse_profile reads back the same floats bit for bit.  comment, if
-    given, is a second # line.  The numbers are spelled by _rows_to_text,
-    by integer arithmetic from about 1e-6 to below 1e17 and by % elsewhere
-    (the module docstring gives the argument).
+    Each row holds the bytes of "%.17g %.17g\\n" % (theta, f), so parse_profile
+    reads back the same floats bit for bit.  comment, if given, is a second #
+    line; one holding a line break raises ValueError.
     """
+    if comment and comment.splitlines() != [comment]:
+        raise ValueError(f"comment must be one line, got {comment!r}")
+    from ._decimal import rows_to_text
     lines = ["# flat-disk radial profile: theta f(theta)"]
     if comment:
         lines.append(f"# {comment}")
-    rows = _rows_to_text(np.column_stack((profile.thetas, profile.values)))
+    rows = rows_to_text(np.column_stack((profile.thetas, profile.values)))
     return "\n".join(lines) + "\n" + rows.decode("ascii")
-
-
-_ROWS_PER_BLOCK = 4096  # bounds the temporaries: 1.6 MB of byte positions for 2 columns
-
-# One number's source bytes, a row of 8 uint32: the digit groups "000d",
-# "dddd" x 4 of its 17 significant digits (bytes 0-19, byte 0 a spare "0"),
-# ".e-" and the exponent digit of e-05 / e-06 (20-23), and the separator
-# that follows it (24).  A number outside the exact domain has its %
-# spelling in bytes 0-23 instead.
-_ZERO, _POINT, _E, _MINUS, _EXP, _SEP = 0, 20, 21, 22, 23, 24
-_FALLBACK = 23 * 17
-
-
-@functools.cache
-def _tables():
-    """The kernel's read-only tables, built on the first profile written or read.
-
-    In order: the 4 digits of each k < 10**4 as one uint32 (the table of
-    _decimal.digit_groups); the trailing zeros of each 4-digit group; 10**p
-    for p <= 22 (each an exact double), split high and low by
-    _decimal.dekker_split; the source-byte positions of each
-    spelling and then of the separator, and the spelling lengths.  Row
-    (e + 6) * 17 + nd - 1 spells a number with decimal exponent e in
-    [-6, 16] and nd significant digits the way %.17g does: ddd[.ddd] for
-    e >= 0, 0.000ddd for e >= -4, d[.ddd]e-0X below; row _FALLBACK + n
-    copies n bytes of a % spelling.
-    """
-    from ._decimal import dekker_split, digit_groups
-    digits4 = digit_groups()[0]
-    trailing_zeros4 = np.zeros(10000, np.uint8)
-    for step in (10, 100, 1000, 10000):
-        trailing_zeros4[::step] += 1
-    pow10 = 10.0 ** np.arange(23)
-    digits = list(range(3, 20))
-    bodies = []
-    for e in range(-6, 17):
-        for nd in range(1, 18):
-            if e >= 0:
-                body = digits[:max(nd, e + 1)]
-                if nd > e + 1:
-                    body.insert(e + 1, _POINT)
-            elif e >= -4:
-                body = [_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits[:nd]
-            else:
-                body = digits[:nd] + [_E, _MINUS, _ZERO, _EXP]
-                if nd > 1:
-                    body.insert(1, _POINT)
-            bodies.append(body)
-    bodies += [list(range(n)) for n in range(25)]
-    positions = np.zeros((len(bodies), _SEP + 1), np.intp)
-    lengths = np.empty(len(bodies), np.uint8)
-    for k, body in enumerate(bodies):
-        positions[k, :len(body) + 1] = body + [_SEP]
-        lengths[k] = len(body)
-    tables = digits4, trailing_zeros4, pow10, *dekker_split(pow10), positions, lengths
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _rows_to_text(rows):
-    """Bytes of each row of the 2-d float array rows as "%.17g %.17g ... %.17g\\n"."""
-    sep = np.full(rows.shape[1], ord(" "), np.uint8)
-    sep[-1] = ord("\n")
-    sep = np.tile(sep, min(len(rows), _ROWS_PER_BLOCK))
-    tables = _tables()
-    blocks = (rows[i:i + _ROWS_PER_BLOCK].ravel() for i in range(0, len(rows), _ROWS_PER_BLOCK))
-    return b"".join(_numbers_to_text(x, sep[:len(x)], tables) for x in blocks)
-
-
-def _digits17(x, tables):
-    """(digits, e, ok): "%.17g" % x[i] spells the int64 digits[i] * 10**(e[i] - 16)
-    wherever ok[i], which marks x in the exact domain (module docstring)."""
-    from ._decimal import two_product
-    pow10, pow10_high, pow10_low = tables[2:5]
-    ok = (x > 0) & (x < np.inf)
-    xs = np.where(ok, x, 1.0)
-    e = np.floor(np.log10(xs)).astype(np.intp)
-    ok &= (e >= -6) & (e <= 16)
-    xs[~ok], e[~ok] = 1.0, 0
-    p = 16 - e  # hi + lo == xs * 10**p exactly: Dekker's two-product, no underflow here
-    hi, lo = two_product(xs, pow10[p], pow10_high[p], pow10_low[p])
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    # digits == 10**16 also comes from hi + lo in [1e16 - 0.5, 1e16)
-    ok &= (digits < 10**17) & ((digits > 10**16) | ((digits == 10**16) & (lo >= 0)))
-    return digits, e, ok
-
-
-def _numbers_to_text(x, sep, tables):
-    """Bytes of "%.17g" % x[i] followed by the byte sep[i], for every i.
-
-    sep is a uint8 array as long as x, tables those of _tables().  The
-    kernel spells x only where the exponent e from log10 is right; % spells
-    the rest (module docstring).
-    """
-    digits4, trailing_zeros4, _, _, _, spellings, spelling_len = tables
-    digits, e, ok = _digits17(x, tables)
-    src = np.empty((len(x), 8), np.uint32)
-    lead = digits // 10**16
-    rest = digits - lead * 10**16
-    high8 = rest // 10**8
-    low8 = rest - high8 * 10**8
-    groups = [lead, high8 // 10**4, high8 % 10**4, low8 // 10**4, low8 % 10**4]
-    for col, group in enumerate(groups):
-        src[:, col] = digits4[group]
-    src[:, 5] = np.frombuffer(b".e-0", np.uint32)
-    text = src.view(np.uint8)
-    text[:, _EXP] = ord("0") - e
-    text[:, _SEP] = sep
-    zeros = trailing_zeros4[groups[4]]  # trailing zeros after the lead digit
-    j = np.flatnonzero(zeros == 4)
-    for group in groups[3:0:-1]:
-        zeros[j] += trailing_zeros4[group[j]]
-        j = j[group[j] == 0]
-    spelling = (e + 6) * 17 + (16 - zeros)
-    if not ok.all():
-        bad = np.flatnonzero(~ok)
-        fallback = ["%.17g" % v for v in x[bad].tolist()]
-        text[bad, :24] = np.array(fallback, "S24").view(np.uint8).reshape(-1, 24)
-        spelling[bad] = _FALLBACK + np.array([len(s) for s in fallback])
-    positions = spellings.take(spelling, axis=0)
-    positions += np.arange(0, text.size, text.shape[1])[:, None]
-    chars = text.ravel().take(positions)
-    return chars[np.arange(_SEP + 1, dtype=np.uint8) <= spelling_len[spelling][:, None]].tobytes()
 
 
 _NOT_BLANK = re.compile(r"\S")  # on ASCII text: a character str.isspace() rejects
@@ -359,23 +215,10 @@ _READ_BLOCK = 2**16  # bytes per step of _read_rows, cut after a "\n": bounds it
 _SIGNS_TO_ZEROS = bytes.maketrans(b"e-+", b"000")
 
 
-def _quotients(d, k, tables):
-    """d / 10**k for int64 d >= 0 and k <= 22: the quotient of d's high bits (an
-    exact double), corrected once by its exact remainder.  Checked by _read_rows."""
-    from ._decimal import two_product
-    pow10, pow10_high, pow10_low = tables[2:5]
-    high = d & -(2**26)
-    p = pow10[k]
-    q = high / p
-    hi, lo = two_product(q, p, pow10_high[k], pow10_low[k])
-    return q + (((high - hi) - lo) + (d - high)) / p
-
-
 def _read_rows(body: str, start: int = 0):
     """(thetas, values) of the non-empty ASCII body[start:] as float() reads it, or
-    None if it is not rows "token token\\n" (module docstring), read in blocks of rows."""
-    tables = _tables()
-    pow10_int = tables[2][:18].astype(np.int64)
+    None if it is not rows "token token\\n" of 0-9 . e - +, read in blocks of rows."""
+    from ._decimal import read_decimals
     rows, row = np.empty((2, body.count("\n", start))), 0
     while start < len(body):
         end = body.find("\n", start + _READ_BLOCK) + 1 or len(body)  # 0: no "\n" left
@@ -399,11 +242,7 @@ def _read_rows(body: str, start: int = 0):
         if signs:  # a token with a sign or an exponent is left to float()
             marks = (a > ord("9")) | ((a > ord(" ")) & (a < ord(".")))  # e, + and -
             d[np.searchsorted(ends, np.flatnonzero(marks))] = 0
-        x = _quotients(d, np.minimum(k, 22), tables)  # k > 22 fails the check on e below
-        nd = np.searchsorted(pow10_int, d, side="right")
-        digits, e, ok = _digits17(x, tables)
-        want = d * pow10_int[17 - np.minimum(nd, 17)]  # the token's 17 digits
-        exact = ok & (digits == want) & (e == nd - 1 - k)  # so x == float(token)
+        x, exact = read_decimals(d, k)  # x == float(token) where exact
         for i in np.flatnonzero(~exact).tolist():
             try:
                 x[i] = float(block[ends[i - 1] + 1 if i else 0:ends[i]])

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flatdisk import _decimal, geo_render as gr, variational as va
+from flatdisk import _decimal, geo_render as gr
 from flatdisk.projection import ProjectionMode
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_coastline.geojson"
@@ -105,8 +105,16 @@ class TestFixed3:
         text, ends = _decimal.fixed3(np.empty(0), np.empty(0, np.uint8))
         assert text == "" and len(ends) == 0
 
-    def test_profile_writer_shares_the_digit_table(self):
-        assert va._tables()[0] is _decimal.digit_groups()[0]
+    def test_both_writers_read_the_one_digit_table(self, monkeypatch):
+        # a digit table of the letters "a" to "j" ("." is "_" in point3) shows in both writers
+        tables = tuple(t + np.uint32(0x31313131) for t in _decimal.digit_groups())
+        monkeypatch.setattr(_decimal, "digit_groups", lambda: tables)
+        letters = str.maketrans("0123456789", "abcdefghij")
+        x = np.array([0.001234, 0.1, 1.5, 123456.789, 1e16])
+        assert _decimal.rows_to_text(x.reshape(-1, 1)).decode("ascii") == "".join(
+            "%.17g\n" % v for v in x.tolist()).translate(letters)
+        assert _decimal.fixed3(x[:4], np.full(4, ord(" "), np.uint8))[0] == "".join(
+            "%.3f " % v for v in x[:4].tolist()).translate(letters).replace(".", "_")
 
 
 # --- the SVG writer it replaced, kept verbatim as the oracle ----------------
@@ -220,12 +228,16 @@ class TestToSvg:
 
 def test_decimal_is_loaded_and_built_on_first_use():
     src = Path(gr.__file__).resolve().parents[1]
+    # the digit table is built by both writers, the "%.17g" tables by the profile writer only
     code = ("import sys, flatdisk.cli; print('flatdisk._decimal' in sys.modules); "
-            "from flatdisk import _decimal, geo_render; "
-            "print(_decimal.digit_groups.cache_info().currsize); "
-            "geo_render.MapDocument(width=1.0, height=2.0).to_svg(); "
-            "print(_decimal.digit_groups.cache_info().currsize)")
+            "import flatdisk.variational; print('flatdisk._decimal' in sys.modules); "
+            "from flatdisk import _decimal, geo_render, variational; "
+            "built = lambda: print(_decimal.digit_groups.cache_info().currsize, "
+            "_decimal.g17_tables.cache_info().currsize); built(); "
+            "geo_render.MapDocument(width=1.0, height=2.0).to_svg(); built(); "
+            "variational.profile_to_text(variational.RadialProfile([0.0, 1.0], [0.0, 1.0])); "
+            "built()")
     env = dict(os.environ, PYTHONPATH=str(src))
     res = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.split() == ["False", "0", "1"]
+    assert res.stdout.split() == ["False", "False", "0", "0", "1", "0", "1", "1"]

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flatdisk import closedform as cf
-from flatdisk import stress, variational as va
+from flatdisk import cli, closedform as cf
+from flatdisk import _decimal, stress, variational as va
 
 
 class TestOdeResidual:
@@ -147,6 +147,11 @@ class TestSolveDiscrete:
 
     def test_emergent_natural_boundary(self):
         assert abs(va.endpoint_slope(va.solve_discrete(4096)) - 1.0) < 5e-3
+
+    def test_endpoint_slope_needs_three_samples(self):
+        profile = va.RadialProfile(thetas=np.array([0.0, 0.5]), values=np.array([0.0, 0.5]))
+        with pytest.raises(ValueError, match="^endpoint_slope needs at least 3 samples, got 2$"):
+            va.endpoint_slope(profile)
 
     def test_discrete_optimality_beats_sampled_closed_form(self):
         profile = va.solve_discrete(256)
@@ -303,6 +308,19 @@ class TestProfileSerialization:
         assert np.array_equal(back.thetas.view(np.int64), profile.thetas.view(np.int64))
         assert np.array_equal(back.values.view(np.int64), profile.values.view(np.int64))
 
+    @pytest.mark.parametrize("comment", ["first\nsecond", "a\r b", "a\x1e1 2", "end\n"])
+    def test_comment_with_a_line_break_is_rejected(self, comment):
+        with pytest.raises(ValueError, match="^comment must be one line, got "):
+            va.profile_to_text(va.solve_discrete(16), comment=comment)
+
+    def test_cli_comment_round_trips(self, tmp_path):
+        path = tmp_path / "p.txt"
+        assert cli.main(["solve", "--n", "64", "--out", str(path)]) == 0
+        text = path.read_text()
+        assert text.splitlines()[1] == "# solve_discrete n=64"
+        want = va.solve_discrete(64).values
+        assert np.array_equal(va.parse_profile(text).values.view(np.int64), want.view(np.int64))
+
     def test_parse_reports_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
             va.parse_profile("# header\n0 0\n0.1 0.2 0.3\n")
@@ -397,14 +415,14 @@ class TestProfileSerialization:
 def assert_spelled_as_percent(x):
     """The kernel's text of x, one number a row, is "%.17g" % v for every v."""
     x = np.asarray(x, dtype=float)
-    got = va._rows_to_text(x.reshape(-1, 1)).decode("ascii").split("\n")
+    got = _decimal.rows_to_text(x.reshape(-1, 1)).decode("ascii").split("\n")
     want = ["%.17g" % v for v in x.tolist()] + [""]
     wrong = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
     assert len(got) == len(want) and not wrong, wrong[:5]
 
 
 class TestExactSpelling:
-    """_rows_to_text against CPython's "%.17g", byte for byte.
+    """_decimal.rows_to_text against CPython's "%.17g", byte for byte.
 
     The suite turns warnings into errors, so each case also shows that no
     input, in the kernel's domain or outside it, raises a RuntimeWarning.
@@ -473,16 +491,16 @@ class TestExactReading:
         # check, so its token goes to float() like any other
         body = va.profile_to_text(va.solve_discrete(1024)).partition("\n")[2]
         body += "0.5 0.5\n0.5 1\n1 1\n"
-        quotients = va._quotients
+        quotients = _decimal.quotients
 
-        def wrong(d, k, tables):
-            x = quotients(d, k, tables)
+        def wrong(d, k):
+            x = quotients(d, k)
             x[0::3] = np.nextafter(x[0::3], np.inf)
             x[1::3] *= 10
             x[2::3] = np.inf
             return x
 
-        monkeypatch.setattr(va, "_quotients", wrong)
+        monkeypatch.setattr(_decimal, "quotients", wrong)
         want = np.array([float(t) for t in body.split()])
         assert np.array_equal(va._read_rows(body).T.ravel().view(np.int64), want.view(np.int64))
 
@@ -496,7 +514,7 @@ class TestExactReading:
         x = np.concatenate((anywhere, near)).view(np.float64)
         x = x[np.isfinite(x)]
         for rows in np.array_split(x[:len(x) // 2 * 2].reshape(-1, 2), 10):
-            body = va._rows_to_text(rows).decode("ascii")
+            body = _decimal.rows_to_text(rows).decode("ascii")
             want = np.array([float(t) for t in body.split()])
             got = va._read_rows(body)
             assert np.array_equal(got.T.ravel().view(np.int64), want.view(np.int64))
