@@ -6,8 +6,8 @@ the disk needs no cut), projected through the chosen mode, and
 written into a two-panel SVG (northern face left, southern face right,
 mirrored so rim longitudes coincide when the page is folded).  A map job
 runs one array pass per stage, whatever its ring count: `load_geojson`
-gathers the positions of every ring into one array and checks them with one
-mask each, `render_map` splits all lines at the equator together and
+reads the rings of a conforming document into one array and checks them with
+one mask each, `render_map` splits all lines at the equator together and
 densifies all pieces together, carrying a line or piece id per vertex, and
 `MapDocument.to_svg` spells every number of the page with one call of an
 exact numpy `%.3f` kernel (_decimal.fixed3), so one rule formats them all.
@@ -150,136 +150,116 @@ def load_geojson(path) -> list[GeoPolyline]:
     types are skipped with a logged warning; malformed features and
     out-of-range coordinates abort with the feature index.
 
-    _read_rings gathers the positions of every ring into one array (and
-    lets the parsed document go).  One mask over it finds out-of-range
-    coordinates, one drops consecutive repeats, and a ring left with fewer
-    than 2 points is an error.  The first error in feature and ring order is
-    reported, with the text a ring-by-ring check gives: a malformed
-    structure, else the first coordinate out of range, else too few distinct
-    points (a structure error ends the walk, so the rings before it are
-    checked first).  The polylines returned are views of one lat/lon array.
-    """
-    lonlat, counts, ring_feature, skipped, fault = _read_rings(path)
-    stops = np.cumsum(counts)
-    starts = stops - counts
-    out_of_range = np.flatnonzero(~(np.abs(lonlat) <= (360.0, 90.0)).all(axis=1))
-    keep = np.ones(len(lonlat), dtype=bool)
-    keep[1:] = np.any(lonlat[1:] != lonlat[:-1], axis=1)
-    keep[starts] = True
-    kept = np.concatenate([[0], np.cumsum(keep)])  # points kept before each index
-    too_few = np.flatnonzero(kept[stops] - kept[starts] < 2)
-    if len(out_of_range) or len(too_few):
-        bad_ring = np.searchsorted(stops, out_of_range[:1], side="right").tolist()
-        if bad_ring and (not len(too_few) or bad_ring[0] <= too_few[0]):
-            lon, lat = lonlat[out_of_range[0]]
-            fault = (ring_feature[bad_ring[0]], f"coordinate out of range: ({lon}, {lat})")
-        else:
-            fault = (ring_feature[too_few[0]], "polyline needs at least 2 distinct points")
-    for idx, gtype in skipped:
-        if fault and idx > fault[0]:
-            break
-        log.warning("feature %d: skipping unsupported geometry %r", idx, gtype)
-    if fault:
-        raise ValueError("feature %d: %s" % fault)
-    if skipped:
-        log.warning("skipped %d unsupported feature(s)", len(skipped))
-    latlon = lonlat[keep, ::-1]
-    return [GeoPolyline._trusted(latlon[i:j])
-            for i, j in zip(kept[starts].tolist(), kept[stops].tolist())]
-
-
-def _read_rings(path):
-    """The rings of a FeatureCollection file, their positions in one array.
-
-    One walk over the features collects every ring, up to the first
-    malformed feature, and _gather converts their positions; a Polygon ring
-    not ending on its first point (RFC 7946 writes it) gets it appended.
-    Returns the (n, 2) lon/lat array, and per ring its count and feature
-    index; the skipped features as (index, geometry type); and the first
-    structure error as (feature index, message), or None.
+    A document of supported geometries whose Polygon rings end on their
+    first position (RFC 7946) is read in one pass: _gather puts all rings in
+    one array, one mask each checks ranges, closing points and 2 or more
+    points per ring after repeats, and the polylines are views of one array.
+    _load_ring_by_ring reads any other document and words every error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     features = doc.get("features", []) if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise ValueError("expected a GeoJSON FeatureCollection")
-    rings, spans, skipped = [], [], []  # spans: (feature index, rings so far, closed)
-    fault = None  # (feature index, message) of the first error
+    try:
+        lonlat, counts, closed = _gather(features)
+    except (LookupError, TypeError, ValueError, OverflowError):
+        return _load_ring_by_ring(features)
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    keep = np.ones(len(lonlat), dtype=bool)
+    keep[1:] = np.any(lonlat[1:] != lonlat[:-1], axis=1)
+    keep[starts] = True
+    kept = np.concatenate([[0], np.cumsum(keep)])  # points kept before each index
+    if not ((np.abs(lonlat) <= (360.0, 90.0)).all()
+            and (lonlat[stops - 1] == lonlat[starts])[closed].all()
+            and (kept[stops] - kept[starts] >= 2).all()):
+        return _load_ring_by_ring(features)
+    latlon = lonlat[keep, ::-1]
+    return [GeoPolyline._trusted(latlon[i:j])
+            for i, j in zip(kept[starts].tolist(), kept[stops].tolist())]
+
+
+def _gather(features):
+    """The rings of plain features as one (n, 2) lon/lat array, the count of
+    each and whether it is a Polygon ring; raises on any other feature.
+
+    C-level walks list every position, take each one's length with
+    `list.__len__` (which rejects a position that is not an array) and
+    convert all their numbers, altitudes included, with one np.fromiter, as
+    np.array would; the first two of each position are then picked by index.
+    """
+    rings, closed = [], []
+    for feature in features:
+        geom = feature["geometry"]
+        gtype, coords = geom["type"], geom["coordinates"]
+        if gtype == "LineString":
+            coords = [coords]
+        elif gtype == "MultiPolygon":
+            coords = list(chain.from_iterable(coords))
+        elif gtype != "MultiLineString" and gtype != "Polygon":
+            raise ValueError  # skipped with a warning by _load_ring_by_ring
+        rings += coords
+        closed += [gtype == "Polygon" or gtype == "MultiPolygon"] * len(coords)
+    positions = list(chain.from_iterable(rings))
+    counts = np.fromiter(map(len, rings), np.intp, len(rings))
+    sizes = np.fromiter(map(list.__len__, positions), np.intp, len(positions))
+    numbers = np.fromiter(chain.from_iterable(positions), float, sizes.sum())
+    if not (counts.all() and (sizes >= 2).all()):
+        raise ValueError
+    if len(numbers) > 2 * len(sizes):  # altitudes: keep lon, lat of each position
+        numbers = numbers[(np.cumsum(sizes) - sizes)[:, None] + np.arange(2)]
+    return numbers.reshape(-1, 2), counts, np.array(closed, dtype=bool)
+
+
+def _load_ring_by_ring(features):
+    """The polylines of features, read one ring at a time as np.array reads it.
+
+    A ring is checked against ±360° lon and ±90° lat, gets its first point
+    appended if it is a Polygon ring not ending on it, and goes through
+    GeoPolyline.  The first error in feature and ring order is raised with
+    its feature index; each skipped feature before it is logged, and their
+    count once the load succeeds.
+    """
+    lines, skipped = [], 0
     for idx, feature in enumerate(features):
-        gtype = None
         try:
             if not isinstance(feature, dict):
                 raise ValueError("expected a GeoJSON Feature object")
             geom = feature.get("geometry") or {}
             if not isinstance(geom, dict):
                 raise ValueError("expected a GeoJSON geometry object")
-            gtype = geom.get("type")
-            coords = geom.get("coordinates", [])
-            if gtype == "LineString":
-                rings.append(coords)
-            elif gtype in ("MultiLineString", "Polygon"):
-                rings.extend(coords)
+            gtype, coords = geom.get("type"), geom.get("coordinates", [])
+            closed = gtype == "Polygon" or gtype == "MultiPolygon"
+            if gtype == "LineString":  # == and not a dict lookup: a type may be unhashable
+                coords = [coords]
             elif gtype == "MultiPolygon":
-                for poly in coords:
-                    rings.extend(poly)
-            else:
-                skipped.append((idx, gtype))
+                coords = chain.from_iterable(coords)
+            elif gtype != "MultiLineString" and not closed:
+                log.warning("feature %d: skipping unsupported geometry %r", idx, gtype)
+                skipped += 1
                 continue
+            for ring in coords:
+                try:
+                    lonlat = np.array([pos[:2] for pos in ring], dtype=float)
+                except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge
+                    raise ValueError(_BAD_POSITIONS) from None
+                if lonlat.ndim != 2 or lonlat.shape[1] != 2:
+                    raise ValueError(_BAD_POSITIONS)
+                bad = ~(np.abs(lonlat) <= (360.0, 90.0)).all(axis=1)
+                if bad.any():
+                    lon, lat = lonlat[bad.argmax()]
+                    raise ValueError(f"coordinate out of range: ({lon}, {lat})")
+                if closed and (lonlat[-1] != lonlat[0]).any():
+                    lonlat = np.concatenate([lonlat, lonlat[:1]])
+                lines.append(GeoPolyline(lonlat[:, ::-1]))
         except ValueError as exc:
-            fault = (idx, str(exc))
-        except TypeError:  # null or too shallowly nested coordinates of a Multi*/Polygon
-            fault = (idx, _BAD_POSITIONS)
-        spans.append((idx, len(rings), gtype in ("Polygon", "MultiPolygon")))
-        if fault:
-            break
-    span_feature, span_end, span_closed = np.array(spans, dtype=np.intp).reshape(-1, 3).T
-    span_rings = np.diff(span_end, prepend=0)
-    ring_feature = np.repeat(span_feature, span_rings).tolist()
-    ring_closed = np.repeat(span_closed.astype(bool), span_rings)
-
-    lonlat, counts = _gather(rings)
-    if len(counts) < len(rings):
-        fault = (ring_feature[len(counts)], _BAD_POSITIONS)
-    stops = np.cumsum(counts)
-    ring_start = lonlat[stops - counts]
-    unclosed = ring_closed[:len(counts)] & np.any(lonlat[stops - 1] != ring_start, axis=1)
-    lonlat = _insert_after(lonlat, stops[unclosed] - 1, ring_start[unclosed])
-    return lonlat, counts + unclosed, ring_feature, skipped, fault
-
-
-def _gather(rings):
-    """All positions of rings as one (n, 2) lon/lat array and each ring's count.
-
-    C-level walks list every position, take each one's length with
-    `list.__len__` (which rejects a position that is not an array) and
-    convert all their numbers, altitudes included, with one np.fromiter, as
-    np.array would; the first two of each position are then picked by index.
-    Should that fail, or a ring be empty or a position hold fewer than 2
-    numbers, the rings are converted one by one as np.array would, and only
-    those before the first malformed one are returned.
-    """
-    try:
-        positions = list(chain.from_iterable(rings))
-        counts = np.fromiter(map(len, rings), np.intp, len(rings))
-        sizes = np.fromiter(map(list.__len__, positions), np.intp, len(positions))
-        numbers = np.fromiter(chain.from_iterable(positions), float, sizes.sum())
-        if counts.all() and (sizes >= 2).all():
-            if len(numbers) > 2 * len(sizes):  # altitudes: keep lon, lat of each position
-                numbers = numbers[(np.cumsum(sizes) - sizes)[:, None] + np.arange(2)]
-            return numbers.reshape(-1, 2), counts
-    except (TypeError, ValueError, OverflowError):
-        pass
-    arrays = []
-    for ring in rings:
-        try:
-            lonlat = np.array([pos[:2] for pos in ring], dtype=float)
-        except (TypeError, ValueError, OverflowError):  # null, ragged, non-numeric or huge
-            break
-        if lonlat.ndim != 2 or lonlat.shape[1] != 2:
-            break
-        arrays.append(lonlat)
-    counts = np.array([len(a) for a in arrays], dtype=np.intp)
-    return np.concatenate([np.empty((0, 2))] + arrays), counts
+            raise ValueError(f"feature {idx}: {exc}") from None
+        except TypeError:  # null or too shallowly nested coordinates
+            raise ValueError(f"feature {idx}: {_BAD_POSITIONS}") from None
+    if skipped:
+        log.warning("skipped %d unsupported feature(s)", skipped)
+    return lines
 
 
 # --- equator splitting ------------------------------------------------------

@@ -125,8 +125,8 @@ def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable
     The knot slopes solve the tridiagonal system of C. de Boor, A Practical
     Guide to Splines, ch. IV, whose end rows make the third derivative
     continuous at x[1] and x[-2]; with 3 samples the spline is the parabola
-    through them, with 2 the line.  Piece i is the cubic Hermite polynomial
-    in (t - x[i]) matching the values and slopes at both of its ends.
+    through them.  Piece i is the cubic Hermite polynomial in (t - x[i])
+    matching the values and slopes at both of its ends.
     """
     # imported here, not at module level: the package loads scipy only on
     # the paths that solve a linear system
@@ -135,9 +135,7 @@ def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable
     n = len(x)
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    if n == 2:
-        s = np.array([slope[0], slope[0]])
-    elif n == 3:  # solved densely, as CubicSpline does, so the slopes round alike
+    if n == 3:  # solved densely, as CubicSpline does, so the slopes round alike
         a = np.array([[1.0, 1.0, 0.0],
                       [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
                       [0.0, 1.0, 1.0]])

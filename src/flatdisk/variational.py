@@ -52,7 +52,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Radial function sampled on a uniform grid over [0, pi/2]."""
+    """Radial function sampled at 3 or more points of a uniform grid over [0, pi/2]."""
 
     thetas: np.ndarray
     values: np.ndarray
@@ -62,13 +62,15 @@ class RadialProfile:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.thetas.shape != self.values.shape or self.thetas.ndim != 1:
             raise ValueError("thetas and values must be 1-d arrays of equal length")
-        if len(self.thetas) < 2:
-            raise ValueError("profile needs at least 2 samples")
+        if len(self.thetas) < 3:
+            raise ValueError("profile needs at least 3 samples")
         if self.values[0] != 0.0:
             raise ValueError("profile must start at f(0) = 0 exactly")
+        if not np.isfinite(self.thetas).all():  # before np.diff, which warns on inf - inf
+            raise ValueError("thetas must be finite")
         steps = np.diff(self.thetas)
-        if not np.allclose(steps, steps[0], rtol=0, atol=1e-12):
-            raise ValueError("theta grid must be uniform")
+        if not ((steps > 0).all() and np.allclose(steps, steps[0], rtol=0, atol=1e-12)):
+            raise ValueError("theta grid must be uniform and increasing")
 
     def is_strictly_increasing(self) -> bool:
         return bool(np.all(np.diff(self.values) > 0))
@@ -175,8 +177,6 @@ def solve_discrete(n: int) -> RadialProfile:
 def endpoint_slope(profile: RadialProfile) -> float:
     """One-sided three-point slope estimate at theta = pi/2."""
     v = profile.values
-    if len(v) < 3:
-        raise ValueError(f"endpoint_slope needs at least 3 samples, got {len(v)}")
     h = profile.thetas[1] - profile.thetas[0]
     return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))
 
@@ -296,8 +296,6 @@ def parse_profile(text: str) -> RadialProfile:
             and _NOT_BLANK.search(text, start)):
         rows = _read_rows(text, start)
     thetas, values = _parse_lines(text) if rows is None else rows
-    if len(thetas) < 3:
-        raise ValueError("profile needs at least 3 samples")
     return RadialProfile(thetas=thetas, values=values)
 
 

@@ -166,6 +166,19 @@ class TestStress:
             assert (code, err) == (0, "")
             assert out.startswith(f"{path}\n  total  ")
 
+    @pytest.mark.parametrize("rows, err", [
+        ("0 0\ninf 1\ninf 2\n", "thetas must be finite"),
+        ("0 0\n0 1\n0 2\n", "theta grid must be uniform and increasing"),
+    ], ids=["inf", "zero-steps"])
+    def test_bad_theta_grid_is_one_error_line(self, tmp_path, rows, err):
+        # under -W error a numpy warning would end the run with a traceback
+        (tmp_path / "f").write_text(rows)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        res = subprocess.run([sys.executable, "-W", "error", "-m", "flatdisk.cli",
+                              "stress", "--profile", "f"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: f: {err}\n")
+
 
 class TestFailuresAreErrorLines:
     # exit 1, empty stdout and one "error:" line on stderr, never a traceback

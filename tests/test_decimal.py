@@ -235,7 +235,8 @@ def test_decimal_is_loaded_and_built_on_first_use():
             "built = lambda: print(_decimal.digit_groups.cache_info().currsize, "
             "_decimal.g17_tables.cache_info().currsize); built(); "
             "geo_render.MapDocument(width=1.0, height=2.0).to_svg(); built(); "
-            "variational.profile_to_text(variational.RadialProfile([0.0, 1.0], [0.0, 1.0])); "
+            "variational.profile_to_text("
+            "variational.RadialProfile([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])); "
             "built()")
     env = dict(os.environ, PYTHONPATH=str(src))
     res = subprocess.run([sys.executable, "-c", code], env=env,

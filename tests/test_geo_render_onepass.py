@@ -261,6 +261,19 @@ def assert_same_lines(got, want):
         np.testing.assert_array_equal(bits(g.points), bits(want_points))
 
 
+def conforming(features):
+    """Whether every feature is a supported geometry and every Polygon ring
+    ends on its first position (RFC 7946), the documents read in one pass."""
+    for feature in features:
+        gtype, coords = feature["geometry"]["type"], feature["geometry"]["coordinates"]
+        if gtype not in ("LineString", "MultiLineString", "Polygon", "MultiPolygon"):
+            return False
+        polygons = [coords] if gtype == "Polygon" else coords if gtype == "MultiPolygon" else []
+        if any(ring[0][:2] != ring[-1][:2] for polygon in polygons for ring in polygon):
+            return False
+    return True
+
+
 def write(tmp_path, features, name="doc.geojson"):
     path = tmp_path / name
     path.write_text(json.dumps({"type": "FeatureCollection", "features": features}))
@@ -319,6 +332,50 @@ class TestLoaderAgainstOracle:
         want, _ = outcome(oracle_load_geojson, path, caplog)
         got, _ = outcome(gr.load_geojson, path, caplog)
         assert_same_lines(got, want)
+
+    @pytest.mark.parametrize("gtype", [["LineString"], {"type": "Polygon"}, 7, 2.5],
+                             ids=["list", "dict", "int", "float"])
+    def test_non_string_geometry_types_are_skipped(self, tmp_path, caplog, gtype):
+        odd = {"type": "Feature", "geometry": {"type": gtype, "coordinates": [[0, 1], [2, 3]]}}
+        fixture = json.loads(FIXTURE.read_text())["features"]
+        documents = [fixture[:1] + [odd] + fixture[1:]]
+        for seed in range(12):
+            features = random_document(seed)
+            features.insert(seed % (len(features) + 1), odd)
+            documents.append(features)
+        for k, features in enumerate(documents):
+            path = write(tmp_path, features)
+            want, want_log = outcome(oracle_load_geojson, path, caplog)
+            got, got_log = outcome(gr.load_geojson, path, caplog)
+            assert got_log == want_log, k
+            if isinstance(want, str):
+                assert got == want, k
+            else:
+                assert_same_lines(got, want)
+        assert outcome(gr.load_geojson, write(tmp_path, documents[0]), caplog)[1] == [
+            f"feature 1: skipping unsupported geometry {gtype!r}",
+            "skipped 1 unsupported feature(s)"]
+
+    def test_one_pass_serves_every_conforming_document(self, tmp_path, caplog, monkeypatch):
+        def ring_by_ring(features):
+            raise AssertionError("read ring by ring")
+
+        documents = [FIXTURE]
+        for seed in range(N_DOCUMENTS):
+            features = random_document(seed)
+            if conforming(features):
+                documents.append(write(tmp_path, features, f"doc{seed}.geojson"))
+        monkeypatch.setattr(gr, "_load_ring_by_ring", ring_by_ring)
+        loaded = 0
+        for path in documents:
+            want, want_log = outcome(oracle_load_geojson, path, caplog)
+            if isinstance(want, str):
+                continue
+            got, got_log = outcome(gr.load_geojson, path, caplog)
+            assert got_log == want_log == [], path.name
+            assert_same_lines(got, want)
+            loaded += 1
+        assert loaded > N_DOCUMENTS // 4
 
     def test_lines_are_views_of_one_array(self, tmp_path):
         features = [random_feature(np.random.default_rng(1)) for _ in range(3)]

@@ -149,9 +149,12 @@ class TestSolveDiscrete:
         assert abs(va.endpoint_slope(va.solve_discrete(4096)) - 1.0) < 5e-3
 
     def test_endpoint_slope_needs_three_samples(self):
-        profile = va.RadialProfile(thetas=np.array([0.0, 0.5]), values=np.array([0.0, 0.5]))
-        with pytest.raises(ValueError, match="^endpoint_slope needs at least 3 samples, got 2$"):
-            va.endpoint_slope(profile)
+        # every profile has them: a 2-sample one cannot be built
+        with pytest.raises(ValueError, match="^profile needs at least 3 samples$"):
+            va.RadialProfile(thetas=np.array([0.0, 0.5]), values=np.array([0.0, 0.5]))
+        profile = va.RadialProfile(thetas=np.array([0.0, 0.5, 1.0]),
+                                   values=np.array([0.0, 1.0, 2.0]))
+        assert va.endpoint_slope(profile) == 2.0
 
     def test_discrete_optimality_beats_sampled_closed_form(self):
         profile = va.solve_discrete(256)
@@ -400,8 +403,27 @@ class TestProfileSerialization:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_profile_rejects_fewer_than_two_samples(self, n):
-        with pytest.raises(ValueError, match="at least 2 samples"):
+        with pytest.raises(ValueError, match="^profile needs at least 3 samples$"):
             va.RadialProfile(thetas=np.zeros(n), values=np.zeros(n))
+
+    @pytest.mark.parametrize("thetas", [[0.0, math.inf, math.inf], [0.0, 0.5, math.nan],
+                                        [-math.inf, 0.0, math.inf]])
+    def test_profile_rejects_non_finite_thetas(self, thetas):
+        # no "invalid value" RuntimeWarning either: the suite turns warnings into errors
+        with pytest.raises(ValueError, match="^thetas must be finite$"):
+            va.RadialProfile(thetas=thetas, values=[0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("thetas", [[0.0, 0.0, 0.0], [1.0, 0.5, 0.0], [0.0, 1e-13, 0.0],
+                                        [0.0, 0.5, 1.5]])
+    def test_profile_rejects_steps_not_positive_and_equal(self, thetas):
+        with pytest.raises(ValueError, match="^theta grid must be uniform and increasing$"):
+            va.RadialProfile(thetas=thetas, values=[0.0, 1.0, 2.0])
+
+    def test_smallest_profile_the_writer_writes_reads_back(self):
+        profile = va.RadialProfile([0.0, 0.25 * math.pi, 0.5 * math.pi], [0.0, 0.5, 1.5])
+        got = va.parse_profile(va.profile_to_text(profile))
+        assert got.thetas.tolist() == profile.thetas.tolist()
+        assert got.values.tolist() == profile.values.tolist()
 
     def test_sampled_profile_bridges_into_stress(self):
         # oracle output must be scoreable by the same functional
