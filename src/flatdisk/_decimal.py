@@ -1,16 +1,16 @@
 """Exact decimal text of float64 arrays, and the floats of decimal tokens.
 
-fixed3 spells "%.3f" for the SVG writer and rows_to_text "%.17g" for the
-profile writer, byte for byte as CPython's correctly rounded % does, and
-read_decimals gives the profile reader the floats float() gives, all by
-integer arithmetic in numpy on Dekker's two-product (T. J. Dekker, Numer.
-Math. 18, 1971): with b split into two halves of at most 26 significant
-bits (dekker_split), two_product gives hi = a * b rounded and its exact
-error lo, so that hi + lo == a * b, barring overflow and underflow.  The
-digits come four at a time from one table of "0000" to "9999"
-(digit_groups).  This module and its tables are built on first use:
-importing the package or the CLI loads none of them, and writing SVG
-builds no "%.17g" tables (g17_tables).
+fixed3 spells "%.3f" for the SVG writer, rows_to_text "%.17g" for the
+profile writer and g12_rows "%.12g" for `flatdisk project`, byte for byte as
+CPython's correctly rounded % does, and read_rows gives the profile and CSV
+readers the floats float() gives, all by integer arithmetic in numpy on
+Dekker's two-product (T. J. Dekker, Numer. Math. 18, 1971): with b split
+into two halves of at most 26 significant bits (dekker_split), two_product
+gives hi = a * b rounded and its exact error lo, so that hi + lo == a * b,
+barring overflow and underflow.  The digits come four at a time from one
+table of "0000" to "9999" (digit_groups).  This module and its tables are
+built on first use: importing the package or the CLI loads none of them,
+and writing SVG builds no "%.17g" tables (g17_tables).
 
 fixed3: for |x| < 1e6, x * 1000 = hi + lo exactly (1000 splits as
 (1000, 0)), and the digits are those of the integer nearest hi + lo, a tie
@@ -25,6 +25,11 @@ those are exactly the x with |x| < 0.0005 (the double nearest 0.0005 lies
 above it).  % spells the rest one at a time: non-finite values and those
 at least 1e6 in magnitude.
 
+g12_rows: for x of decimal exponent e in [-4, 11] (from log10, kept where hi
+lies in [1e11, 1e12)), hi = |x| * 10**(11 - e) rounded is below 2**52, and the
+12 digits are found as fixed3 finds its own; a carry to 10**12 adds one to e.
+% spells the rest one at a time: 0, -0.0, non-finite values and other e.
+
 rows_to_text: for a positive finite x with decimal exponent e in [-6, 16],
 10**(16 - e) is an exact double and x * 10**(16 - e) = hi + lo exactly.
 hi is then an even integer at least 2**53, so its 17 digits are
@@ -36,15 +41,21 @@ a power of ten whose log10 gives the wrong e.
 
 read_decimals reads a token as d / 10**k, d its digits and k those after
 the point (W. D. Clinger, PLDI 1990; D. Lemire, Softw. Pract. Exper. 51,
-2021).  quotients gives a candidate x, kept only where digits17, the
+2021).  Where 0 < d < 2**53 and k <= 22, d and 10**k are exact doubles and
+d / 10**k is one correctly rounded division: float(token) itself.
+Elsewhere quotients gives a candidate x, kept only where digits17, the
 writer's rule, spells x as the token's decimal; as 17 digits round-trip,
 float(token) == x.  A token of 18 digits or more, or of over 22 after the
 point, fails the check, as does an x outside the writer's exact domain.
+read_rows cuts rows into tokens with numpy and negates a leading "-".  It
+and g12_rows compare floats, not int64 arrays, and their tables are built
+in Python, so that a CSV job pages in few of numpy's loops.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import chain, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,8 +66,8 @@ _FIXED3_LIMIT = 1e6  # up to 7 integer digits, so a row has room for the sign
 # ".ddd" (8-11), the separator (12) and 3 spare bytes.  _KEEP[s] keeps bytes s
 # to 12, the spelling that starts at byte s and its separator; s = 13 keeps none.
 _FIXED3_SEP = 12
-_KEEP = (np.arange(16) >= np.arange(_FIXED3_SEP + 2)[:, None]) & (np.arange(16) <= _FIXED3_SEP)
-_TENS = 10 ** np.arange(1, 7)  # integer parts from these up have one more digit
+_KEEP = np.array([[s <= j <= _FIXED3_SEP for j in range(16)] for s in range(_FIXED3_SEP + 2)])
+_TENS = np.array([10**k for k in range(1, 7)])  # integer parts from these up have one more digit
 
 # A "%.17g" row of 8 uint32: the digit groups "000d", "dddd" x 4 of its 17
 # significant digits (bytes 0-19, byte 0 a spare "0"), ".e-" and the exponent
@@ -64,6 +75,12 @@ _TENS = 10 ** np.arange(1, 7)  # integer parts from these up have one more digit
 # number outside the exact domain has its % spelling in bytes 0-23 instead.
 _G17_ZERO, _G17_POINT, _G17_E, _G17_MINUS, _G17_EXP, _G17_SEP = 0, 20, 21, 22, 23, 24
 _G17_FALLBACK = 23 * 17
+# A "%.12g" cell of 4 uint64: "-0.000", 12 digits at bytes 6, 8, ..., 28 each followed
+# by ".", and "," at 31.  Keep mask (neg * 16 + e + 4) * 12 + nd - 1 spells sign neg,
+# exponent e in [-4, 11] and nd digits; _G12_FALLBACK + n keeps bytes 0 to n - 1.
+_G12_CELL = 32
+_G12_FALLBACK = 2 * 16 * 12
+_G12_ROWS = 1024  # rows per block: 192 KB of cells and masks
 _ROWS_PER_BLOCK = 4096  # bounds the temporaries: 1.6 MB of byte positions for 2 columns
 
 
@@ -72,6 +89,16 @@ def dekker_split(a):
     c = _DEKKER_SPLIT * a
     high = c - (c - a)
     return high, a - high
+
+
+# 10**p for p <= 22 (exact doubles) and its dekker_split; the trailing zeros of k < 10**4
+_POW10 = np.array([10.0**p for p in range(23)])
+_POW10 = np.array([_POW10, *dekker_split(_POW10)])
+_POW10.flags.writeable = False
+_ZEROS4 = bytearray(10000)
+for _step in (10, 100, 1000, 10000):
+    _ZEROS4[::_step] = bytes(z + 1 for z in _ZEROS4[::_step])
+_ZEROS4 = np.frombuffer(bytes(_ZEROS4), np.uint8)
 
 
 def two_product(a, b, b_high, b_low):
@@ -85,16 +112,9 @@ def two_product(a, b, b_high, b_low):
 def digit_groups():
     """(digits4, point3), read-only uint32 tables of 4 ASCII bytes each:
     the digits of k < 10**4 ("0042"), and "." and the 3 digits of k < 1000 (".042")."""
-    k = np.arange(10000, dtype=np.uint16)
-    digits = np.empty((10000, 4), np.uint8)
-    for col, unit in enumerate((1000, 100, 10, 1)):  # one column at a time: small temporaries
-        digits[:, col] = k // unit % 10 + ord("0")
-    point3 = digits[:1000].copy()
-    point3[:, 0] = ord(".")
-    tables = digits.view(np.uint32).ravel(), point3.view(np.uint32).ravel()
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    digits = b"0123456789"  # built byte by byte in Python: no numpy loops, no temporaries
+    return tuple(np.frombuffer(bytes(chain.from_iterable(product(*groups))), np.uint32)
+                 for groups in ((digits,) * 4, (b".",) + (digits,) * 3))
 
 
 def fixed3(x, sep):
@@ -147,17 +167,12 @@ def fixed3(x, sep):
 
 @functools.cache
 def g17_tables():
-    """The read-only "%.17g" tables: trailing_zeros4, the trailing zeros of each
-    4-digit group; pow10, rows of 10**p for p <= 22 (exact doubles) and of its
-    dekker_split; positions, the source-byte positions of each spelling and then
-    of the separator; lengths, the spelling lengths.  Row (e + 6) * 17 + nd - 1
-    spells a number of decimal exponent e in [-6, 16] and nd significant digits
-    as %.17g does: ddd[.ddd] for e >= 0, 0.000ddd for e >= -4, d[.ddd]e-0X below;
-    row _G17_FALLBACK + n copies n bytes of a % spelling."""
-    trailing_zeros4 = np.zeros(10000, np.uint8)
-    for step in (10, 100, 1000, 10000):
-        trailing_zeros4[::step] += 1
-    pow10 = 10.0 ** np.arange(23)
+    """The read-only "%.17g" tables: positions, the source-byte positions of each
+    spelling and then of the separator; lengths, the spelling lengths.  Row
+    (e + 6) * 17 + nd - 1 spells a number of decimal exponent e in [-6, 16] and
+    nd significant digits as %.17g does: ddd[.ddd] for e >= 0, 0.000ddd for
+    e >= -4, d[.ddd]e-0X below; row _G17_FALLBACK + n copies n bytes of a %
+    spelling."""
     digits = list(range(3, 20))
     bodies = []
     for e in range(-6, 17):
@@ -179,8 +194,7 @@ def g17_tables():
     for k, body in enumerate(bodies):
         positions[k, :len(body) + 1] = body + [_G17_SEP]
         lengths[k] = len(body)
-    tables = SimpleNamespace(trailing_zeros4=trailing_zeros4, positions=positions,
-                             lengths=lengths, pow10=np.array([pow10, *dekker_split(pow10)]))
+    tables = SimpleNamespace(positions=positions, lengths=lengths)
     for table in vars(tables).values():
         table.flags.writeable = False
     return tables
@@ -200,14 +214,18 @@ def digits17(x):
     wherever ok[i], which marks x in the exact domain (module docstring)."""
     ok = (x > 0) & (x < np.inf)
     xs = np.where(ok, x, 1.0)
-    e = np.floor(np.log10(xs)).astype(np.intp)
-    ok &= (e >= -6) & (e <= 16)
-    xs[~ok], e[~ok] = 1.0, 0
+    e = np.floor(np.log10(xs))
+    ok &= (e >= -6.0) & (e <= 16.0)
+    xs[~ok], e[~ok] = 1.0, 0.0
+    e = e.astype(np.intp)
     p = 16 - e  # hi + lo == xs * 10**p exactly: Dekker's two-product, no underflow here
-    hi, lo = two_product(xs, *(row[p] for row in g17_tables().pow10))
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    # digits == 10**16 also comes from hi + lo in [1e16 - 0.5, 1e16)
-    ok &= (digits < 10**17) & ((digits > 10**16) | ((digits == 10**16) & (lo >= 0)))
+    hi, lo = two_product(xs, *(row[p] for row in _POW10))
+    units = np.rint(lo)
+    digits = hi.astype(np.int64) + units.astype(np.int64)
+    # 10**16 <= digits < 10**17 in float compares: hi is an integer of ulp 2 or
+    # more, |lo| <= ulp / 2, and digits == 10**16 also comes from hi + lo < 1e16
+    ok &= (hi < 1e17) | ((hi == 1e17) & (units < 0))
+    ok &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0))
     return digits, e, ok
 
 
@@ -229,10 +247,10 @@ def numbers_to_text(x, sep):
     text = src.view(np.uint8)
     text[:, _G17_EXP] = ord("0") - e
     text[:, _G17_SEP] = sep
-    zeros = tables.trailing_zeros4[groups[4]]  # trailing zeros after the lead digit
+    zeros = _ZEROS4[groups[4]]  # trailing zeros after the lead digit
     j = np.flatnonzero(zeros == 4)
     for group in groups[3:0:-1]:
-        zeros[j] += tables.trailing_zeros4[group[j]]
+        zeros[j] += _ZEROS4[group[j]]
         j = j[group[j] == 0]
     spelling = (e + 6) * 17 + (16 - zeros)
     if not ok.all():
@@ -251,18 +269,131 @@ def quotients(d, k):
     """d / 10**k for int64 d >= 0 and k <= 22: the quotient of d's high bits (an
     exact double), corrected once by its exact remainder.  Checked by read_decimals."""
     high = d & -(2**26)
-    p, p_high, p_low = (row[k] for row in g17_tables().pow10)
+    p, p_high, p_low = (row[k] for row in _POW10)
     q = high / p
     hi, lo = two_product(q, p, p_high, p_low)
     return q + (((high - hi) - lo) + (d - high)) / p
 
 
 def read_decimals(d, k):
-    """(x, exact): x[i] == float() of the decimal d[i] / 10**k[i] wherever exact[i];
-    d is an int64 array >= 0, k the digits after the point (module docstring)."""
-    pow10 = g17_tables().pow10[0, :18].astype(np.int64)
-    x = quotients(d, np.minimum(k, 22))  # k > 22 fails the check on e below
-    nd = np.searchsorted(pow10, d, side="right")  # d's digits, 18 from 10**17 up
-    digits, e, ok = digits17(x)
-    want = d * pow10[17 - np.minimum(nd, 17)]  # the token's 17 digits
-    return x, ok & (digits == want) & (e == nd - 1 - k)
+    """(x, exact): x[i] == float() of the decimal d[i] / 10**k[i] wherever exact[i]; d
+    is an int64 array >= 0, k floats, the digits after the point (module docstring)."""
+    x = d.astype(float)  # exact below 2**53
+    k22 = np.minimum(k, 22.0).astype(np.intp)  # k > 22 fails the check on e below
+    exact = (x > 0) & (x < 2.0**53) & (k <= 22.0)  # Clinger's path; 0, "-" and "-." go to float()
+    x /= _POW10[0].take(k22)
+    slow = np.flatnonzero(~exact) if exact.any() else slice(None)  # profiles: all slow
+    d, k = d[slow], k[slow]
+    x[slow] = quotients(d, k22[slow])
+    nd = np.floor(np.log10(np.maximum(d, 1).astype(float))) + 1.0  # d's digits, or one off
+    digits, e, ok = digits17(x[slow])
+    want = d * _POW10[0].take((17.0 - np.minimum(nd, 17.0)).astype(np.intp)).astype(np.int64)
+    exact[slow] = ok & ((digits - want) == 0.0) & (e == nd - 1.0 - k)
+    return x, exact
+
+
+def read_rows(body, start, sep, parse, block):
+    """(2, n) array of the n rows "token<sep>token\\n" of the ASCII str body[start:]
+    (the last "\\n" optional), read in blocks of about block bytes as parse (float)
+    reads them; None for a byte not in 0-9 . e - + sep "\\n", another layout, or a
+    token parse rejects."""
+    rows, row = np.empty((2, body.count("\n", start) + 1)), 0
+    code, others = ord(sep), b"0123456789.\n" + sep.encode()
+    spaced = bytes.maketrans(b"e-+" + sep.encode(), b"000 ")
+    while start < len(body):
+        end = body.find("\n", start + block) + 1 or len(body)  # 0: no "\n" left
+        chunk, start = body[start:end].encode() + b"\n"[:body[end - 1] != "\n"], end
+        signs = chunk.translate(None, others)
+        if signs.translate(None, b"e-+"):
+            return None
+        a = np.frombuffer(chunk, np.uint8)
+        stops = a == code
+        stops |= a == ord("\n")
+        marks = np.flatnonzero(stops | (a == ord(".")))  # token ends and points, in order
+        point = np.flatnonzero(~stops[marks])  # marks[point + 1] ends the point's token
+        ends = marks[stops[marks]]
+        # the guard above keeps np.fromstring to digits and spaces, where numpy 1.24
+        # would warn; an empty token or a lone "." changes the count
+        d = np.fromstring(chunk.translate(spaced, b"."), np.int64, sep=" ")
+        # rows alternate sep and "\n", and no point follows a point in its token
+        if (len(d) != len(ends) or not np.all(stops[marks[point + 1]])
+                or a[ends].tobytes() != (sep + "\n").encode() * (len(ends) // 2)):
+            return None
+        k = np.zeros(len(d))  # digits after the point: token i is d[i] / 10**k[i]
+        k[point - np.arange(len(point))] = marks[point + 1] - marks[point] - 1.0
+        del stops, marks  # the peak is in read_decimals
+        neg = np.flatnonzero(a[np.r_[0, ends[:-1] + 1]] == ord("-")) if signs else []
+        if len(neg) < len(signs):  # an exponent, a "+" or an inner "-": left to parse
+            marked = (a == ord("-")) | (a == ord("e")) | (a == ord("+"))
+            d[np.searchsorted(ends, np.flatnonzero(marked))] = 0
+        x, exact = read_decimals(d, k)  # x == float(token) where exact
+        x[neg] *= -1.0
+        bad = np.flatnonzero(~exact)
+        try:  # token 0 starts at ends[-1] + 1 == len(chunk), that is at 0
+            x[bad] = [parse(chunk[i % len(chunk):j])
+                      for i, j in zip((ends[bad - 1] + 1).tolist(), ends[bad].tolist())]
+        except ValueError:
+            return None
+        rows[:, row:row + len(x) // 2] = x.reshape(-1, 2).T
+        row += len(x) // 2
+    return rows[:, :row]
+
+
+@functools.cache
+def g12_keep():
+    """The read-only keep masks of a "%.12g" cell, 4 uint64 of bool bytes each: one
+    per spelling, then one per % spelling or tail of 0 to 24 bytes (_G12_CELL)."""
+    rows = []
+    for neg, e, nd in product((0, 1), range(-4, 12), range(1, 13)):
+        keep = {0, 31} if neg else {31}  # "-" and ","
+        keep |= set(range(1, 2 - e if e < 0 else 1))  # "0." and -e - 1 zeros
+        keep |= {6 + 2 * i for i in range(max(e, nd - 1) + 1)}  # the digits
+        keep |= {7 + 2 * e} if 0 <= e < nd - 1 else set()  # the point
+        rows.append(bytes(j in keep for j in range(_G12_CELL)))
+    rows += [bytes(j < n for j in range(_G12_CELL)) for n in range(25)]
+    return np.frombuffer(b"".join(rows), np.uint64).reshape(len(rows), -1)
+
+
+def g12_rows(rows, tails):
+    """Bytes of each row of the 2-d float array rows as "%.12g," per number
+    followed by the same row of tails, a uint8 array of at most 24 columns."""
+    return b"".join(_g12_block(rows[i:i + _G12_ROWS], tails[i:i + _G12_ROWS])
+                    for i in range(0, len(rows), _G12_ROWS))
+
+
+def _g12_block(x, tail):
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e12)  # False for 0, inf and nan
+    a[~ok] = 1.0
+    e = np.minimum(np.floor(np.log10(a)), 11.0)  # 12 by rounding just below 1e12
+    p = (11.0 - e).astype(np.intp)
+    hi = a * _POW10[0].take(p)
+    ok &= (hi >= 1e11) & (hi < 1e12)  # else log10 missed e, next to a power of ten
+    m = np.rint(hi)
+    hi -= m  # exact: the distance of hi from m, +-0.5 where hi is a half-integer
+    tie = np.flatnonzero(np.abs(hi) == 0.5)
+    if len(tie):  # as in fixed3, lo's sign rounds away from the half-integer
+        lo = two_product(a.ravel()[tie], *(row.take(p.ravel()[tie]) for row in _POW10))[1]
+        m.ravel()[tie] += np.where(2.0 * hi.ravel()[tie] == np.sign(lo), np.sign(lo), 0.0)
+    e[m == 1e12] += 1.0  # 99999999999.95 rounds to 100000000000: one digit more
+    m[m == 1e12] = 1e11
+    ok &= e <= 11.0
+    groups = (np.floor(m[..., None] / [1e8, 1e4, 1.0]) % 1e4).astype(np.intp)  # exact
+    zeros = _ZEROS4.take(groups).astype(float)
+    last = zeros[..., 2]  # the trailing zeros of the 12 digits
+    last += (last == 4.0) * (zeros[..., 1] + (zeros[..., 1] == 4.0) * zeros[..., 0])
+    n, c = x.shape
+    spelling = np.full((n, c + 1), _G12_FALLBACK + tail.shape[1] + 0.0)
+    spelling[:, :c] = ((x < 0) * 16.0 + e + 4.0) * 12.0 + (11.0 - last)
+    text = np.empty((n, c + 1, _G12_CELL // 8), np.uint64)
+    text[:, :c] = np.frombuffer(b"-0.000" + b"0." * 12 + b" ,", np.uint64)
+    chars = text.view(np.uint8)
+    chars[:, :c, 6:30:2] = digit_groups()[0].take(groups).view(np.uint8)
+    chars[:, c, :tail.shape[1]] = tail
+    if not ok.all():
+        bad = np.nonzero(~ok)
+        spelled = ["%.12g," % v for v in x[bad].tolist()]
+        chars[bad[0], bad[1], :24] = np.array(spelled, "S24").view(np.uint8).reshape(
+            len(spelled), -1)
+        spelling[bad] = [_G12_FALLBACK + len(s) for s in spelled]
+    return chars[g12_keep().take(spelling.astype(np.intp), axis=0).view(bool)].tobytes()

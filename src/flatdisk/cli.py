@@ -172,16 +172,35 @@ def _row_error(row: str) -> str:
 def cmd_project(args) -> int:
     """Project lat,lon rows from stdin to r,phi,side rows on stdout.
 
-    All of stdin is read, then parsed and checked in one array pass: blank
-    and # lines are dropped, each row must have one comma, all fields go
-    through float() at once, and masks find the first bad row (wrong field
-    count, a field float() rejects, lat outside [-90, 90] or NaN, infinite
-    lon).  The rows before it are projected in one call and written; the
-    bad row's error text comes from GeoCoord on that row alone, so it reads
-    as it always has ("line 5: latitude out of range: 91.0").
+    ASCII rows "lat,lon\\n" of 0-9 . e - + with lat in [-90, 90] and lon finite
+    are read by _decimal.read_rows and written by _decimal.g12_rows, as float()
+    and "%.12g,%.12g,side\\n" % would; any other stdin goes to _project_lines.
     """
     mode = ProjectionMode(args.mode)
-    lines = list(map(str.strip, sys.stdin.read().split("\n")))
+    text = sys.stdin.read()
+    from ._decimal import g12_rows, read_rows
+    rows = read_rows(text, 0, ",", float, 2**17) if text.isascii() else None  # 128 KB blocks
+    if rows is None or not np.all((rows[0] >= -90.0) & (rows[0] <= 90.0)) \
+            or np.isinf(rows[1]).any():
+        return _project_lines(text, mode)
+    r, phi, north = projection.forward_arrays(rows[0], rows[1], mode)
+    sides = np.array([f"{side.value}\n" for side in projection.Hemisphere], "S")  # north first
+    tails = np.where(north[:, None], *sides.view(np.uint8).reshape(2, -1))
+    sys.stdout.write(g12_rows(np.column_stack((r, phi)), tails).decode("ascii"))
+    return EXIT_OK
+
+
+def _project_lines(text: str, mode: ProjectionMode) -> int:
+    """cmd_project on any text, parsed and checked in one array pass.
+
+    Blank and # lines are dropped, each row must have one comma, all fields
+    go through float() at once, and masks find the first bad row (wrong
+    field count, a field float() rejects, lat outside [-90, 90] or NaN,
+    infinite lon).  The rows before it are projected in one call and
+    written; the bad row's error text comes from GeoCoord on that row
+    alone, so it reads as it always has ("line 5: latitude out of range: 91.0").
+    """
+    lines = list(map(str.strip, text.split("\n")))
     is_row = [line and line[0] != "#" for line in lines]
     rows = list(compress(lines, is_row))
     n = _one_comma_rows(rows)

@@ -68,6 +68,8 @@ class RadialProfile:
             raise ValueError("profile must start at f(0) = 0 exactly")
         if not np.isfinite(self.thetas).all():  # before np.diff, which warns on inf - inf
             raise ValueError("thetas must be finite")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
         steps = np.diff(self.thetas)
         if not ((steps > 0).all() and np.allclose(steps, steps[0], rtol=0, atol=1e-12)):
             raise ValueError("theta grid must be uniform and increasing")
@@ -212,45 +214,13 @@ def profile_to_text(profile: RadialProfile, comment: str = "") -> str:
 
 _NOT_BLANK = re.compile(r"\S")  # on ASCII text: a character str.isspace() rejects
 _READ_BLOCK = 2**16  # bytes per step of _read_rows, cut after a "\n": bounds its temporaries
-_SIGNS_TO_ZEROS = bytes.maketrans(b"e-+", b"000")
 
 
 def _read_rows(body: str, start: int = 0):
     """(thetas, values) of the non-empty ASCII body[start:] as float() reads it, or
-    None if it is not rows "token token\\n" of 0-9 . e - +, read in blocks of rows."""
-    from ._decimal import read_decimals
-    rows, row = np.empty((2, body.count("\n", start))), 0
-    while start < len(body):
-        end = body.find("\n", start + _READ_BLOCK) + 1 or len(body)  # 0: no "\n" left
-        block, start = body[start:end].encode(), end
-        signs = block.translate(None, b"0123456789. \n")
-        if signs.translate(None, b"e-+"):
-            return None
-        a = np.frombuffer(block, np.uint8)
-        ends = np.flatnonzero(a <= ord(" "))  # " " and "\n", by the guard above
-        if (len(ends) % 2 or np.any(a[ends[::2]] != ord(" "))
-                or np.any(a[ends[1::2]] != ord("\n"))):
-            return None
-        dots = np.flatnonzero(a == ord("."))
-        token = np.searchsorted(ends, dots)
-        # an empty token, a lone "." or bytes after the last "\n" change the count
-        d = np.fromstring(block.translate(_SIGNS_TO_ZEROS, b"."), np.int64, sep=" ")
-        if len(d) != len(ends) or np.any(np.diff(token) == 0):
-            return None
-        k = np.zeros(len(ends), np.intp)  # digits after the point: token i is d[i] / 10**k[i]
-        k[token] = ends[token] - dots - 1
-        if signs:  # a token with a sign or an exponent is left to float()
-            marks = (a > ord("9")) | ((a > ord(" ")) & (a < ord(".")))  # e, + and -
-            d[np.searchsorted(ends, np.flatnonzero(marks))] = 0
-        x, exact = read_decimals(d, k)  # x == float(token) where exact
-        for i in np.flatnonzero(~exact).tolist():
-            try:
-                x[i] = float(block[ends[i - 1] + 1 if i else 0:ends[i]])
-            except ValueError:
-                return None
-        rows[:, row:row + len(x) // 2] = x.reshape(-1, 2).T
-        row += len(x) // 2
-    return rows
+    None if it is not rows "token token\\n" of 0-9 . e - + (_decimal.read_rows)."""
+    from ._decimal import read_rows
+    return read_rows(body, start, " ", float, _READ_BLOCK)
 
 
 def _parse_lines(text: str):

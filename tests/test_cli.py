@@ -180,6 +180,18 @@ class TestStress:
         assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: f: {err}\n")
 
 
+    def test_non_finite_values_are_one_error_line(self, tmp_path):
+        # np.diff(values) warned on inf - inf before the check; under -W error a
+        # warning would end the run with a traceback
+        (tmp_path / "g").write_text("0 0\n0.78539816339744828 inf\n1.5707963267948966 inf\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        res = subprocess.run([sys.executable, "-W", "error", "-m", "flatdisk.cli",
+                              "stress", "--profile", "g"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (res.returncode, res.stdout, res.stderr) == (
+            1, "", "error: g: values must be finite\n")
+
+
 class TestFailuresAreErrorLines:
     # exit 1, empty stdout and one "error:" line on stderr, never a traceback
     ENOENT = "[Errno 2] No such file or directory: '{tmp}/"
@@ -404,6 +416,58 @@ class TestProjectEdgeCases:
             "0,0,north\n0,0,south\n1,0,north\n1,3.14159265359,north\n"
             "1,3.14159265359,north\n0.666666666667,0,north\n0.666666666667,0,south\n"
             "0.888888888889,nan,north\n"), "")
+
+
+def canonical_csv(seed):
+    """A repr-float lat,lon CSV of every token kind the array pass reads, without
+    a last "\\n": signs, integers, -0.0, poles, lon +-180, +-360, +-540 and
+    15 to 17 significant digits."""
+    rng = np.random.default_rng(seed)
+    lat = np.degrees(np.arcsin(rng.uniform(-1.0, 1.0, 600)))
+    lon = rng.uniform(-540.0, 540.0, 600)
+    rows = [f"{a!r},{b!r}" for a, b in zip(lat.tolist(), lon.tolist())]
+    rows += [f"{a:.15g},{b:.16g}" for a, b in zip(lat[:100].tolist(), lon[:100].tolist())]
+    rows += ["90,-180", "-90,180", "0,360", "-45,-360", "12,540", "-12,-540", "-0.0,-0.0",
+             "90.0,0.0", "-90.0,-0.0", "0.0,180.0", "-0.0,-180.0", "45.5,-540.0"]
+    rng.shuffle(rows)
+    return "\n".join(rows)
+
+
+class TestProjectArrayPass:
+    """Canonical CSVs go through the exact array pass alone: the line path raises."""
+
+    @pytest.mark.parametrize("mode", ["ggv", "stress-minimal"])
+    def test_matches_reference(self, capsys, monkeypatch, mode):
+        text = canonical_csv(22)
+        tokens = text.replace("\n", ",").split(",")
+        digits = {len(t.lstrip("-").replace(".", "").lstrip("0")) for t in tokens}
+        assert {15, 16, 17} <= digits and not text.endswith("\n") and "-0.0" in tokens
+        want = reference_project(text, mode)
+        monkeypatch.setattr(cli, "_project_lines", reject_line_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, "project", "--mode", mode) == want
+        assert want[0] == 0 and want[1].count("\n") == len(tokens) // 2
+
+    @pytest.mark.parametrize("text", ["45,30\n\n", "45,30\r\n", " 45,30\n", "# c\n45,30\n",
+                                      "45,30,1\n", "91,0\n", "45,1e400\n", "4_5,30\n",
+                                      "45,\u0663\n", "45,3-0\n", "45,.\n"])
+    def test_other_text_takes_the_line_path(self, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr(cli, "_project_lines", reject_line_path)
+        with pytest.raises(AssertionError, match="line path"):
+            cli.main(["project"])
+
+    def test_exponents_and_plus_signs_go_to_float(self, capsys, monkeypatch):
+        # tokens with an exponent or a "+" stay in the array pass, read by float()
+        text = "45,+30\n-1e1,3.5e2\n+0.5,-1e-8\n"
+        want = reference_project(text, "stress-minimal")
+        monkeypatch.setattr(cli, "_project_lines", reject_line_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run(capsys, "project") == want
+
+
+def reject_line_path(text, mode):
+    raise AssertionError(f"line path reached: {text!r}")
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -117,6 +117,86 @@ class TestFixed3:
             "%.3f " % v for v in x[:4].tolist()).translate(letters).replace(".", "_")
 
 
+def assert_g12_as_percent(values):
+    """g12_rows on values, two a row with a "north\\n" or "south\\n" tail, against %."""
+    x = np.asarray(values, dtype=float)
+    rows = x[:len(x) // 2 * 2].reshape(-1, 2)
+    sides = np.array([b"north\n", b"south\n"]).view(np.uint8).reshape(2, -1)
+    which = np.arange(len(rows)) % 3 == 0
+    got = _decimal.g12_rows(rows, np.where(which[:, None], *sides)).decode("ascii")
+    want = ["%.12g,%.12g,%s\n" % (a, b, "north" if w else "south")
+            for (a, b), w in zip(rows.tolist(), which.tolist())]
+    wrong = [(r, g, w) for r, g, w in zip(rows.tolist(), got.splitlines(True), want) if g != w]
+    assert not wrong, wrong[:5]
+    assert got == "".join(want)
+
+
+class TestG12:
+    """_decimal.g12_rows against CPython's "%.12g", byte for byte, on 10**6 numbers."""
+
+    def test_magnitudes_and_signs(self):
+        rng = np.random.default_rng(23)
+        x = 10.0 ** rng.uniform(-12.0, 13.0, 400_000)
+        assert_g12_as_percent(np.where(rng.random(len(x)) < 0.5, -x, x))
+
+    def test_twelve_digit_ties(self):
+        # (k + 0.5) / 10**j: halfway between two 12-digit spellings in decimal; the
+        # doubles are exact ties only from 1e11 up, elsewhere lo picks the side
+        rng = np.random.default_rng(24)
+        j = rng.integers(0, 16, 300_000)
+        k = rng.integers(10**11, 10**12, 300_000).astype(float)
+        ties = (k + 0.5) / 10.0 ** j
+        assert np.count_nonzero(ties == np.floor(ties) + 0.5) > 10_000
+        assert "%.12g" % 100000000000.5 == "100000000000" and "%.12g" % 0.15 == "0.15"
+        assert_g12_as_percent(np.concatenate([ties, -ties]))
+
+    def test_edges(self):
+        # powers of ten and their neighbours, the carry to 10**12, the ends of the
+        # kernel's exponents, and what % spells: 0, -0.0, nan, inf, subnormals
+        tens = 10.0 ** np.arange(-14, 16)
+        tens = np.concatenate([tens, 9.999999999995 * tens, 9.9999999999949 * tens])
+        edges = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+                                [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                                 2.0**-1022, 1e-310, 1.0000000000000002, 1.74532925199e-10]])
+        assert_g12_as_percent(np.concatenate([edges, -edges]))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(25)
+        assert_g12_as_percent(rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(float))
+
+    def test_empty(self):
+        assert _decimal.g12_rows(np.empty((0, 2)), np.empty((0, 6), np.uint8)) == b""
+
+
+class TestReadRows:
+    """_decimal.read_rows against float(), bit for bit, on CSV and profile rows."""
+
+    @pytest.mark.parametrize("spell", [repr, "%.15g".__mod__, "%.16g".__mod__,
+                                       "%.17g".__mod__, "%.20g".__mod__],
+                             ids=["repr", "15", "16", "17", "20"])
+    @pytest.mark.parametrize("sep", [",", " "])
+    def test_matches_float(self, spell, sep):
+        rng = np.random.default_rng(26)
+        x = rng.uniform(0.0, 1.0, 100_000) * 10.0 ** rng.integers(-3, 4, 100_000)
+        x = np.where(rng.random(len(x)) < 0.5, -x, x)
+        tokens = [spell(v) for v in x.tolist()]
+        assert any(len(t.lstrip("-").replace(".", "").lstrip("0")) >= 15 for t in tokens)
+        body = "".join(f"{a}{sep}{b}\n" for a, b in zip(tokens[::2], tokens[1::2]))
+        got = _decimal.read_rows(body, 0, sep, float, 2**16)
+        want = np.array([float(t) for t in tokens])
+        assert np.array_equal(got.T.ravel().view(np.int64), want.view(np.int64))
+
+    def test_clinger_path_needs_no_float(self):
+        # up to 15 digits, d < 2**53 and k <= 22: one division, float() never called
+        x = np.random.default_rng(27).uniform(-1e4, 1e4, 20_000)
+        body = "".join("%.15g,%.11g\n" % tuple(ab) for ab in x.reshape(-1, 2).tolist())
+        def parse(token):
+            raise AssertionError(token)
+        got = _decimal.read_rows(body, 0, ",", parse, 2**16)
+        want = np.array([float(t) for t in body.replace("\n", ",").split(",")[:-1]])
+        assert np.array_equal(got.T.ravel().view(np.int64), want.view(np.int64))
+
+
 # --- the SVG writer it replaced, kept verbatim as the oracle ----------------
 
 def oracle_to_svg(self) -> str:
