@@ -15,7 +15,8 @@ from itertools import compress, count
 
 import numpy as np
 
-from . import closedform, geo_render, projection, stress, variational
+# stress, variational and geo_render load in the commands that run them
+from . import closedform, projection
 from .projection import ProjectionMode
 
 EXIT_OK = 0
@@ -53,6 +54,7 @@ def cmd_eval(args) -> int:
     theta_deg = args.theta_deg
     if not 0.0 <= theta_deg <= 90.0:
         raise UsageError(f"colatitude must be in [0, 90] degrees, got {theta_deg}")
+    from . import stress
     t = math.radians(theta_deg)
     rf = projection.radial_function(ProjectionMode.STRESS_MINIMAL)
     rows = [
@@ -73,6 +75,7 @@ def cmd_eval(args) -> int:
 def cmd_solve(args) -> int:
     if args.n < 16:
         raise UsageError(f"--n must be >= 16, got {args.n}")
+    from . import variational
     profile = variational.solve_discrete(args.n)
     comment = f"solve_discrete n={args.n}"
     _write(lambda path: variational.save_profile(profile, path, comment=comment), args.out)
@@ -90,6 +93,7 @@ def _profile_stress(path, grid_size: int) -> stress.StressReport:
     The grid must run from theta = 0 to pi/2 (to within closedform.CLAMP_TOL),
     or the spline would extrapolate its end pieces over the rest.
     """
+    from . import stress, variational
     profile = variational.load_profile(path)
     if not profile.is_strictly_increasing():
         raise ValueError("profile is not strictly increasing")
@@ -109,6 +113,7 @@ def _print_report(label: str, report: stress.StressReport) -> None:
 def cmd_stress(args) -> int:
     if args.grid < 16:
         raise UsageError(f"grid_size must be >= 16, got {args.grid}")
+    from . import stress
     if args.compare:
         s_min, s_ggv = (stress.total_stress(projection.radial_function(mode), args.grid)
                         for mode in (ProjectionMode.STRESS_MINIMAL, ProjectionMode.GGV))
@@ -229,6 +234,7 @@ def cmd_render(args) -> int:
         raise UsageError(f"size_px must be >= 100, got {args.size}")
     if args.target == "map" and (args.graticule <= 0 or 90 % args.graticule != 0):
         raise UsageError(f"graticule_deg must divide 90, got {args.graticule}")
+    from . import geo_render
     if args.target == "profile":
         doc = geo_render.render_profile_plot(args.size)
     else:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -224,6 +223,7 @@ class SeriesCoefficients:
 
     def coefficient(self, j: int) -> Fraction:
         """a_j for any index j in range; zero for even j."""
+        from fractions import Fraction
         if j < 1 or j > self.max_index:
             raise IndexError(f"index {j} outside stored range 1..{self.max_index}")
         if j % 2 == 0:
@@ -238,6 +238,7 @@ def series_coefficients(max_index: int) -> SeriesCoefficients:
     """Coefficients of the regular beta power series, a1 = 1, a_j = (j-2)/(j+1) a_{j-2}."""
     if max_index < 1 or max_index % 2 == 0:
         raise ValueError(f"max_index must be odd and >= 1, got {max_index}")
+    from fractions import Fraction
     coeffs = [Fraction(1)]
     for j in range(3, max_index + 1, 2):
         coeffs.append(coeffs[-1] * Fraction(j - 2, j + 1))

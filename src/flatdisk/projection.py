@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import closedform, stress
+from . import closedform  # stress loads in the two functions that use it
 from .closedform import HALF_PI
 
 __all__ = [
@@ -38,9 +38,9 @@ __all__ = [
 ]
 
 _R_TOL = 1e-12
-# Newton stop for inverse_radius.  Newton converges quadratically from pi/2,
-# so a step below 1e-11 rad leaves an error of order f''/f' * 1e-22 rad,
-# under the rounding of theta.  The 8-step cap bounds the cost.
+# Newton stop for inverse_radius.  Newton converges quadratically from GGV's
+# inverse r * pi/2, so a step below 1e-11 rad leaves an error of order
+# f''/f' * 1e-22 rad, under the rounding of theta.  The 8-step cap bounds the cost.
 _NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 8
 
@@ -117,6 +117,7 @@ class DiskPoint:
 @functools.cache
 def radial_function(mode: ProjectionMode) -> stress.RadialFunction:
     """The mode's radial function f, built once: theta for GGV, the closed form else."""
+    from . import stress
     if mode is ProjectionMode.GGV:
         return stress.identity_radial()
     return stress.closed_form_radial()
@@ -156,16 +157,20 @@ def forward(p: GeoCoord, mode: ProjectionMode) -> DiskPoint:
 def inverse_radius(r, mode: ProjectionMode):
     """Colatitude theta at which the normalized disk radius is r (a float for a scalar).
 
-    GGV inverts analytically.  Stress-minimal runs Newton's method from
-    theta = pi/2, clipped to [0, pi/2]: f is increasing and convex there,
-    so the iterates fall monotonically onto the root.  It stops once every
-    step is below _NEWTON_TOL rad, or after _NEWTON_MAX_ITER steps.
+    GGV inverts analytically.  Stress-minimal runs Newton's method from GGV's
+    inverse, theta = r * pi/2, clipped to [0, pi/2].  f is increasing and
+    convex there, so it lies below its chord from (0, 0) to (pi/2, 2 ln 2),
+    which reaches the target 2 ln 2 * r at the start: the start lies left of
+    the root.  From the left the tangent lies below f, so the first step
+    overshoots once; from then on the iterates fall monotonically onto the
+    root.  It stops once every step is below _NEWTON_TOL rad, or after
+    _NEWTON_MAX_ITER steps.
     """
     r = _unit_radius(r)
     if mode is ProjectionMode.GGV:
         return r * HALF_PI
     target = r * closedform.TWO_LN2
-    theta = np.full_like(target, HALF_PI)
+    theta = r * HALF_PI
     for _ in range(_NEWTON_MAX_ITER):
         f, f_prime = closedform._f_and_prime(theta)
         step = (f - target) / f_prime
@@ -192,6 +197,7 @@ def scale_factors(p: GeoCoord, mode: ProjectionMode):
     1 + stress.rho of the mode's radial function, so at the poles both take
     rho's limiting slope f'(0), where the map is isotropic.
     """
+    from . import stress
     theta = math.radians(90.0 - abs(p.lat_deg))
     rf = radial_function(mode)
     meridian = stress.sigma(rf, theta) + 1.0

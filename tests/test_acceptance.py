@@ -28,14 +28,14 @@ def report(name, detail):
 
 def test_01_endpoint_value():
     got = cf.eval_f(math.pi / 2)
-    assert abs(got - 1.3862943611198906) < 1e-12
-    report("endpoint value", f"f(pi/2) = {got!r}, |err| < 1e-12")
+    assert abs(got - 1.3862943611198906) < 1e-15
+    report("endpoint value", f"f(pi/2) = {got!r}, |err| < 1e-15")
 
 
 def test_02_ode_verification():
     rep = va.residual_sweep(stress.closed_form_radial(), 1000)
-    assert rep.max_abs < 1e-9
-    report("ODE verification", f"max |residual| = {rep.max_abs:.3e} < 1e-9")
+    assert rep.max_abs < 1e-15
+    report("ODE verification", f"max |residual| = {rep.max_abs:.3e} < 1e-15")
 
 
 def test_03_oracle_agreement():
@@ -95,7 +95,7 @@ def test_07_near_linearity():
     assert 0.01 < max_gap < 0.05
     at_quarter = math.log(2) - float(cf.eval_f(math.pi / 4))
     # independently: ln 2 - f(pi/4) = 0.02375229890860873 (40-digit mpmath)
-    assert abs(at_quarter - 0.02375229890860873) < 1e-5
+    assert abs(at_quarter - 0.02375229890860873) < 1e-15
     report("near-linearity",
            f"max chord gap = {max_gap:.6f} in (0.01, 0.05); gap(pi/4) = {at_quarter:.8f}")
 
@@ -122,9 +122,9 @@ def test_09_projection_round_trip():
         lat_back = np.where(north, 90.0 - np.degrees(theta), np.degrees(theta) - 90.0)
         dlon = np.abs((np.degrees(phi) - lon + 180.0) % 360.0 - 180.0)
         err = max(float(np.max(np.abs(lat_back - lat))), float(np.max(dlon)))
-        assert err < 1e-8
+        assert err < 1e-13
         worst = max(worst, err)
-    report("round trip", f"worst error over 2x10^5 points = {worst:.3e} deg < 1e-8")
+    report("round trip", f"worst error over 2x10^5 points = {worst:.3e} deg < 1e-13")
 
 
 def test_10_rendering_determinism():

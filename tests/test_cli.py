@@ -479,6 +479,75 @@ def test_cli_import_leaves_scipy_unloaded():
     assert res.stdout.strip() == "False"
 
 
+def _fresh_run(code, *args):
+    """Last stdout line of code run in a fresh interpreter, which imports numpy first
+    and binds ``before`` to the modules loaded by then."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run([sys.executable, "-W", "error", "-c",
+                          "import sys, numpy\nbefore = set(sys.modules)\n" + code, *args],
+                         env=env, capture_output=True, text=True, check=True)
+    return res.stdout.splitlines()[-1]
+
+
+def _loaded_by(code, *args):
+    """The modules code loads in a fresh interpreter beyond those numpy loads."""
+    return set(_fresh_run(code + "\nprint(*(set(sys.modules) - before))", *args).split())
+
+
+# what `from flatdisk import *` bound before stress and variational loaded lazily
+STAR_NAMES = sorted([
+    "TWO_LN2", "POLE_SLOPE", "eval_f", "eval_f_prime", "eval_f_second",
+    "eval_f_mathematica_form", "eval_g", "eval_h", "eval_gamma", "eval_beta_regular",
+    "eval_beta_singular", "series_coefficients", "eval_beta_series",
+    "GeoCoord", "DiskPoint", "Hemisphere", "ProjectionMode", "forward", "inverse",
+    "RadialFunction", "StressReport", "total_stress", "second_variation",
+    "RadialProfile", "solve_discrete", "residual_sweep",
+    "closedform", "projection", "stress", "variational",
+])
+
+
+class TestModulesLoaded:
+    def test_project_loads_no_other_command_module(self):
+        loaded = _loaded_by("import io\nfrom flatdisk import cli\n"
+                            "sys.stdin = io.StringIO('45,10\\n-30,20\\n')\n"
+                            "assert cli.main(['project']) == 0")
+        assert {"flatdisk.cli", "flatdisk._decimal"} <= loaded
+        assert not loaded & {"flatdisk.geo_render", "flatdisk.stress", "flatdisk.variational",
+                             "json", "fractions", "scipy"}
+
+    def test_render_map_loads_neither_stress_nor_variational(self, tmp_path):
+        loaded = _loaded_by("from flatdisk import cli\n"
+                            "assert cli.main(['render', 'map', '--geojson', sys.argv[1],"
+                            " '--out', sys.argv[2]]) == 0", str(FIXTURE), str(tmp_path / "m.svg"))
+        assert "flatdisk.geo_render" in loaded
+        assert not loaded & {"flatdisk.stress", "flatdisk.variational", "scipy"}
+
+    def test_package_import_leaves_stress_and_variational_unloaded(self):
+        loaded = _loaded_by("import flatdisk")
+        assert {"flatdisk.closedform", "flatdisk.projection"} <= loaded
+        assert not loaded & {"flatdisk.stress", "flatdisk.variational"}
+
+    def test_lazy_names_resolve_on_first_use(self):
+        code = ("import flatdisk\n"
+                "lazy = {'stress', 'variational', 'total_stress', 'RadialProfile'}\n"
+                "assert lazy <= set(dir(flatdisk)), dir(flatdisk)\n"
+                "total = flatdisk.stress.total_stress\n"
+                "from flatdisk import total_stress, RadialProfile, solve_discrete\n"
+                "assert total is total_stress and solve_discrete is flatdisk.variational.solve_discrete\n"
+                "assert RadialProfile is sys.modules['flatdisk.variational'].RadialProfile\n"
+                "try:\n"
+                "    flatdisk.no_such_name\n"
+                "except AttributeError as exc:\n"
+                "    print(exc)")
+        assert _fresh_run(code) == "module 'flatdisk' has no attribute 'no_such_name'"
+
+    def test_star_import_binds_the_same_names(self):
+        code = ("from flatdisk import *\n"
+                "print(*sorted(set(globals()) - before_names - {'before_names'}))")
+        assert _fresh_run("before_names = set(globals())\n" + code).split() == STAR_NAMES
+
+
 def test_verify_commands_leave_scipy_interpolate_unloaded(tmp_path):
     # solve, stress --profile and stress --compare in one fresh interpreter
     src = Path(cli.__file__).resolve().parents[1]

@@ -197,7 +197,7 @@ class TestInverseRadius:
         # the fused Newton step must take exactly the steps eval_f / eval_f_prime give
         rng = np.random.default_rng(9)
         r = rng.uniform(0.0, 1.0, shape)
-        theta = np.full_like(r, math.pi / 2)
+        theta = r * (math.pi / 2)  # GGV's inverse, as inverse_radius starts
         target = r * cf.TWO_LN2
         for _ in range(8):
             step = (cf.eval_f(theta) - target) / cf.eval_f_prime(theta)

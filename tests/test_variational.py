@@ -20,7 +20,7 @@ from flatdisk import _decimal, stress, variational as va
 class TestOdeResidual:
     def test_closed_form_annihilates_residual(self):
         rf = stress.closed_form_radial()
-        assert abs(va.ode_residual(rf, math.pi / 4)) < 1e-10
+        assert abs(va.ode_residual(rf, math.pi / 4)) < 1e-15
 
     def test_identity_residual_is_sin_minus_theta(self):
         rf = stress.identity_radial()
@@ -64,7 +64,7 @@ class TestOdeResidual:
 class TestResidualSweep:
     def test_closed_form_sweep(self):
         report = va.residual_sweep(stress.closed_form_radial(), 1000)
-        assert report.max_abs < 1e-9
+        assert report.max_abs < 1e-15
         assert len(report.grid) == 1000
 
     def test_identity_sweep_max_at_equator(self):
