@@ -9,10 +9,8 @@ Modules:
 * geo_render  - GeoJSON ingestion and deterministic SVG map rendering
 * cli         - the `flatdisk` command-line tool
 
-Importing the package loads closedform and projection.  stress and
-variational load on first use of a name from them (PEP 562), such as
-flatdisk.total_stress or flatdisk.variational; geo_render and cli load
-when imported.
+Importing the package loads closedform and projection; stress and variational
+load on first use of a name from them (PEP 562), such as flatdisk.total_stress.
 """
 
 __version__ = "0.1.0"
@@ -40,13 +38,9 @@ _LAZY = {name: "stress" for name in
 _LAZY.update((name, "variational") for name in
              ("variational", "RadialProfile", "solve_discrete", "residual_sweep"))
 
-__all__ = [
-    "TWO_LN2", "POLE_SLOPE", "eval_f", "eval_f_prime", "eval_f_second",
-    "eval_f_mathematica_form", "eval_g", "eval_h", "eval_gamma", "eval_beta_regular",
-    "eval_beta_singular", "series_coefficients", "eval_beta_series",
-    "GeoCoord", "DiskPoint", "Hemisphere", "ProjectionMode", "forward", "inverse",
-    "closedform", "projection", *_LAZY,
-]
+# `from flatdisk import *` binds every public name above, closedform and projection
+# included, and loads and binds the lazy ones
+__all__ = [name for name in globals() if name[0] != "_"] + list(_LAZY)
 
 
 def __getattr__(name):

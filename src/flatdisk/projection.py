@@ -158,13 +158,11 @@ def inverse_radius(r, mode: ProjectionMode):
     """Colatitude theta at which the normalized disk radius is r (a float for a scalar).
 
     GGV inverts analytically.  Stress-minimal runs Newton's method from GGV's
-    inverse, theta = r * pi/2, clipped to [0, pi/2].  f is increasing and
-    convex there, so it lies below its chord from (0, 0) to (pi/2, 2 ln 2),
-    which reaches the target 2 ln 2 * r at the start: the start lies left of
-    the root.  From the left the tangent lies below f, so the first step
-    overshoots once; from then on the iterates fall monotonically onto the
-    root.  It stops once every step is below _NEWTON_TOL rad, or after
-    _NEWTON_MAX_ITER steps.
+    inverse theta = r * pi/2, clipped to [0, pi/2].  f is increasing and convex
+    there, so it lies below its chord, GGV's line to (pi/2, 2 ln 2): the start
+    lies left of the root.  From there the first step overshoots once, and then
+    the iterates fall monotonically onto the root.  It stops once every step is
+    below _NEWTON_TOL rad, or after _NEWTON_MAX_ITER steps.
     """
     r = _unit_radius(r)
     if mode is ProjectionMode.GGV:
