@@ -27,8 +27,13 @@ at least 1e6 in magnitude.
 
 g12_rows: for x of decimal exponent e in [-4, 11] (from log10, kept where hi
 lies in [1e11, 1e12)), hi = |x| * 10**(11 - e) rounded is below 2**52, and the
-12 digits are found as fixed3 finds its own; a carry to 10**12 adds one to e.
-% spells the rest one at a time: 0, -0.0, non-finite values and other e.
+12 digits m are found as fixed3 finds its own; a carry to 10**12 adds one to e.
+Floor and subtract split m into groups of four exactly, as m < 1e12 < 2**53.
+0 and -0.0 take m = 0 and are spelled "0" and "-0", the sign from signbit.
+% spells the rest one at a time: non-finite values and other e.  A cell holds
+every byte a spelling may need; ANDed with a mask of 0x00 and 0xFF bytes, its
+NULs deleted by bytes.translate (no kept byte is NUL), it is the text.  A
+boolean index by the same masks, runs of one byte, is several times slower.
 
 rows_to_text: for a positive finite x with decimal exponent e in [-6, 16],
 10**(16 - e) is an exact double and x * 10**(16 - e) = hi + lo exactly.
@@ -47,6 +52,11 @@ Elsewhere quotients gives a candidate x, kept only where digits17, the
 writer's rule, spells x as the token's decimal; as 17 digits round-trip,
 float(token) == x.  A token of 18 digits or more, or of over 22 after the
 point, fails the check, as does an x outside the writer's exact domain.
+A token of 16 digits d in [2**53, 10**16), e == 15 - k, is also kept where
+|digits17(x) - 10 d| <= 4 units of the 17th digit: digits17(x) is within half a
+unit of x, whose neighbours lie at least x * 2**-53 > 9.99 units away, so the
+token is nearer to x than to either: float(token) == x.  An x one ulp off, or a
+tie such as 9007199254740993, fails.  Only a block with a rejected token runs it.
 read_rows cuts rows into tokens with numpy and negates a leading "-".  It
 and g12_rows compare floats, not int64 arrays, and their tables are built
 in Python, so that a CSV job pages in few of numpy's loops.
@@ -75,11 +85,11 @@ _TENS = np.array([10**k for k in range(1, 7)])  # integer parts from these up ha
 # number outside the exact domain has its % spelling in bytes 0-23 instead.
 _G17_ZERO, _G17_POINT, _G17_E, _G17_MINUS, _G17_EXP, _G17_SEP = 0, 20, 21, 22, 23, 24
 _G17_FALLBACK = 23 * 17
-# A "%.12g" cell of 4 uint64: "-0.000", 12 digits at bytes 6, 8, ..., 28 each followed
-# by ".", and "," at 31.  Keep mask (neg * 16 + e + 4) * 12 + nd - 1 spells sign neg,
-# exponent e in [-4, 11] and nd digits; _G12_FALLBACK + n keeps bytes 0 to n - 1.
+# A "%.12g" cell of 4 int64: "-0.000", 12 digits at bytes 6, 8, ..., 28 each followed
+# by ".", and "," at 31.  Keep mask (neg * 16 + e + 4) * 13 + nd spells sign neg, exponent
+# e in [-4, 11] and nd digits (0 and -0.0: e = nd = 0); _G12_FALLBACK + n keeps bytes < n.
 _G12_CELL = 32
-_G12_FALLBACK = 2 * 16 * 12
+_G12_FALLBACK = 2 * 16 * 13
 _G12_ROWS = 1024  # rows per block: 192 KB of cells and masks
 _ROWS_PER_BLOCK = 4096  # bounds the temporaries: 1.6 MB of byte positions for 2 columns
 
@@ -288,7 +298,12 @@ def read_decimals(d, k):
     nd = np.floor(np.log10(np.maximum(d, 1).astype(float))) + 1.0  # d's digits, or one off
     digits, e, ok = digits17(x[slow])
     want = d * _POW10[0].take((17.0 - np.minimum(nd, 17.0)).astype(np.intp)).astype(np.int64)
-    exact[slow] = ok & ((digits - want) == 0.0) & (e == nd - 1.0 - k)
+    ok &= e == nd - 1.0 - k
+    miss = digits - want
+    exact[slow] = same = ok & (miss == 0.0)
+    if not same.all():  # 16 digits from 2**53 up, within 4 units of the 17th
+        near = (nd == 16.0) & (want >= 10 * 2.0**53) & (miss <= 4.0) & (miss >= -4.0)
+        exact[slow] = same | ok & near
     return x, exact
 
 
@@ -341,30 +356,32 @@ def read_rows(body, start, sep, parse, block):
 
 @functools.cache
 def g12_keep():
-    """The read-only keep masks of a "%.12g" cell, 4 uint64 of bool bytes each: one
-    per spelling, then one per % spelling or tail of 0 to 24 bytes (_G12_CELL)."""
+    """The read-only keep masks of a "%.12g" cell, 4 int64 of 0x00 or 0xFF bytes each:
+    one per spelling, then one per % spelling or tail of 0 to 24 bytes (_G12_CELL)."""
     rows = []
-    for neg, e, nd in product((0, 1), range(-4, 12), range(1, 13)):
+    for neg, e, nd in product((0, 1), range(-4, 12), range(13)):
         keep = {0, 31} if neg else {31}  # "-" and ","
         keep |= set(range(1, 2 - e if e < 0 else 1))  # "0." and -e - 1 zeros
-        keep |= {6 + 2 * i for i in range(max(e, nd - 1) + 1)}  # the digits
+        keep |= {6 + 2 * i for i in range(max(e, nd - 1) + 1)}  # the digits, "0" for nd = 0
         keep |= {7 + 2 * e} if 0 <= e < nd - 1 else set()  # the point
         rows.append(bytes(j in keep for j in range(_G12_CELL)))
     rows += [bytes(j < n for j in range(_G12_CELL)) for n in range(25)]
-    return np.frombuffer(b"".join(rows), np.uint64).reshape(len(rows), -1)
+    return np.frombuffer(b"".join(rows).replace(b"\1", b"\xff"), np.int64).reshape(len(rows), -1)
 
 
 def g12_rows(rows, tails):
     """Bytes of each row of the 2-d float array rows as "%.12g," per number
-    followed by the same row of tails, a uint8 array of at most 24 columns."""
+    followed by the same row of tails, a uint8 array of at most 24 columns and no NUL."""
     return b"".join(_g12_block(rows[i:i + _G12_ROWS], tails[i:i + _G12_ROWS])
                     for i in range(0, len(rows), _G12_ROWS))
 
 
 def _g12_block(x, tail):
     a = np.abs(x)
+    zero = a == 0.0
     ok = (a >= 1e-4) & (a < 1e12)  # False for 0, inf and nan
     a[~ok] = 1.0
+    ok |= zero
     e = np.minimum(np.floor(np.log10(a)), 11.0)  # 12 by rounding just below 1e12
     p = (11.0 - e).astype(np.intp)
     hi = a * _POW10[0].take(p)
@@ -378,15 +395,19 @@ def _g12_block(x, tail):
     e[m == 1e12] += 1.0  # 99999999999.95 rounds to 100000000000: one digit more
     m[m == 1e12] = 1e11
     ok &= e <= 11.0
-    groups = (np.floor(m[..., None] / [1e8, 1e4, 1.0]) % 1e4).astype(np.intp)  # exact
+    m[zero] = 0.0  # e is 0: no significant digit, spelled "0" or "-0"
+    high = np.floor(m / 1e8)  # exact digit groups, as m < 1e12 < 2**53
+    m -= high * 1e8
+    mid = np.floor(m / 1e4)
+    groups = np.stack((high, mid, m - mid * 1e4), axis=-1).astype(np.intp)
     zeros = _ZEROS4.take(groups).astype(float)
     last = zeros[..., 2]  # the trailing zeros of the 12 digits
     last += (last == 4.0) * (zeros[..., 1] + (zeros[..., 1] == 4.0) * zeros[..., 0])
     n, c = x.shape
     spelling = np.full((n, c + 1), _G12_FALLBACK + tail.shape[1] + 0.0)
-    spelling[:, :c] = ((x < 0) * 16.0 + e + 4.0) * 12.0 + (11.0 - last)
-    text = np.empty((n, c + 1, _G12_CELL // 8), np.uint64)
-    text[:, :c] = np.frombuffer(b"-0.000" + b"0." * 12 + b" ,", np.uint64)
+    spelling[:, :c] = (np.signbit(x) * 16.0 + e + 4.0) * 13.0 + (12.0 - last)
+    text = np.empty((n, c + 1, _G12_CELL // 8), np.int64)
+    text[:, :c] = np.frombuffer(b"-0.000" + b"0." * 12 + b" ,", np.int64)
     chars = text.view(np.uint8)
     chars[:, :c, 6:30:2] = digit_groups()[0].take(groups).view(np.uint8)
     chars[:, c, :tail.shape[1]] = tail
@@ -396,4 +417,5 @@ def _g12_block(x, tail):
         chars[bad[0], bad[1], :24] = np.array(spelled, "S24").view(np.uint8).reshape(
             len(spelled), -1)
         spelling[bad] = [_G12_FALLBACK + len(s) for s in spelled]
-    return chars[g12_keep().take(spelling.astype(np.intp), axis=0).view(bool)].tobytes()
+    text &= g12_keep().take(spelling.astype(np.intp), axis=0)  # NUL the bytes not kept
+    return text.tobytes().translate(None, b"\0")

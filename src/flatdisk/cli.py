@@ -180,6 +180,7 @@ def cmd_project(args) -> int:
     ASCII rows "lat,lon\\n" of 0-9 . e - + with lat in [-90, 90] and lon finite
     are read by _decimal.read_rows and written by _decimal.g12_rows, as float()
     and "%.12g,%.12g,side\\n" % would; any other stdin goes to _project_lines.
+    The north mask, read as 0 or 1, takes each side tail from "south\\n", "north\\n".
     """
     mode = ProjectionMode(args.mode)
     text = sys.stdin.read()
@@ -190,7 +191,7 @@ def cmd_project(args) -> int:
         return _project_lines(text, mode)
     r, phi, north = projection.forward_arrays(rows[0], rows[1], mode)
     sides = np.array([f"{side.value}\n" for side in projection.Hemisphere], "S")  # north first
-    tails = np.where(north[:, None], *sides.view(np.uint8).reshape(2, -1))
+    tails = sides.view(np.uint8).reshape(2, -1)[::-1].take(north.view(np.uint8), axis=0)
     sys.stdout.write(g12_rows(np.column_stack((r, phi)), tails).decode("ascii"))
     return EXIT_OK
 

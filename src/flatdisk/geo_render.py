@@ -19,7 +19,6 @@ bytes, which makes golden-file regression tests possible.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
@@ -156,6 +155,7 @@ def load_geojson(path) -> list[GeoPolyline]:
     points per ring after repeats, and the polylines are views of one array.
     _load_ring_by_ring reads any other document and words every error.
     """
+    import json  # here, so that render profile loads no json
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     features = doc.get("features", []) if isinstance(doc, dict) else None

@@ -523,6 +523,13 @@ class TestModulesLoaded:
         assert "flatdisk.geo_render" in loaded
         assert not loaded & {"flatdisk.stress", "flatdisk.variational", "scipy"}
 
+    def test_render_profile_loads_no_json(self, tmp_path):
+        loaded = _loaded_by("from flatdisk import cli\n"
+                            "assert cli.main(['render', 'profile', '--out', sys.argv[1]]) == 0",
+                            str(tmp_path / "p.svg"))
+        assert "flatdisk.geo_render" in loaded
+        assert not loaded & {"json", "flatdisk.stress", "flatdisk.variational", "scipy"}
+
     def test_package_import_leaves_stress_and_variational_unloaded(self):
         loaded = _loaded_by("import flatdisk")
         assert {"flatdisk.closedform", "flatdisk.projection"} <= loaded

@@ -167,6 +167,18 @@ class TestG12:
     def test_empty(self):
         assert _decimal.g12_rows(np.empty((0, 2)), np.empty((0, 6), np.uint8)) == b""
 
+    @pytest.mark.parametrize("n", [1023, 1024, 1025])
+    def test_cells_across_a_block_cut(self, n):
+        # zeros, poles (0,0) and % spellings in every block, at its ends and on both
+        # sides of the cut after row 1024, with both tails
+        special = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (np.inf, np.nan),
+                   (1e-5, 1e12), (-1e12, -1e-5), (-np.inf, 0.25)]
+        rows = np.random.default_rng(n).uniform(-4.0, 4.0, (n, 2))
+        rows[::5] = np.resize(special, (len(rows[::5]), 2))
+        ends = [i for i in (1022, 1023, 1024) if i < n] + [n - 1]
+        rows[ends] = special[:len(ends)]
+        assert_g12_as_percent(rows.ravel())
+
 
 class TestReadRows:
     """_decimal.read_rows against float(), bit for bit, on CSV and profile rows."""
@@ -195,6 +207,61 @@ class TestReadRows:
         got = _decimal.read_rows(body, 0, ",", parse, 2**16)
         want = np.array([float(t) for t in body.replace("\n", ",").split(",")[:-1]])
         assert np.array_equal(got.T.ravel().view(np.int64), want.view(np.int64))
+
+
+def sixteen_digit_tokens(seed, n):
+    """(near, fives, ties): tokens of 16 digits d in [2**53, 10**16) and either sign.
+    near and fives spell doubles x rounded to 16 digits, 0 to 15 of them after the
+    point; near are those within 4 units of the 17th digit of x, fives 5 units from
+    it.  ties are the odd integers d, halfway between two doubles."""
+    rng = np.random.default_rng(seed)
+    k = rng.integers(0, 16, n)
+    x = rng.uniform(2.0**53 + 4.0, 9.99e15, n) / 10.0**k
+    near, fives = [], []
+    for v, k, neg in zip(x.tolist(), k.tolist(), (rng.random(n) < 0.5).tolist()):
+        d = ("%.15e" % v).partition("e")[0].replace(".", "")
+        token = "-" * neg + d[:16 - k] + "." * (k > 0) + d[16 - k:]
+        seventeenth = ("%.16e" % v)[17]  # "9.0071992547409935e+15"[17]: the digit after d
+        (fives if seventeenth == "5" else near).append(token)
+    ties = rng.integers(2**52, 5 * 10**15, n // 10) * 2 + 1
+    ties = ["-" * (i % 2) + str(d) for i, d in enumerate(ties.tolist())]
+    return near, fives, ["9007199254740993", "-9999999999999997"] + ties
+
+
+def read_with_float_spied(tokens):
+    """read_rows on tokens, two a row, and the tokens it passed to float()."""
+    seen = []
+    body = "".join(f"{a},{b}\n" for a, b in zip(tokens[::2], tokens[1::2]))
+    got = _decimal.read_rows(body, 0, ",", lambda t: seen.append(t.decode()) or float(t), 2**16)
+    want = np.array([float(t) for t in tokens])
+    assert np.array_equal(got.T.ravel().view(np.int64), want.view(np.int64))
+    return seen
+
+
+class TestSixteenDigits:
+    """16-digit tokens from 2**53 up: a quotient within 4 units of the 17th digit is kept."""
+
+    def test_only_ties_and_fives_reach_float(self):
+        near, fives, ties = sixteen_digit_tokens(28, 20_000)
+        assert len(near) > 10_000 and len(fives) > 500
+        tokens = near + fives + ties
+        np.random.default_rng(29).shuffle(tokens)
+        assert read_with_float_spied(tokens) == [t for t in tokens if t not in near]
+
+    def test_quotients_one_ulp_off_are_never_kept(self, monkeypatch):
+        # every token leaves Clinger's path, so every candidate is off and goes to float()
+        near, fives, ties = sixteen_digit_tokens(30, 4_000)
+        quotients = _decimal.quotients
+
+        def wrong(d, k):
+            x = quotients(d, k)
+            x[0::2] = np.nextafter(x[0::2], np.inf)
+            x[1::2] = np.nextafter(x[1::2], 0.0)
+            return x
+
+        monkeypatch.setattr(_decimal, "quotients", wrong)
+        tokens = near + fives + ties
+        assert read_with_float_spied(tokens) == tokens
 
 
 # --- the SVG writer it replaced, kept verbatim as the oracle ----------------
