@@ -381,7 +381,7 @@ def _g12_block(x, tail):
     zero = a == 0.0
     ok = (a >= 1e-4) & (a < 1e12)  # False for 0, inf and nan
     a[~ok] = 1.0
-    ok |= zero
+    ok |= zero  # 0 and -0.0 run as 1.0 until m is set to 0
     e = np.minimum(np.floor(np.log10(a)), 11.0)  # 12 by rounding just below 1e12
     p = (11.0 - e).astype(np.intp)
     hi = a * _POW10[0].take(p)
