@@ -30,10 +30,7 @@ lies in [1e11, 1e12)), hi = |x| * 10**(11 - e) rounded is below 2**52, and the
 12 digits m are found as fixed3 finds its own; a carry to 10**12 adds one to e.
 Floor and subtract split m into groups of four exactly, as m < 1e12 < 2**53.
 0 and -0.0 take m = 0 and are spelled "0" and "-0", the sign from signbit.
-% spells the rest one at a time: non-finite values and other e.  A cell holds
-every byte a spelling may need; ANDed with a mask of 0x00 and 0xFF bytes, its
-NULs deleted by bytes.translate (no kept byte is NUL), it is the text.  A
-boolean index by the same masks, runs of one byte, is several times slower.
+% spells the rest one at a time: non-finite values and other e.
 
 rows_to_text: for a positive finite x with decimal exponent e in [-6, 16],
 10**(16 - e) is an exact double and x * 10**(16 - e) = hi + lo exactly.
@@ -43,6 +40,12 @@ taken from log10 and kept only where hi + lo lies in [1e16, 1e17) and the
 17 digits stay below 1e17.  % spells the rest one at a time: zero, -0.0,
 negatives, inf, nan, x below 1e-6 or from 1e17 up, and the rare x next to
 a power of ten whose log10 gives the wrong e.
+
+Both g12_rows and rows_to_text give each number a cell that holds every byte
+its spelling may need, the digits interleaved with point slots, or its %
+spelling.  ANDed with a mask of 0x00 and 0xFF bytes chosen by the spelling,
+its NULs deleted by bytes.translate (no kept byte is NUL), it is the text.  A
+boolean index by the same masks, runs of one byte, is several times slower.
 
 read_decimals reads a token as d / 10**k, d its digits and k those after
 the point (W. D. Clinger, PLDI 1990; D. Lemire, Softw. Pract. Exper. 51,
@@ -66,7 +69,6 @@ from __future__ import annotations
 
 import functools
 from itertools import chain, product
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,11 +81,11 @@ _FIXED3_SEP = 12
 _KEEP = np.array([[s <= j <= _FIXED3_SEP for j in range(16)] for s in range(_FIXED3_SEP + 2)])
 _TENS = np.array([10**k for k in range(1, 7)])  # integer parts from these up have one more digit
 
-# A "%.17g" row of 8 uint32: the digit groups "000d", "dddd" x 4 of its 17
-# significant digits (bytes 0-19, byte 0 a spare "0"), ".e-" and the exponent
-# digit of e-05 / e-06 (20-23), and the separator that follows it (24).  A
-# number outside the exact domain has its % spelling in bytes 0-23 instead.
-_G17_ZERO, _G17_POINT, _G17_E, _G17_MINUS, _G17_EXP, _G17_SEP = 0, 20, 21, 22, 23, 24
+# A "%.17g" cell of 6 int64: "0.000", 17 digits at bytes 5, 7, ..., 37 each followed
+# by ".", "e-0" and the exponent digit of e-05 / e-06 (39-42), and the separator (43).
+# Keep mask (e + 6) * 17 + nd - 1 spells exponent e in [-6, 16] and nd digits;
+# _G17_FALLBACK + n keeps bytes < n, a % spelling and its separator.
+_G17_CELL = 48
 _G17_FALLBACK = 23 * 17
 # A "%.12g" cell of 4 int64: "-0.000", 12 digits at bytes 6, 8, ..., 28 each followed
 # by ".", and "," at 31.  Keep mask (neg * 16 + e + 4) * 13 + nd spells sign neg, exponent
@@ -91,7 +93,7 @@ _G17_FALLBACK = 23 * 17
 _G12_CELL = 32
 _G12_FALLBACK = 2 * 16 * 13
 _G12_ROWS = 1024  # rows per block: 192 KB of cells and masks
-_ROWS_PER_BLOCK = 4096  # bounds the temporaries: 1.6 MB of byte positions for 2 columns
+_ROWS_PER_BLOCK = 4096  # bounds the temporaries: 0.8 MB of cells and masks for 2 columns
 
 
 def dekker_split(a):
@@ -177,37 +179,21 @@ def fixed3(x, sep):
 
 @functools.cache
 def g17_tables():
-    """The read-only "%.17g" tables: positions, the source-byte positions of each
-    spelling and then of the separator; lengths, the spelling lengths.  Row
-    (e + 6) * 17 + nd - 1 spells a number of decimal exponent e in [-6, 16] and
-    nd significant digits as %.17g does: ddd[.ddd] for e >= 0, 0.000ddd for
-    e >= -4, d[.ddd]e-0X below; row _G17_FALLBACK + n copies n bytes of a %
-    spelling."""
-    digits = list(range(3, 20))
-    bodies = []
-    for e in range(-6, 17):
-        for nd in range(1, 18):
-            if e >= 0:
-                body = digits[:max(nd, e + 1)]
-                if nd > e + 1:
-                    body.insert(e + 1, _G17_POINT)
-            elif e >= -4:
-                body = [_G17_ZERO, _G17_POINT] + [_G17_ZERO] * (-e - 1) + digits[:nd]
-            else:
-                body = digits[:nd] + [_G17_E, _G17_MINUS, _G17_ZERO, _G17_EXP]
-                if nd > 1:
-                    body.insert(1, _G17_POINT)
-            bodies.append(body)
-    bodies += [list(range(n)) for n in range(25)]
-    positions = np.zeros((len(bodies), _G17_SEP + 1), np.intp)
-    lengths = np.empty(len(bodies), np.uint8)
-    for k, body in enumerate(bodies):
-        positions[k, :len(body) + 1] = body + [_G17_SEP]
-        lengths[k] = len(body)
-    tables = SimpleNamespace(positions=positions, lengths=lengths)
-    for table in vars(tables).values():
-        table.flags.writeable = False
-    return tables
+    """The read-only keep masks of a "%.17g" cell, 6 int64 of 0x00 or 0xFF bytes each:
+    one per spelling, ddd[.ddd] for e >= 0, 0.0ddd for e >= -4 and d[.ddd]e-0X below,
+    then one per % spelling and separator of 0 to 25 bytes (_G17_CELL)."""
+    rows = []
+    for e, nd in product(range(-6, 17), range(1, 18)):
+        keep = {43} | {5 + 2 * i for i in range(max(nd, e + 1))}  # the separator and digits
+        if e < -4:  # "e-0X", and the point after the lead digit if more follow
+            keep |= {6, 39, 40, 41, 42} if nd > 1 else {39, 40, 41, 42}
+        elif e < 0:  # "0." and -e - 1 zeros
+            keep |= set(range(1 - e))
+        elif e < nd - 1:  # the point after digit e
+            keep.add(6 + 2 * e)
+        rows.append(bytes(j in keep for j in range(_G17_CELL)))
+    rows += [bytes(j < n for j in range(_G17_CELL)) for n in range(26)]
+    return np.frombuffer(b"".join(rows).replace(b"\1", b"\xff"), np.int64).reshape(len(rows), -1)
 
 
 def rows_to_text(rows):
@@ -243,20 +229,19 @@ def numbers_to_text(x, sep):
     """Bytes of "%.17g" % x[i] followed by the byte sep[i], for every i; sep is a
     uint8 array as long as x.  % spells x outside the exact domain (module docstring)."""
     digits4 = digit_groups()[0]
-    tables = g17_tables()
     digits, e, ok = digits17(x)
-    src = np.empty((len(x), 8), np.uint32)
     lead = digits // 10**16
     rest = digits - lead * 10**16
     high8 = rest // 10**8
     low8 = rest - high8 * 10**8
     groups = [lead, high8 // 10**4, high8 % 10**4, low8 // 10**4, low8 % 10**4]
-    for col, group in enumerate(groups):
-        src[:, col] = digits4[group]
-    src[:, 5] = np.frombuffer(b".e-0", np.uint32)
-    text = src.view(np.uint8)
-    text[:, _G17_EXP] = ord("0") - e
-    text[:, _G17_SEP] = sep
+    text = np.empty((len(x), _G17_CELL // 8), np.int64)
+    chars = text.view(np.uint8)
+    zero = digits4[:1].tobytes()[:1]  # the table's "0", for "0.000"
+    chars[:, :42] = np.frombuffer(zero + b"." + zero * 3 + b"0." * 17 + b"e-0", np.uint8)
+    chars[:, 5:39:2] = digits4.take(np.stack(groups, axis=1)).view(np.uint8)[:, 3:]
+    chars[:, 42] = ord("0") - e
+    chars[:, 43] = sep
     zeros = _ZEROS4[groups[4]]  # trailing zeros after the lead digit
     j = np.flatnonzero(zeros == 4)
     for group in groups[3:0:-1]:
@@ -265,14 +250,11 @@ def numbers_to_text(x, sep):
     spelling = (e + 6) * 17 + (16 - zeros)
     if not ok.all():
         bad = np.flatnonzero(~ok)
-        fallback = ["%.17g" % v for v in x[bad].tolist()]
-        text[bad, :24] = np.array(fallback, "S24").view(np.uint8).reshape(-1, 24)
-        spelling[bad] = _G17_FALLBACK + np.array([len(s) for s in fallback])
-    positions = tables.positions.take(spelling, axis=0)
-    positions += np.arange(0, text.size, text.shape[1])[:, None]
-    chars = text.ravel().take(positions)
-    keep = np.arange(_G17_SEP + 1, dtype=np.uint8) <= tables.lengths[spelling][:, None]
-    return chars[keep].tobytes()
+        spelled = ["%.17g%c" % vs for vs in zip(x[bad].tolist(), sep[bad].tolist())]
+        chars[bad, :25] = np.array(spelled, "S25").view(np.uint8).reshape(-1, 25)
+        spelling[bad] = [_G17_FALLBACK + len(s) for s in spelled]
+    text &= g17_tables().take(spelling, axis=0)  # NUL the bytes not kept
+    return text.tobytes().translate(None, b"\0")
 
 
 def quotients(d, k):
@@ -308,16 +290,17 @@ def read_decimals(d, k):
 
 
 def read_rows(body, start, sep, parse, block):
-    """(2, n) array of the n rows "token<sep>token\\n" of the ASCII str body[start:]
-    (the last "\\n" optional), read in blocks of about block bytes as parse (float)
-    reads them; None for a byte not in 0-9 . e - + sep "\\n", another layout, or a
-    token parse rejects."""
+    """(2, n) array of the n rows "token<sep>token\\n" of the str body[start:]
+    (the last "\\n" optional), read in blocks of about block characters as parse
+    (float) reads them; None for a character not in 0-9 . e - + sep "\\n", another
+    layout, or a token parse rejects."""
     rows, row = np.empty((2, body.count("\n", start) + 1)), 0
     code, others = ord(sep), b"0123456789.\n" + sep.encode()
     spaced = bytes.maketrans(b"e-+" + sep.encode(), b"000 ")
     while start < len(body):
         end = body.find("\n", start + block) + 1 or len(body)  # 0: no "\n" left
-        chunk, start = body[start:end].encode() + b"\n"[:body[end - 1] != "\n"], end
+        chunk = body[start:end].encode("ascii", "replace")  # "?" for the others: rejected
+        chunk, start = chunk + b"\n"[:body[end - 1] != "\n"], end
         signs = chunk.translate(None, others)
         if signs.translate(None, b"e-+"):
             return None

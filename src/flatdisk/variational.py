@@ -212,7 +212,7 @@ def profile_to_text(profile: RadialProfile, comment: str = "") -> str:
     return "\n".join(lines) + "\n" + rows.decode("ascii")
 
 
-_NOT_BLANK = re.compile(r"\S")  # on ASCII text: a character str.isspace() rejects
+_NOT_BLANK = re.compile(r"\S")  # a character str.isspace() rejects
 _READ_BLOCK = 2**16  # bytes per step of _read_rows, cut after a "\n": bounds its temporaries
 
 
@@ -251,7 +251,8 @@ def parse_profile(text: str) -> RadialProfile:
     Format: one sample per line, theta and f(theta) as two whitespace-
     separated floats (profile_to_text writes %.17g); blank lines and lines
     whose first non-blank character is # are skipped.  Below its top #
-    lines, ASCII text in the written layout is read by _read_rows; any
+    lines, which may hold any character but a line break other than "\n",
+    ASCII text in the written layout is read by _read_rows; any
     other text, and any token float() rejects, is read line by line by
     _parse_lines.  Both give the numbers float() gives, and a bad line
     raises ValueError naming its line number.
@@ -262,7 +263,7 @@ def parse_profile(text: str) -> RadialProfile:
     rows = None
     # _read_rows ends lines at "\n" alone, where str.splitlines also ends them
     # at "\r" and the other breaks, also inside the top # lines
-    if (text.isascii() and not any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e")
+    if (not any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
             and _NOT_BLANK.search(text, start)):
         rows = _read_rows(text, start)
     thetas, values = _parse_lines(text) if rows is None else rows

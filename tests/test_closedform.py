@@ -104,15 +104,18 @@ class TestEvalF:
 
 
 class TestMpmathReference:
-    @pytest.mark.parametrize("column, fn", [
-        (1, cf.eval_f), (2, cf.eval_f_prime), (3, cf.eval_f_second), (4, cf.eval_g),
+    # bounds: the smallest power of ten at least twice the error measured,
+    # 2.2e-16 (2 ulp) for f, f' and g and 1.1e-15 (8 ulp) for f''
+    @pytest.mark.parametrize("column, fn, bound", [
+        (1, cf.eval_f, 1e-15), (2, cf.eval_f_prime, 1e-15), (3, cf.eval_f_second, 1e-14),
+        (4, cf.eval_g, 1e-15),
     ], ids=["f", "f_prime", "f_second", "g"])
-    def test_relative_error(self, column, fn):
+    def test_relative_error(self, column, fn, bound):
         theta = np.array([row[0] for row in MPMATH_REF])
         want = np.array([float(row[column]) for row in MPMATH_REF])
-        assert np.max(np.abs(fn(theta) / want - 1.0)) <= 1e-14
+        assert np.max(np.abs(fn(theta) / want - 1.0)) <= bound
         for t, w in zip(theta.tolist(), want.tolist()):
-            assert fn(t) == pytest.approx(w, rel=1e-14, abs=0)
+            assert fn(t) == pytest.approx(w, rel=bound, abs=0)
 
     def test_exact_pole_values(self):
         for t in (0.0, np.array([0.0, 1e-3])):
