@@ -14,8 +14,9 @@ one guarded quadrature, _integrate: one grid, one overflow guard, one
 non-finite check and one Simpson sum.
 
 A sampled profile enters the functional through its not-a-knot cubic
-spline, built here by the same algorithm as scipy.interpolate.CubicSpline
-(one LAPACK solve from scipy.linalg), so scipy.interpolate is never loaded.
+spline, built here by the same algorithm as scipy.interpolate.CubicSpline.
+Its knot slopes come from a numpy tridiagonal elimination that rounds as
+LAPACK's gtsv does on these systems, so no scipy module is loaded.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import closedform
 from .closedform import HALF_PI
@@ -61,14 +63,16 @@ class RadialFunction:
     """An admissible radial stretch function with its analytic derivative.
 
     value and derivative are vectorized callables on [0, pi/2]; the optional
-    second_derivative is needed only by ODE-residual evaluation.  Construction
-    checks value(0) = 0 and spot-checks derivative consistency by central
-    differences, to within 1e-6 of the larger of 1 and the largest slope.
+    second_derivative is needed only by ODE-residual evaluation, and the
+    optional value_and_derivative gives (value, derivative) with shared work.
+    Construction checks value(0) = 0 and spot-checks derivative consistency by
+    central differences, to within 1e-6 of the larger of 1 and the largest slope.
     """
 
     value: Callable
     derivative: Callable
     second_derivative: Optional[Callable] = None
+    value_and_derivative: Optional[Callable] = None
 
     def __post_init__(self):
         v0 = float(self.value(0.0))
@@ -88,6 +92,7 @@ def closed_form_radial() -> RadialFunction:
         value=closedform.eval_f,
         derivative=closedform.eval_f_prime,
         second_derivative=closedform.eval_f_second,
+        value_and_derivative=closedform._f_and_prime,  # one half-angle pass for both
     )
 
 
@@ -113,57 +118,121 @@ def profile_radial(profile) -> RadialFunction:
     """Bridge a sampled RadialProfile into the functional by cubic interpolation.
 
     The interpolant is the not-a-knot cubic spline through the samples, built
-    and evaluated by the same algorithm as scipy.interpolate.CubicSpline.
+    and evaluated by the same algorithm as scipy.interpolate.CubicSpline; its
+    value_and_derivative finds each point's piece once for both.
     """
-    value, derivative, second = _not_a_knot_spline(profile.thetas, profile.values)
-    return RadialFunction(value=value, derivative=derivative, second_derivative=second)
+    x = profile.thetas
+    piece, *powers = _spline_pieces(x, profile.values)
+    value, derivative, second = (_piecewise_polynomial(x, piece, c) for c in powers)
+    return RadialFunction(value, derivative, second, _piecewise_polynomial(x, piece, *powers[:2]))
 
 
 def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable, Callable]:
-    """Evaluators of the not-a-knot cubic spline through (x, y) and of its f', f''.
+    """Evaluators of the not-a-knot cubic spline through (x, y) and of its f', f''."""
+    piece, *powers = _spline_pieces(x, y)
+    return tuple(_piecewise_polynomial(x, piece, c) for c in powers)
 
-    The knot slopes solve the tridiagonal system of C. de Boor, A Practical
-    Guide to Splines, ch. IV, whose end rows make the third derivative
-    continuous at x[1] and x[-2]; with 3 samples the spline is the parabola
-    through them.  Piece i is the cubic Hermite polynomial in (t - x[i])
-    matching the values and slopes at both of its ends.
+
+def _spline_pieces(x: np.ndarray, y: np.ndarray) -> tuple:
+    """The piece finder of x, then the per-power coefficients of the
+    not-a-knot cubic spline through (x, y), of its f' and of its f''.
+
+    The knot slopes solve the tridiagonal system _slope_system.  Piece i is
+    the cubic Hermite polynomial in (t - x[i]) matching the values and slopes
+    at both of its ends.
     """
-    # imported here, not at module level: the package loads scipy only on
-    # the paths that solve a linear system
-    from scipy.linalg import solve, solve_banded
-
-    n = len(x)
     dx = np.diff(x)
     slope = np.diff(y) / dx
-    if n == 3:  # solved densely, as CubicSpline does, so the slopes round alike
-        a = np.array([[1.0, 1.0, 0.0],
-                      [dx[1], 2 * (dx[0] + dx[1]), dx[0]],
-                      [0.0, 1.0, 1.0]])
-        b = np.array([2 * slope[0], 3 * (dx[0] * slope[1] + dx[1] * slope[0]), 2 * slope[1]])
-        s = solve(a, b, overwrite_a=True, overwrite_b=True, check_finite=False)
-    else:
-        ab = np.zeros((3, n))  # rows: upper diagonal, diagonal, lower diagonal
-        b = np.empty(n)
-        ab[0, 2:] = dx[:-1]
-        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        ab[2, :-2] = dx[1:]
-        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        d = x[2] - x[0]
-        ab[1, 0] = dx[1]
-        ab[0, 1] = d
-        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
-        d = x[-1] - x[-3]
-        ab[1, -1] = dx[-2]
-        ab[2, -2] = d
-        b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
-                         check_finite=False)
+    s = _tridiagonal(*_slope_system(dx, slope, x))
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
-    piece = _piece_finder(x)
-    return (_piecewise_polynomial(x, piece, (c3, c2, c1, c0)),
-            _piecewise_polynomial(x, piece, (3 * c3, 2 * c2, c1)),
-            _piecewise_polynomial(x, piece, (6 * c3, 2 * c2)))
+    return _piece_finder(x), (c3, c2, c1, c0), (3 * c3, 2 * c2, c1), (6 * c3, 2 * c2)
+
+
+def _slope_system(dx: np.ndarray, slope: np.ndarray, x: np.ndarray) -> tuple:
+    """(lower, diag, upper, rhs) of CubicSpline's not-a-knot slope system.
+
+    The rows are those of C. de Boor, A Practical Guide to Splines, ch. IV,
+    whose end rows make the third derivative continuous at x[1] and x[-2];
+    with 3 samples the end rows are those of the parabola through them.
+    """
+    lower = np.concatenate((dx[1:], [x[-1] - x[-3]]))
+    upper = np.concatenate(([x[2] - x[0]], dx[:-1]))
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    rhs = np.concatenate(([0.0], 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]), [0.0]))
+    if len(x) == 3:
+        lower[-1] = upper[0] = diag[0] = diag[-1] = 1.0
+        rhs[0], rhs[-1] = 2 * slope[0], 2 * slope[1]
+    else:
+        d = upper[0]
+        rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+        d = lower[-1]
+        rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    return lower, diag, upper, rhs
+
+
+def _tridiagonal(lower, diag, upper, rhs, warmup: int = 48) -> np.ndarray:
+    """Solution of the tridiagonal system by Gaussian elimination without pivoting.
+
+    lower and upper are the sub- and superdiagonal.  Row by row this is
+    LAPACK's gtsv (behind scipy.linalg.solve_banded((1, 1), ...)) where gtsv
+    interchanges no rows, as on the spline system of a uniform grid over
+    [0, pi/2], so the two give the same floats there.  Both sweeps run in
+    windows (_windowed).
+    """
+    d, b = _windowed(_eliminate, (np.inf, 0.0),
+                     ((diag, 1.0), (rhs, 0.0), (lower, 0.0), (upper, 0.0)), warmup)
+    x, = _windowed(_substitute, (0.0,), ((d[::-1], 1.0), (b[::-1], 0.0), (upper[::-1], 0.0)),
+                   warmup)
+    return x[::-1]
+
+
+def _eliminate(new, old, diag, rhs, lower, upper):
+    """Forward elimination: the pivot and right-hand side of a row from the row above."""
+    m = lower / old[0]
+    np.subtract(diag, m * upper, out=new[0])
+    np.subtract(rhs, m * old[1], out=new[1])
+
+
+def _substitute(new, old, diag, rhs, upper):
+    """Back substitution: the unknown of a row from the one below it."""
+    np.divide(rhs - upper * old[0], diag, out=new[0])
+
+
+def _windowed(step, initial: tuple, coefficients: tuple, warmup: int, window: int = 64) -> list:
+    """The states at rows 0..n-1 of the recurrence step, in windows side by side.
+
+    step(new, old, *c) writes into the arrays new the state that follows the
+    state old at a row with coefficients c.  coefficients holds (array, fill)
+    pairs, each array ending at row n - 1 (a shorter one starts later), and
+    the rows before an array's start take its fill, which leaves the state
+    initial where it is.  Each window of `window` rows starts `warmup` >= 1
+    rows early from initial: the recurrences here contract (by about 0.27 a
+    row on a spline system), so the warm-up ends on the floats of the
+    sequential loop.  Each seam is checked; from the first whose warm-up ends
+    on other floats, the rows are run one at a time, so the result is always
+    the sequential loop's.
+    """
+    n = len(coefficients[0][0])
+    if n <= window:
+        window, warmup = n, 0
+    count = -(-n // window)
+    total = count * window + warmup  # rows, counting the fill
+    padded = [np.concatenate((np.full(total - len(c), fill), c)) for c, fill in coefficients]
+    columns = [sliding_window_view(c, warmup + window)[::window].T for c in padded]
+    table = [np.empty((warmup + window, count)) for _ in initial]
+    old = tuple(np.full(count, v) for v in initial)
+    for new, c in zip(zip(*table), zip(*columns)):
+        step(new, old, *c)
+        old = new
+    out = [t[warmup:].T.ravel()[total - warmup - n:] for t in table]
+    # bad[0] + 1 is the first window whose warm-up missed; first, its first row
+    bad = np.flatnonzero(np.any([t[warmup - 1, 1:] != t[-1, :-1] for t in table], axis=0))
+    first = n - window * (count - 1 - bad[0]) if bad.size else n
+    for r in range(first, n):
+        step([o[r:r + 1] for o in out], [o[r - 1:r] for o in out],
+             *(c[r + total - n:r + total - n + 1] for c in padded))
+    return out
 
 
 def _piece_finder(x: np.ndarray) -> Callable:
@@ -192,38 +261,49 @@ def _piece_finder(x: np.ndarray) -> Callable:
     return find
 
 
-def _piecewise_polynomial(x: np.ndarray, piece: Callable, c: tuple) -> Callable:
-    """Evaluator of the piecewise polynomial with breakpoints x, coefficients c.
+def _piecewise_polynomial(x: np.ndarray, piece: Callable, *polynomials: tuple) -> Callable:
+    """Evaluator of piecewise polynomials with breakpoints x, at one piece search.
 
-    c holds one array per power, highest first, with one entry per piece,
-    and piece(t) gives each t's piece (see _piece_finder).  A point outside
-    [x[0], x[-1]] uses the nearest end piece, and NaN gives NaN.
+    Each polynomial holds one coefficient array per power, highest first,
+    with one entry per piece, and piece(t) gives each t's piece (see
+    _piece_finder).  A point outside [x[0], x[-1]] uses the nearest end
+    piece, and NaN gives NaN.  The evaluator returns the value of each
+    polynomial, or the one value when there is one polynomial.
     """
     def evaluate(t):
         t = np.asarray(t, dtype=float)
         i = piece(t)
         s = t - x[i]
-        out, z = c[-1][i], 1.0
-        for row in c[-2::-1]:  # the sum in increasing powers of s, as PPoly forms it
-            z = z * s
-            out = out + row[i] * z
-        return out
+        values = []
+        for c in polynomials:
+            out, z = c[-1][i], 1.0
+            for row in c[-2::-1]:  # the sum in increasing powers of s, as PPoly forms it
+                z = z * s
+                out = out + row[i] * z
+            values.append(out)
+        return values[0] if len(values) == 1 else tuple(values)
     return evaluate
 
 
 def sigma(rf: RadialFunction, theta):
     """Meridional (tangential) stress f'(theta) - 1."""
-    theta = closedform.clamp_colatitude(theta)
-    out = np.asarray(rf.derivative(theta), dtype=float) - 1.0
-    return float(out) if np.ndim(theta) == 0 else out
+    return _stresses(rf, theta)[0]
 
 
 def rho(rf: RadialFunction, theta):
     """Hoop stress f(theta)/sin(theta) - 1, with the L'Hopital limit f'(0) - 1 at 0."""
+    return _stresses(rf, theta)[1]
+
+
+def _stresses(rf: RadialFunction, theta):
+    """(sigma, rho, sin theta) from one evaluation of f and f'; floats for a scalar theta."""
     theta = np.asarray(closedform.clamp_colatitude(theta), dtype=float)
-    out = np.divide(np.asarray(rf.value(theta), dtype=float), np.sin(theta),
-                    out=np.full_like(theta, rf.derivative(0.0)), where=theta != 0.0) - 1.0
-    return float(out) if theta.ndim == 0 else out
+    both = rf.value_and_derivative or (lambda t: (rf.value(t), rf.derivative(t)))
+    f, f_prime = (np.asarray(v, dtype=float) for v in both(theta))
+    s = np.sin(theta)
+    out = (f_prime - 1.0,
+           np.divide(f, s, out=f_prime.copy(), where=theta != 0.0) - 1.0, s)
+    return tuple(map(float, out)) if theta.ndim == 0 else out
 
 
 def _integrate(grid_size: int, integrands: Callable) -> list:
@@ -264,8 +344,8 @@ def total_stress(rf: RadialFunction, grid_size: int) -> StressReport:
     integrand is smooth and the estimate converges at fourth order.
     """
     def integrands(thetas):
-        weight = 2.0 * math.pi * np.sin(thetas)
-        sig, rh = sigma(rf, thetas), rho(rf, thetas)
+        sig, rh, s = _stresses(rf, thetas)
+        weight = 2.0 * math.pi * s
         return sig * sig * weight, rh * rh * weight
     tangential, hoop = _integrate(grid_size, integrands)
     return StressReport(tangential + hoop, tangential, hoop, grid_size)

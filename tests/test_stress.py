@@ -178,19 +178,75 @@ class TestProfileSpline:
         assert np.array_equal(second(t), np.zeros(4))
 
     def test_stress_profile_stdout_frozen(self, capsys, tmp_path):
-        # printed by the scipy.interpolate.CubicSpline version of profile_radial
+        # the profile is the refined solve's; the digits are those the
+        # scipy.interpolate.CubicSpline version of profile_radial prints for it
         path = tmp_path / "p.txt"
         assert cli.main(["solve", "--n", "4096", "--out", str(path)]) == 0
         capsys.readouterr()
         want = {"1024": ("  total            0.2456346715\n"
-                         "  tangential_part  0.0763395711588\n"
-                         "  hoop_part        0.169295100342\n"),
+                         "  tangential_part  0.076339571171\n"
+                         "  hoop_part        0.169295100329\n"),
                 "4096": ("  total            0.245634671498\n"
-                         "  tangential_part  0.0763395711583\n"
-                         "  hoop_part        0.169295100339\n")}
+                         "  tangential_part  0.0763395711705\n"
+                         "  hoop_part        0.169295100327\n")}
         for grid, body in want.items():
             assert cli.main(["stress", "--profile", str(path), "--grid", grid]) == 0
             assert capsys.readouterr().out == f"{path}\n{body}"
+
+
+def sequential_elimination(lower, diag, upper, rhs):
+    """Gaussian elimination without pivoting, one row at a time: the reference
+    for stress._tridiagonal, and LAPACK gtsv's loop wherever it interchanges no rows."""
+    lower, upper, d, b = lower.tolist(), upper.tolist(), diag.tolist(), rhs.tolist()
+    for i in range(1, len(d)):
+        m = lower[i - 1] / d[i - 1]
+        d[i] -= m * upper[i - 1]
+        b[i] -= m * b[i - 1]
+    x = [0.0] * len(d)
+    x[-1] = b[-1] / d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        x[i] = (b[i] - upper[i] * x[i + 1]) / d[i]
+    return np.array(x)
+
+
+def profile_system(n):
+    """The slope system of the spline through the closed form at n uniform knots."""
+    x = np.linspace(0.0, math.pi / 2, n)
+    dx = np.diff(x)
+    return stress._slope_system(dx, np.diff(cf.eval_f(x)) / dx, x)
+
+
+class TestTridiagonal:
+    """stress._tridiagonal, the windowed elimination behind the spline's slopes."""
+
+    @pytest.mark.parametrize("n", [3, 17, 64, 65, 1025, 2**15 + 1])
+    def test_equals_the_sequential_loop(self, n):
+        system = profile_system(n)
+        assert np.array_equal(stress._tridiagonal(*system), sequential_elimination(*system))
+
+    @pytest.mark.parametrize("warmup, repairs", [(1, True), (48, False)])
+    def test_a_short_warmup_is_repaired(self, monkeypatch, warmup, repairs):
+        # a row run on its own, by the repair loop, is a step on 1-element arrays
+        sizes = []
+
+        def eliminate(new, old, *c):
+            sizes.append(new[0].size)
+            step(new, old, *c)
+        step = stress._eliminate
+        monkeypatch.setattr(stress, "_eliminate", eliminate)
+        system = profile_system(1025)
+        got = stress._tridiagonal(*system, warmup=warmup)
+        assert (1 in sizes) is repairs
+        assert np.array_equal(got, sequential_elimination(*system))
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 1025, 2**15 + 1])
+    def test_equals_lapack_on_profile_systems(self, n):
+        from scipy.linalg import solve_banded
+
+        lower, diag, upper, rhs = profile_system(n)
+        banded = np.vstack((np.concatenate(([0.0], upper)), diag, np.concatenate((lower, [0.0]))))
+        assert np.array_equal(stress._tridiagonal(lower, diag, upper, rhs),
+                              solve_banded((1, 1), banded, rhs))
 
 
 class TestTotalStress:

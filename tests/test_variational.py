@@ -82,37 +82,47 @@ class TestResidualSweep:
 
 
 def reference_solve(n):
-    """Pure-Python assembly and Thomas elimination: the oracle for solve_discrete.
+    """The oracle for solve_discrete: its minimizer to 40 digits, from its float inputs.
 
     Adds each interval's 2x2 quadratic form in (f_{i-1}, f_i) into a
     tridiagonal system with f_0 = 0 eliminated, then eliminates without
-    pivoting.  The system is ill-conditioned at large n, so the grid and
-    its sines come from the same numpy calls as in solve_discrete: the two
-    then solve bit-identical systems.  Returns the node values f_0..f_n.
+    pivoting, all in 40-digit decimal arithmetic.  Its only inputs are the
+    float h and the float sines of the midpoints, from the same numpy calls
+    as in solve_discrete, so it measures the solver's rounding and nothing
+    else: the system is ill-conditioned (~n^2), and a float assembly would
+    measure its own rounding instead.  Returns the node values f_0..f_n.
     """
-    h = (math.pi / 2) / n
+    h_float = (math.pi / 2) / n
     thetas = np.linspace(0.0, math.pi / 2, n + 1)
-    sines = np.sin(thetas[:-1] + 0.5 * h).tolist()
-    diag, off, rhs = [0.0] * n, [0.0] * (n - 1), [0.0] * n
-    for i, sm in enumerate(sines, start=1):
-        w = h * sm
-        a = 2.0 * w / h**2 + w / (2.0 * sm * sm)
-        b = -2.0 * w / h**2 + w / (2.0 * sm * sm)
-        if i > 1:  # unknown f_{i-1} is row i-2
-            diag[i - 2] += a
-            off[i - 2] += b
-            rhs[i - 2] += -2.0 * w / h + w / sm
-        diag[i - 1] += a
-        rhs[i - 1] += 2.0 * w / h + w / sm
-    for i in range(1, n):
-        m = off[i - 1] / diag[i - 1]
-        diag[i] -= m * off[i - 1]
-        rhs[i] -= m * rhs[i - 1]
-    x = [0.0] * n
-    x[-1] = rhs[-1] / diag[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (rhs[i] - off[i] * x[i + 1]) / diag[i]
-    return np.array([0.0] + x)
+    sines = np.sin(thetas[:-1] + 0.5 * h_float).tolist()
+    with localcontext(Context(prec=40)):
+        h = Decimal(h_float)
+        zero = Decimal(0)
+        diag, off, rhs = [zero] * n, [zero] * (n - 1), [zero] * n
+        for i, sine in enumerate(sines, start=1):
+            sm = Decimal(sine)
+            w = h * sm
+            a = 2 * w / (h * h) + w / (2 * sm * sm)
+            b = -2 * w / (h * h) + w / (2 * sm * sm)
+            if i > 1:  # unknown f_{i-1} is row i-2
+                diag[i - 2] += a
+                off[i - 2] += b
+                rhs[i - 2] += -2 * w / h + w / sm
+            diag[i - 1] += a
+            rhs[i - 1] += 2 * w / h + w / sm
+        for i in range(1, n):
+            m = off[i - 1] / diag[i - 1]
+            diag[i] -= m * off[i - 1]
+            rhs[i] -= m * rhs[i - 1]
+        x = [zero] * n
+        x[-1] = rhs[-1] / diag[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = (rhs[i] - off[i] * x[i + 1]) / diag[i]
+    return np.array([0.0] + [float(v) for v in x])
+
+
+def max_error(profile):
+    return float(np.max(np.abs(profile.values - cf.eval_f(profile.thetas))))
 
 
 class TestSolveDiscrete:
@@ -121,7 +131,22 @@ class TestSolveDiscrete:
         want = reference_solve(n)
         got = va.solve_discrete(n).values
         assert got[0] == 0.0
-        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got[1:], want[1:], rtol=1e-14, atol=0)
+
+    def test_error_follows_the_h2_law(self):
+        # the refined solve carries no rounding that grows with n: its error
+        # times n^2 is the midpoint rule's constant, 0.12106, within 1 %
+        scaled = [max_error(va.solve_discrete(n)) * n * n for n in 2 ** np.arange(10, 19)]
+        assert max(scaled) / min(scaled) < 1.01
+        assert min(scaled) > 0.12
+
+    def test_richardson_cancels_the_h2_term(self):
+        coarse, fine = va.solve_discrete(2**12), va.solve_discrete(2**13)
+        extrapolated = va.richardson(coarse, fine)
+        assert np.array_equal(extrapolated.thetas, coarse.thetas)
+        assert max_error(extrapolated) <= 1e-13
+        with pytest.raises(ValueError, match="^fine must hold the coarse grid"):
+            va.richardson(coarse, va.solve_discrete(2**12 + 1))
 
     def test_endpoint_converges_to_disk_radius(self):
         profile = va.solve_discrete(1024)
@@ -167,31 +192,36 @@ class TestSolveDiscrete:
             va.solve_discrete(8)
 
     def test_non_finite_solution_names_the_banded_solve(self, monkeypatch):
-        import scipy.linalg
-
-        monkeypatch.setattr(scipy.linalg, "solveh_banded",
-                            lambda ab, b: np.full_like(b, np.nan))
+        monkeypatch.setattr(va, "_cyclic_reduction",
+                            lambda diag, off: lambda rhs: np.full_like(rhs, np.nan))
         with pytest.raises(va.SolverError,
-                           match="^banded Cholesky solve produced non-finite values$"):
+                           match="^cyclic reduction produced non-finite values$"):
             va.solve_discrete(64)
 
     def test_failed_factorization_is_solver_error(self, monkeypatch):
-        import scipy.linalg
-
-        def fail(ab, b):
-            raise scipy.linalg.LinAlgError("2-th leading minor not positive definite")
-
-        monkeypatch.setattr(scipy.linalg, "solveh_banded", fail)
-        with pytest.raises(va.SolverError, match="^banded Cholesky solve failed: 2-th leading"):
+        # the system is positive definite; negated, its first pivot is not positive
+        solver = va._cyclic_reduction
+        monkeypatch.setattr(va, "_cyclic_reduction", lambda diag, off: solver(-diag, off))
+        with pytest.raises(va.SolverError, match="^cyclic reduction failed: the system is not "
+                                                 "positive definite$"):
             va.solve_discrete(64)
 
     def test_non_increasing_solution_is_solver_error(self, monkeypatch):
-        import scipy.linalg
-
-        monkeypatch.setattr(scipy.linalg, "solveh_banded", lambda ab, b: -np.abs(b))
+        monkeypatch.setattr(va, "_cyclic_reduction", lambda diag, off: lambda rhs: -np.abs(rhs))
         with pytest.raises(va.SolverError,
                            match="^discrete minimizer is not strictly increasing$"):
             va.solve_discrete(64)
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 100, 2**12 + 1])
+    def test_cyclic_reduction_solves_odd_and_even_sizes(self, n):
+        rng = np.random.default_rng(n)
+        off = rng.uniform(-1.0, 1.0, n - 1)
+        diag = 2.5 + rng.uniform(0.0, 1.0, n)  # diagonally dominant: positive definite
+        x = rng.normal(size=n)
+        rhs = diag * x
+        rhs[:-1] += off * x[1:]
+        rhs[1:] += off * x[:-1]
+        np.testing.assert_allclose(va._cyclic_reduction(diag, off)(rhs), x, rtol=0, atol=1e-14)
 
 
 def reference_parse(text):
