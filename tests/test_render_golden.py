@@ -24,7 +24,8 @@ DATA = Path(__file__).parent / "data"
 HASHES = DATA / "golden" / "render_map_sha256.json"
 MANY_RINGS = "many_rings.geojson"
 INPUTS = ["fixture_coastline.geojson", "render_antimeridian.geojson",
-          "render_equator.geojson", "render_poles.geojson", MANY_RINGS]
+          "render_equator.geojson", "render_poles.geojson", "render_mixed.geojson",
+          MANY_RINGS]
 MODES = ["ggv", "stress-minimal"]
 # 6000 px pages put coordinates past 10,000, so their integer parts take
 # more than one 4-digit group
