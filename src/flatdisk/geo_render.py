@@ -6,8 +6,8 @@ the disk needs no cut), projected through the chosen mode, and
 written into a two-panel SVG (northern face left, southern face right,
 mirrored so rim longitudes coincide when the page is folded).  A map job
 runs one array pass per stage, whatever its ring count: `load_geojson`
-reads the rings of a conforming document into one array and checks them with
-one mask each, `render_map` splits all lines at the equator together and
+reads the rings of every document into one array and checks them with one
+mask each, `render_map` splits all lines at the equator together and
 densifies all pieces together, carrying a line or piece id per vertex, and
 `MapDocument.to_svg` spells every number of the page with one call of an
 exact numpy `%.3f` kernel (_decimal.fixed3), so one rule formats them all.
@@ -142,18 +142,21 @@ _BAD_POSITIONS = "expected an array of positions of 2 or more numbers"
 
 
 def load_geojson(path) -> list[GeoPolyline]:
-    """Read a FeatureCollection into polylines.
+    """Read a FeatureCollection into polylines, all of them views of one array.
 
     LineString/MultiLineString become open polylines; Polygon/MultiPolygon
-    rings become rings, ending on their first point.  Unsupported geometry
-    types are skipped with a logged warning; malformed features and
-    out-of-range coordinates abort with the feature index.
+    rings become rings, ending on their first point (appended if missing).
+    Unsupported geometry types are skipped with a logged warning; malformed
+    features and out-of-range coordinates abort with the feature index.
 
-    A document of supported geometries whose Polygon rings end on their
-    first position (RFC 7946) is read in one pass: _gather puts all rings in
-    one array, one mask each checks ranges, closing points and 2 or more
-    points per ring after repeats, and the polylines are views of one array.
-    _load_ring_by_ring reads any other document and words every error.
+    One walk over the features lists the rings, stopping at a feature that
+    is not an object or whose coordinates cannot be walked; _gather puts
+    them in one lon/lat array, and one mask each finds the rings with a
+    coordinate outside ±360° lon or ±90° lat and those with fewer than 2
+    points once repeats are dropped.  The first error in feature and ring
+    order is raised (in a ring: positions not of 2 or more numbers, then
+    range, then distinct points), after logging each skipped feature before
+    it; a load that succeeds logs their count.
     """
     import json  # here, so that render profile loads no json
     with open(path, "r", encoding="utf-8") as fh:
@@ -161,67 +164,8 @@ def load_geojson(path) -> list[GeoPolyline]:
     features = doc.get("features", []) if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise ValueError("expected a GeoJSON FeatureCollection")
-    try:
-        lonlat, counts, closed = _gather(features)
-    except (LookupError, TypeError, ValueError, OverflowError):
-        return _load_ring_by_ring(features)
-    stops = np.cumsum(counts)
-    starts = stops - counts
-    keep = np.ones(len(lonlat), dtype=bool)
-    keep[1:] = np.any(lonlat[1:] != lonlat[:-1], axis=1)
-    keep[starts] = True
-    kept = np.concatenate([[0], np.cumsum(keep)])  # points kept before each index
-    if not ((np.abs(lonlat) <= (360.0, 90.0)).all()
-            and (lonlat[stops - 1] == lonlat[starts])[closed].all()
-            and (kept[stops] - kept[starts] >= 2).all()):
-        return _load_ring_by_ring(features)
-    latlon = lonlat[keep, ::-1]
-    return [GeoPolyline._trusted(latlon[i:j])
-            for i, j in zip(kept[starts].tolist(), kept[stops].tolist())]
-
-
-def _gather(features):
-    """The rings of plain features as one (n, 2) lon/lat array, the count of
-    each and whether it is a Polygon ring; raises on any other feature.
-
-    C-level walks list every position, take each one's length with
-    `list.__len__` (which rejects a position that is not an array) and
-    convert all their numbers, altitudes included, with one np.fromiter, as
-    np.array would; the first two of each position are then picked by index.
-    """
-    rings, closed = [], []
-    for feature in features:
-        geom = feature["geometry"]
-        gtype, coords = geom["type"], geom["coordinates"]
-        if gtype == "LineString":
-            coords = [coords]
-        elif gtype == "MultiPolygon":
-            coords = list(chain.from_iterable(coords))
-        elif gtype != "MultiLineString" and gtype != "Polygon":
-            raise ValueError  # skipped with a warning by _load_ring_by_ring
-        rings += coords
-        closed += [gtype == "Polygon" or gtype == "MultiPolygon"] * len(coords)
-    positions = list(chain.from_iterable(rings))
-    counts = np.fromiter(map(len, rings), np.intp, len(rings))
-    sizes = np.fromiter(map(list.__len__, positions), np.intp, len(positions))
-    numbers = np.fromiter(chain.from_iterable(positions), float, sizes.sum())
-    if not (counts.all() and (sizes >= 2).all()):
-        raise ValueError
-    if len(numbers) > 2 * len(sizes):  # altitudes: keep lon, lat of each position
-        numbers = numbers[(np.cumsum(sizes) - sizes)[:, None] + np.arange(2)]
-    return numbers.reshape(-1, 2), counts, np.array(closed, dtype=bool)
-
-
-def _load_ring_by_ring(features):
-    """The polylines of features, read one ring at a time as np.array reads it.
-
-    A ring is checked against ±360° lon and ±90° lat, gets its first point
-    appended if it is a Polygon ring not ending on it, and goes through
-    GeoPolyline.  The first error in feature and ring order is raised with
-    its feature index; each skipped feature before it is logged, and their
-    count once the load succeeds.
-    """
-    lines, skipped = [], 0
+    rings, owner, closed, skipped = [], [], [], []  # owner and closed: one per ring
+    stop = None  # (feature index, error text) where the walk stopped
     for idx, feature in enumerate(features):
         try:
             if not isinstance(feature, dict):
@@ -230,36 +174,90 @@ def _load_ring_by_ring(features):
             if not isinstance(geom, dict):
                 raise ValueError("expected a GeoJSON geometry object")
             gtype, coords = geom.get("type"), geom.get("coordinates", [])
-            closed = gtype == "Polygon" or gtype == "MultiPolygon"
             if gtype == "LineString":  # == and not a dict lookup: a type may be unhashable
                 coords = [coords]
             elif gtype == "MultiPolygon":
                 coords = chain.from_iterable(coords)
-            elif gtype != "MultiLineString" and not closed:
-                log.warning("feature %d: skipping unsupported geometry %r", idx, gtype)
-                skipped += 1
+            elif gtype != "MultiLineString" and gtype != "Polygon":
+                skipped.append((idx, gtype))
                 continue
-            for ring in coords:
-                try:
-                    lonlat = np.array([pos[:2] for pos in ring], dtype=float)
-                except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge
-                    raise ValueError(_BAD_POSITIONS) from None
-                if lonlat.ndim != 2 or lonlat.shape[1] != 2:
-                    raise ValueError(_BAD_POSITIONS)
-                bad = ~(np.abs(lonlat) <= (360.0, 90.0)).all(axis=1)
-                if bad.any():
-                    lon, lat = lonlat[bad.argmax()]
-                    raise ValueError(f"coordinate out of range: ({lon}, {lat})")
-                if closed and (lonlat[-1] != lonlat[0]).any():
-                    lonlat = np.concatenate([lonlat, lonlat[:1]])
-                lines.append(GeoPolyline(lonlat[:, ::-1]))
+            n = len(rings)
+            rings += coords
+            owner += [idx] * (len(rings) - n)
+            closed += [gtype.endswith("Polygon")] * (len(rings) - n)
         except ValueError as exc:
-            raise ValueError(f"feature {idx}: {exc}") from None
+            stop = idx, str(exc)
+            break
         except TypeError:  # null or too shallowly nested coordinates
-            raise ValueError(f"feature {idx}: {_BAD_POSITIONS}") from None
+            owner += [idx] * (len(rings) - len(owner))  # rings += kept those before the error
+            stop = idx, _BAD_POSITIONS
+            break
+    lonlat, counts = _gather(rings)
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    z = lonlat.view(complex).ravel()  # lon + i lat: one != compares both coordinates
+    keep = np.ones(len(z), dtype=bool)
+    keep[1:] = z[1:] != z[:-1]
+    keep[starts] = True
+    kept = np.concatenate([[0], np.cumsum(keep)])  # points kept before each index
+    out = ~((np.abs(lonlat[:, 0]) <= 360.0) & (np.abs(lonlat[:, 1]) <= 90.0))
+    out_ring = np.logical_or.reduceat(out, starts)
+    bad = np.append(out_ring | (kept[stops] - kept[starts] < 2), len(counts) < len(rings))
+    if bad.any():  # the first bad ring, counting the one _gather stopped at
+        ring = bad.argmax()
+        if ring == len(counts):
+            stop = owner[ring], _BAD_POSITIONS
+        elif out_ring[ring]:
+            stop = owner[ring], "coordinate out of range: ({}, {})".format(*lonlat[out.argmax()])
+        else:
+            stop = owner[ring], "polyline needs at least 2 distinct points"
+    for idx, gtype in skipped:
+        if stop and idx > stop[0]:
+            break
+        log.warning("feature %d: skipping unsupported geometry %r", idx, gtype)
+    if stop:
+        raise ValueError("feature {}: {}".format(*stop))
     if skipped:
-        log.warning("skipped %d unsupported feature(s)", skipped)
-    return lines
+        log.warning("skipped %d unsupported feature(s)", len(skipped))
+    # a Polygon ring not ending on its first point gets it after its last kept one
+    open_ring = np.array(closed, dtype=bool) & (z[stops - 1] != z[starts])
+    take = _insert_after(np.flatnonzero(keep), kept[stops[open_ring]] - 1, starts[open_ring])
+    latlon = lonlat[:, ::-1].take(take, axis=0)
+    ends = (kept[stops] + np.cumsum(open_ring)).tolist()
+    return [GeoPolyline._trusted(latlon[i:j]) for i, j in zip([0] + ends, ends)]
+
+
+def _gather(rings):
+    """The positions of rings as one (n, 2) lon/lat array and each ring's count,
+    up to the first ring that is not an array of positions of 2 or more numbers.
+
+    C-level walks list every position, take each ring's and position's length
+    with `list.__len__` (which rejects a non-array) and convert all their
+    numbers, altitudes included, with one np.fromiter; the first two of each
+    position are then picked by index.  Only if this raises are the rings
+    read one at a time, as `np.array([pos[:2] for pos in ring])` reads them.
+    """
+    try:
+        positions = list(chain.from_iterable(rings))
+        counts = np.fromiter(map(list.__len__, rings), np.intp, len(rings))
+        sizes = np.fromiter(map(list.__len__, positions), np.intp, len(positions))
+        numbers = np.fromiter(chain.from_iterable(positions), float, sizes.sum())
+        if counts.all() and (sizes >= 2).all():
+            if len(numbers) > 2 * len(sizes):  # altitudes: keep lon, lat of each position
+                numbers = numbers[(np.cumsum(sizes) - sizes)[:, None] + np.arange(2)]
+            return numbers.reshape(-1, 2), counts
+    except (TypeError, ValueError, OverflowError):
+        pass
+    arrays = []
+    for ring in rings:
+        try:
+            lonlat = np.array([pos[:2] for pos in ring], dtype=float)
+        except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge
+            break
+        if lonlat.ndim != 2 or lonlat.shape[1] != 2:
+            break
+        arrays.append(lonlat)
+    return np.concatenate(arrays + [np.empty((0, 2))]), np.array(list(map(len, arrays)), np.intp)
 
 
 # --- equator splitting ------------------------------------------------------

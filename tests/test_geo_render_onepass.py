@@ -263,7 +263,8 @@ def assert_same_lines(got, want):
 
 def conforming(features):
     """Whether every feature is a supported geometry and every Polygon ring
-    ends on its first position (RFC 7946), the documents read in one pass."""
+    ends on its first position (RFC 7946), the only documents that the
+    loader once read in one pass; it read any other ring by ring."""
     for feature in features:
         gtype, coords = feature["geometry"]["type"], feature["geometry"]["coordinates"]
         if gtype not in ("LineString", "MultiLineString", "Polygon", "MultiPolygon"):
@@ -356,26 +357,23 @@ class TestLoaderAgainstOracle:
             f"feature 1: skipping unsupported geometry {gtype!r}",
             "skipped 1 unsupported feature(s)"]
 
-    def test_one_pass_serves_every_conforming_document(self, tmp_path, caplog, monkeypatch):
-        def ring_by_ring(features):
-            raise AssertionError("read ring by ring")
-
-        documents = [FIXTURE]
-        for seed in range(N_DOCUMENTS):
-            features = random_document(seed)
-            if conforming(features):
-                documents.append(write(tmp_path, features, f"doc{seed}.geojson"))
-        monkeypatch.setattr(gr, "_load_ring_by_ring", ring_by_ring)
-        loaded = 0
+    def test_every_loaded_document_is_one_array(self, tmp_path, caplog):
+        documents = [FIXTURE] + [write(tmp_path, random_document(seed), f"doc{seed}.geojson")
+                                 for seed in range(N_DOCUMENTS)]
+        loaded = odd = 0
         for path in documents:
             want, want_log = outcome(oracle_load_geojson, path, caplog)
             if isinstance(want, str):
                 continue
             got, got_log = outcome(gr.load_geojson, path, caplog)
-            assert got_log == want_log == [], path.name
+            assert got_log == want_log, path.name
             assert_same_lines(got, want)
+            bases = [line.points.base for line in got]
+            assert all(base is not None and base is bases[0] for base in bases), path.name
             loaded += 1
-        assert loaded > N_DOCUMENTS // 4
+            odd += not conforming(json.loads(path.read_text())["features"])
+        assert loaded > N_DOCUMENTS // 2
+        assert odd > N_DOCUMENTS // 10  # Point features or Polygon rings left open
 
     def test_lines_are_views_of_one_array(self, tmp_path):
         features = [random_feature(np.random.default_rng(1)) for _ in range(3)]

@@ -139,6 +139,9 @@ class TestSolveDiscrete:
         scaled = [max_error(va.solve_discrete(n)) * n * n for n in 2 ** np.arange(10, 19)]
         assert max(scaled) / min(scaled) < 1.01
         assert min(scaled) > 0.12
+        # at 2^20 (two refinement steps) it reads 0.1189: an error of 1.1e-13,
+        # which rounding moves by a few ulp of f
+        assert abs(max_error(va.solve_discrete(2**20)) * 2**40 / 0.12106 - 1) < 0.025
 
     def test_richardson_cancels_the_h2_term(self):
         coarse, fine = va.solve_discrete(2**12), va.solve_discrete(2**13)
