@@ -35,7 +35,7 @@ Floor and subtract split m into groups of four exactly, as m < 1e12 < 2**53.
 rows_to_text: for a positive finite x with decimal exponent e in [-6, 16],
 10**(16 - e) is an exact double and x * 10**(16 - e) = hi + lo exactly.
 hi is then an even integer at least 2**53, so its 17 digits are
-hi + rint(lo), rounded half to even as CPython rounds (digits17).  e is
+hi + rint(lo), rounded half to even as CPython rounds (numbers_to_text).  e is
 taken from log10 and kept only where hi + lo lies in [1e16, 1e17) and the
 17 digits stay below 1e17.  % spells the rest one at a time: zero, -0.0,
 negatives, inf, nan, x below 1e-6 or from 1e17 up, and the rare x next to
@@ -51,15 +51,15 @@ read_decimals reads a token as d / 10**k, d its digits and k those after
 the point (W. D. Clinger, PLDI 1990; D. Lemire, Softw. Pract. Exper. 51,
 2021).  Where 0 < d < 2**53 and k <= 22, d and 10**k are exact doubles and
 d / 10**k is one correctly rounded division: float(token) itself.
-Elsewhere quotients gives a candidate x, kept only where digits17, the
-writer's rule, spells x as the token's decimal; as 17 digits round-trip,
-float(token) == x.  A token of 18 digits or more, or of over 22 after the
-point, fails the check, as does an x outside the writer's exact domain.
-A token of 16 digits d in [2**53, 10**16), e == 15 - k, is also kept where
-|digits17(x) - 10 d| <= 4 units of the 17th digit: digits17(x) is within half a
-unit of x, whose neighbours lie at least x * 2**-53 > 9.99 units away, so the
-token is nearer to x than to either: float(token) == x.  An x one ulp off, or a
-tie such as 9007199254740993, fails.  Only a block with a rejected token runs it.
+Elsewhere quotients gives a candidate q and remainder r = d - q * 10**k to
+within 2**-25: with high = d & -2**26 and q * 10**k = hi + lo (two_product),
+only the last two sums of ((high - hi) - lo) + (d - high) round, each below 2**27.
+q is kept where |r| < (1/2 - 2**-22) g * 10**k, g the gap from q to its neighbour
+on r's side (below a power of two, half the one above).  Off Clinger's path a kept
+d is at least 2**53, so g * 10**k >= 1 and the margin exceeds r's error: q is
+float(token), and a tie fails.  On Clinger's path g * 10**k can be 3e-7
+(224.0696899), too small for the test.  float() reads ties, 0, k > 22, a q that
+is not finite, and d == 2**63 - 1, where np.fromstring saturates longer tokens.
 read_rows cuts rows into tokens with numpy and negates a leading "-".  It
 and g12_rows compare floats, not int64 arrays, and their tables are built
 in Python, so that a CSV job pages in few of numpy's loops.
@@ -205,9 +205,9 @@ def rows_to_text(rows):
     return b"".join(numbers_to_text(x, sep[:len(x)]) for x in blocks)
 
 
-def digits17(x):
-    """(digits, e, ok): "%.17g" % x[i] spells the int64 digits[i] * 10**(e[i] - 16)
-    wherever ok[i], which marks x in the exact domain (module docstring)."""
+def numbers_to_text(x, sep):
+    """Bytes of "%.17g" % x[i] followed by the byte sep[i], for every i; sep is a
+    uint8 array as long as x.  % spells x outside the exact domain (module docstring)."""
     ok = (x > 0) & (x < np.inf)
     xs = np.where(ok, x, 1.0)
     e = np.floor(np.log10(xs))
@@ -217,19 +217,13 @@ def digits17(x):
     p = 16 - e  # hi + lo == xs * 10**p exactly: Dekker's two-product, no underflow here
     hi, lo = two_product(xs, *(row[p] for row in _POW10))
     units = np.rint(lo)
-    digits = hi.astype(np.int64) + units.astype(np.int64)
-    # 10**16 <= digits < 10**17 in float compares: hi is an integer of ulp 2 or
-    # more, |lo| <= ulp / 2, and digits == 10**16 also comes from hi + lo < 1e16
+    digits = hi.astype(np.int64) + units.astype(np.int64)  # "%.17g" is digits * 10**(e - 16)
+    # where ok, 10**16 <= digits < 10**17 in float compares: hi is an integer of ulp 2
+    # or more, |lo| <= ulp / 2, and digits == 10**16 also comes from hi + lo < 1e16
     ok &= (hi < 1e17) | ((hi == 1e17) & (units < 0))
     ok &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0))
-    return digits, e, ok
-
-
-def numbers_to_text(x, sep):
-    """Bytes of "%.17g" % x[i] followed by the byte sep[i], for every i; sep is a
-    uint8 array as long as x.  % spells x outside the exact domain (module docstring)."""
+    del xs, p, hi, lo, units  # bounds the block's temporaries
     digits4 = digit_groups()[0]
-    digits, e, ok = digits17(x)
     lead = digits // 10**16
     rest = digits - lead * 10**16
     high8 = rest // 10**8
@@ -257,35 +251,35 @@ def numbers_to_text(x, sep):
     return text.tobytes().translate(None, b"\0")
 
 
+def remainder(d, q, k):
+    """d - q * 10**k for int64 d >= 0, k <= 22 and q * 10**k near d (module docstring)."""
+    high = d & -(2**26)  # an exact double
+    hi, lo = two_product(q, *(row[k] for row in _POW10))
+    return ((high - hi) - lo) + (d - high)
+
+
 def quotients(d, k):
     """d / 10**k for int64 d >= 0 and k <= 22: the quotient of d's high bits (an
-    exact double), corrected once by its exact remainder.  Checked by read_decimals."""
-    high = d & -(2**26)
-    p, p_high, p_low = (row[k] for row in _POW10)
-    q = high / p
-    hi, lo = two_product(q, p, p_high, p_low)
-    return q + (((high - hi) - lo) + (d - high)) / p
+    exact double), corrected once by its remainder.  Checked by read_decimals."""
+    q = (d & -(2**26)) / _POW10[0][k]
+    return q + remainder(d, q, k) / _POW10[0][k]
 
 
 def read_decimals(d, k):
     """(x, exact): x[i] == float() of the decimal d[i] / 10**k[i] wherever exact[i]; d
     is an int64 array >= 0, k floats, the digits after the point (module docstring)."""
     x = d.astype(float)  # exact below 2**53
-    k22 = np.minimum(k, 22.0).astype(np.intp)  # k > 22 fails the check on e below
-    exact = (x > 0) & (x < 2.0**53) & (k <= 22.0)  # Clinger's path; 0, "-" and "-." go to float()
+    k22 = np.minimum(k, 22.0).astype(np.intp)  # k > 22 fails ok below
+    ok = (x > 0) & (d < 2**63 - 1) & (k <= 22.0)  # 0, "-", "-." and a saturated d go to float()
+    exact = ok & (x < 2.0**53)  # Clinger's path
     x /= _POW10[0].take(k22)
     slow = np.flatnonzero(~exact) if exact.any() else slice(None)  # profiles: all slow
-    d, k = d[slow], k[slow]
-    x[slow] = quotients(d, k22[slow])
-    nd = np.floor(np.log10(np.maximum(d, 1).astype(float))) + 1.0  # d's digits, or one off
-    digits, e, ok = digits17(x[slow])
-    want = d * _POW10[0].take((17.0 - np.minimum(nd, 17.0)).astype(np.intp)).astype(np.int64)
-    ok &= e == nd - 1.0 - k
-    miss = digits - want
-    exact[slow] = same = ok & (miss == 0.0)
-    if not same.all():  # 16 digits from 2**53 up, within 4 units of the 17th
-        near = (nd == 16.0) & (want >= 10 * 2.0**53) & (miss <= 4.0) & (miss >= -4.0)
-        exact[slow] = same | ok & near
+    d, k22 = d[slow], k22[slow]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite q fails the test
+        q = x[slow] = quotients(d, k22)
+        r = remainder(d, q, k22)
+        gap = np.where(r < 0.0, q - np.nextafter(q, 0.0), np.nextafter(q, np.inf) - q)
+        exact[slow] = ok[slow] & (np.abs(r) < (0.5 - 2.0**-22) * gap * _POW10[0][k22])
     return x, exact
 
 

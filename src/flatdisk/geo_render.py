@@ -252,8 +252,8 @@ def _gather(rings):
     for ring in rings:
         try:
             lonlat = np.array([pos[:2] for pos in ring], dtype=float)
-        except (TypeError, ValueError, OverflowError):  # ragged, non-numeric or huge
-            break
+        except (TypeError, ValueError, OverflowError, KeyError):  # ragged, non-numeric, huge
+            break  # or an object, whose pos[:2] raises KeyError from Python 3.12
         if lonlat.ndim != 2 or lonlat.shape[1] != 2:
             break
         arrays.append(lonlat)

@@ -122,20 +122,19 @@ def profile_radial(profile) -> RadialFunction:
     value_and_derivative finds each point's piece once for both.
     """
     x = profile.thetas
-    piece, *powers = _spline_pieces(x, profile.values)
-    value, derivative, second = (_piecewise_polynomial(x, piece, c) for c in powers)
-    return RadialFunction(value, derivative, second, _piecewise_polynomial(x, piece, *powers[:2]))
+    powers = _spline_pieces(x, profile.values)
+    value, derivative, second = (_piecewise_polynomial(x, c) for c in powers)
+    return RadialFunction(value, derivative, second, _piecewise_polynomial(x, *powers[:2]))
 
 
 def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable, Callable]:
     """Evaluators of the not-a-knot cubic spline through (x, y) and of its f', f''."""
-    piece, *powers = _spline_pieces(x, y)
-    return tuple(_piecewise_polynomial(x, piece, c) for c in powers)
+    return tuple(_piecewise_polynomial(x, c) for c in _spline_pieces(x, y))
 
 
 def _spline_pieces(x: np.ndarray, y: np.ndarray) -> tuple:
-    """The piece finder of x, then the per-power coefficients of the
-    not-a-knot cubic spline through (x, y), of its f' and of its f''.
+    """The per-power coefficients of the not-a-knot cubic spline through
+    (x, y), of its f' and of its f''.
 
     The knot slopes solve the tridiagonal system _slope_system.  Piece i is
     the cubic Hermite polynomial in (t - x[i]) matching the values and slopes
@@ -146,7 +145,7 @@ def _spline_pieces(x: np.ndarray, y: np.ndarray) -> tuple:
     s = _tridiagonal(*_slope_system(dx, slope, x))
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
-    return _piece_finder(x), (c3, c2, c1, c0), (3 * c3, 2 * c2, c1), (6 * c3, 2 * c2)
+    return (c3, c2, c1, c0), (3 * c3, 2 * c2, c1), (6 * c3, 2 * c2)
 
 
 def _slope_system(dx: np.ndarray, slope: np.ndarray, x: np.ndarray) -> tuple:
@@ -235,44 +234,20 @@ def _windowed(step, initial: tuple, coefficients: tuple, warmup: int, window: in
     return out
 
 
-def _piece_finder(x: np.ndarray) -> Callable:
-    """Function giving the piece of each t: np.searchsorted(x[1:-1], t, side="right").
-
-    On a uniform grid the piece is floor((t - x[0]) / h) up to one step
-    either way, so it is found by arithmetic and checked against its
-    bracket x[i] <= t < x[i+1] (open at both ends).  A point that fails the
-    check, as on a non-uniform grid or for NaN, is found by searchsorted.
-    """
-    inner = x[1:-1]
-    lower = np.concatenate(([-np.inf], inner))  # bracket of piece i
-    upper = np.concatenate((inner, [np.inf]))
-    last = len(inner)
-    scale = (len(x) - 1) / (x[-1] - x[0])
-
-    def find(t):
-        flat = np.ravel(t)
-        clipped = np.fmax(np.fmin(flat, x[-1]), x[0])  # NaN becomes x[-1]
-        i = np.minimum(((clipped - x[0]) * scale).astype(np.intp), last)
-        i += clipped >= upper[i]
-        i -= clipped < lower[i]
-        missed = np.flatnonzero(~((lower[i] <= flat) & (flat < upper[i])))
-        i[missed] = np.searchsorted(inner, flat[missed], side="right")
-        return i.reshape(np.shape(t))
-    return find
-
-
-def _piecewise_polynomial(x: np.ndarray, piece: Callable, *polynomials: tuple) -> Callable:
+def _piecewise_polynomial(x: np.ndarray, *polynomials: tuple) -> Callable:
     """Evaluator of piecewise polynomials with breakpoints x, at one piece search.
 
     Each polynomial holds one coefficient array per power, highest first,
-    with one entry per piece, and piece(t) gives each t's piece (see
-    _piece_finder).  A point outside [x[0], x[-1]] uses the nearest end
-    piece, and NaN gives NaN.  The evaluator returns the value of each
-    polynomial, or the one value when there is one polynomial.
+    with one entry per piece; t lies in piece searchsorted(x[1:-1], t,
+    side="right").  A point outside [x[0], x[-1]] uses the nearest end
+    piece, and NaN, which sorts last, gives NaN.  The evaluator returns the
+    value of each polynomial, or the one value when there is one polynomial.
     """
+    inner = x[1:-1]
+
     def evaluate(t):
         t = np.asarray(t, dtype=float)
-        i = piece(t)
+        i = np.searchsorted(inner, t, side="right")
         s = t - x[i]
         values = []
         for c in polynomials:

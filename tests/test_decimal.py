@@ -239,14 +239,31 @@ def read_with_float_spied(tokens):
 
 
 class TestSixteenDigits:
-    """16-digit tokens from 2**53 up: a quotient within 4 units of the 17th digit is kept."""
+    """Tokens past Clinger's path: a quotient that passes the remainder test is kept."""
 
-    def test_only_ties_and_fives_reach_float(self):
+    def test_only_ties_reach_float(self):
         near, fives, ties = sixteen_digit_tokens(28, 20_000)
         assert len(near) > 10_000 and len(fives) > 500
         tokens = near + fives + ties
         np.random.default_rng(29).shuffle(tokens)
-        assert read_with_float_spied(tokens) == [t for t in tokens if t not in near]
+        ties = set(ties)
+        assert read_with_float_spied(tokens) == [t for t in tokens if t in ties]
+
+    @pytest.mark.parametrize("off", [0.0, np.inf, -np.inf], ids=["exact", "up", "down"])
+    @pytest.mark.parametrize("digits", [17, 18, 19, 20])
+    def test_powers_of_two_and_their_midpoints(self, digits, off, monkeypatch):
+        # the gap below 2**m is half the one above: a q of 2**m, also one ulp off
+        # the nearest double, is tested against the gap on the token's side
+        powers = 2.0 ** np.arange(-20, 60)
+        x = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+        x = np.concatenate([x, (powers + np.nextafter(powers, 0.0)) / 2,
+                            (powers + np.nextafter(powers, np.inf)) / 2])
+        tokens = [f"%.{digits}g" % v for v in x.tolist()]
+        quotients = _decimal.quotients
+        if off:
+            monkeypatch.setattr(_decimal, "quotients", lambda d, k: np.nextafter(
+                quotients(d, k), off))
+        read_with_float_spied(tokens + [f"-{t}" for t in tokens])
 
     def test_quotients_one_ulp_off_are_never_kept(self, monkeypatch):
         # every token leaves Clinger's path, so every candidate is off and goes to float()

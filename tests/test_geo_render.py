@@ -90,6 +90,16 @@ class TestLoadGeojson:
             gr.load_geojson(path)
         assert str(exc.value) == "feature 0: coordinate out of range: (361.0, 5.0)"
 
+    def test_object_position_names_feature(self, tmp_path):
+        # an object is no position; from Python 3.12 its pos[:2] raises KeyError
+        path = write_geojson(tmp_path, [{
+            "type": "Feature", "properties": {},
+            "geometry": {"type": "LineString", "coordinates": [{"x": 1}, [0, 0]]},
+        }])
+        with pytest.raises(ValueError) as exc:
+            gr.load_geojson(path)
+        assert str(exc.value) == "feature 0: expected an array of positions of 2 or more numbers"
+
     @pytest.mark.parametrize("feature", [
         {"type": "Feature", "geometry": {"type": "LineString",
                                          "coordinates": [[0, 10], [5]]}},

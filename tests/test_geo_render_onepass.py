@@ -380,6 +380,7 @@ class TestLoaderAgainstOracle:
         lines = gr.load_geojson(write(tmp_path, features + [
             {"type": "Feature", "geometry": {"type": "LineString",
                                              "coordinates": [[0, 1], [2, 3]]}}]))
+        assert all(line.points.base is not None for line in lines)
         assert len({id(line.points.base) for line in lines}) == 1
 
 

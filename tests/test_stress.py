@@ -147,24 +147,6 @@ class TestProfileSpline:
             got = [f(t) for f in stress._not_a_knot_spline(x, y)]
             assert_spline_close(got, [ref(t) for ref in reference_spline(x, y)])
 
-    @pytest.mark.parametrize("grid", ["uniform", "jittered", "random"])
-    def test_piece_is_the_searchsorted_piece(self, grid):
-        rng = np.random.default_rng(15)
-        x = np.linspace(0.0, math.pi / 2, 1025)
-        if grid == "jittered":
-            x[1:-1] += rng.uniform(-1e-13, 1e-13, 1023)
-        elif grid == "random":
-            x = np.sort(rng.uniform(0.0, math.pi / 2, 1025))
-        t = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
-                            rng.uniform(-0.5, 2.0, 3999),
-                            [np.nan, -np.inf, np.inf, -1e300, 1e300, -0.0]])
-        want = np.searchsorted(x[1:-1], t, side="right")
-        find = stress._piece_finder(x)
-        assert np.array_equal(find(t), want)
-        assert np.array_equal(find(t.reshape(2, -1)), want.reshape(2, -1))
-        assert [find(v).ndim for v in t[-6:]] == [0] * 6
-        assert [int(find(v)) for v in t[-6:]] == want[-6:].tolist()
-
     def test_line_and_parabola_are_exact(self):
         x = np.array([0.0, 0.5, 1.5])
         value, derivative, second = stress._not_a_knot_spline(x, 2 * x * x - x)
