@@ -1,8 +1,8 @@
 """Exact decimal text of float64 arrays, and the floats of decimal tokens.
 
-fixed3 spells "%.3f" for the SVG writer, rows_to_text "%.17g" for the
-profile writer and g12_rows "%.12g" for `flatdisk project`, byte for byte as
-CPython's correctly rounded % does, and read_rows gives the profile and CSV
+fixed3 spells "%.3f" for the SVG writer and _g_block "%.17g" for the profile
+writer (rows_to_text) and "%.12g" for `flatdisk project` (g12_rows), byte for
+byte as CPython's correctly rounded % does, and read_rows gives the profile and CSV
 readers the floats float() gives, all by integer arithmetic in numpy on
 Dekker's two-product (T. J. Dekker, Numer. Math. 18, 1971): with b split
 into two halves of at most 26 significant bits (dekker_split), two_product
@@ -10,7 +10,7 @@ gives hi = a * b rounded and its exact error lo, so that hi + lo == a * b,
 barring overflow and underflow.  The digits come four at a time from one
 table of "0000" to "9999" (digit_groups).  This module and its tables are
 built on first use: importing the package or the CLI loads none of them,
-and writing SVG builds no "%.17g" tables (g17_tables).
+and writing SVG builds no "%g" keep table (g_keep).
 
 fixed3: for |x| < 1e6, x * 1000 = hi + lo exactly (1000 splits as
 (1000, 0)), and the digits are those of the integer nearest hi + lo, a tie
@@ -25,27 +25,24 @@ those are exactly the x with |x| < 0.0005 (the double nearest 0.0005 lies
 above it).  % spells the rest one at a time: non-finite values and those
 at least 1e6 in magnitude.
 
-g12_rows: for x of decimal exponent e in [-4, 11] (from log10, kept where hi
-lies in [1e11, 1e12)), hi = |x| * 10**(11 - e) rounded is below 2**52, and the
-12 digits m are found as fixed3 finds its own; a carry to 10**12 adds one to e.
-Floor and subtract split m into groups of four exactly, as m < 1e12 < 2**53.
-0 and -0.0 take m = 0 and are spelled "0" and "-0", the sign from signbit.
-% spells the rest one at a time: non-finite values and other e.
-
-rows_to_text: for a positive finite x with decimal exponent e in [-6, 16],
-10**(16 - e) is an exact double and x * 10**(16 - e) = hi + lo exactly.
-hi is then an even integer at least 2**53, so its 17 digits are
-hi + rint(lo), rounded half to even as CPython rounds (numbers_to_text).  e is
-taken from log10 and kept only where hi + lo lies in [1e16, 1e17) and the
-17 digits stay below 1e17.  % spells the rest one at a time: zero, -0.0,
-negatives, inf, nan, x below 1e-6 or from 1e17 up, and the rare x next to
-a power of ten whose log10 gives the wrong e.
-
-Both g12_rows and rows_to_text give each number a cell that holds every byte
-its spelling may need, the digits interleaved with point slots, or its %
-spelling.  ANDed with a mask of 0x00 and 0xFF bytes chosen by the spelling,
-its NULs deleted by bytes.translate (no kept byte is NUL), it is the text.  A
-boolean index by the same masks, runs of one byte, is several times slower.
+_g_block spells "%.Ng", n = 12 or 17.  For x of decimal exponent e in [-4, n - 1],
+from log10 and kept where hi + lo = |x| * 10**(n - 1 - e) lies in [10**(n - 1), 10**n),
+the n digits are m = rint(hi) + rint((hi - rint(hi)) + lo), a carry to 10**n adding
+one to e.  From 2**53 up (n = 17) hi is an even integer and m = hi + rint(lo),
+rounded half to even as CPython rounds.  Below it (n = 12) hi - rint(hi) is exact,
+and lo moves m only where that is +-0.5; lo is then a multiple of 2**-51, so the sum
+is exact and lo's sign picks the side (lo == 0 is a true tie, which rint rounded to
+even).  So lo is found for every x at n = 17, and at n = 12 only there and where
+hi == 10**(n - 1), whose lo tells whether x lies below 10**e.  0 and -0.0 take
+m = 0 and e = 0, spelled "0" and "-0", the sign from signbit.  A number's cell of
+whole int64 holds "-0.000" and n digit slots, each followed by a point slot, the last
+of which no spelling keeps and the separator takes; a row's tail takes one more
+cell.  ANDed with a mask of 0x00 and 0xFF bytes chosen by the sign, e and m's
+trailing zeros (g_keep), their NULs deleted by bytes.translate (no kept byte is NUL),
+the cells are the text; a boolean index by the same masks, runs of one byte, is
+several times slower.  % spells the rest into their cells: non-finite values, those
+below 1e-4 (the e-05 forms of a profile's smallest angles and values) or from 10**n
+up, and the rare x next to a power of ten whose log10 gives the wrong e.
 
 read_decimals reads a token as d / 10**k, d its digits and k those after
 the point (W. D. Clinger, PLDI 1990; D. Lemire, Softw. Pract. Exper. 51,
@@ -61,8 +58,8 @@ float(token), and a tie fails.  On Clinger's path g * 10**k can be 3e-7
 (224.0696899), too small for the test.  float() reads ties, 0, k > 22, a q that
 is not finite, and d == 2**63 - 1, where np.fromstring saturates longer tokens.
 read_rows cuts rows into tokens with numpy and negates a leading "-".  It
-and g12_rows compare floats, not int64 arrays, and their tables are built
-in Python, so that a CSV job pages in few of numpy's loops.
+compares floats, not int64 arrays, and the tables are built in Python, so
+that a CSV job pages in few of numpy's loops.
 """
 
 from __future__ import annotations
@@ -81,19 +78,12 @@ _FIXED3_SEP = 12
 _KEEP = np.array([[s <= j <= _FIXED3_SEP for j in range(16)] for s in range(_FIXED3_SEP + 2)])
 _TENS = np.array([10**k for k in range(1, 7)])  # integer parts from these up have one more digit
 
-# A "%.17g" cell of 6 int64: "0.000", 17 digits at bytes 5, 7, ..., 37 each followed
-# by ".", "e-0" and the exponent digit of e-05 / e-06 (39-42), and the separator (43).
-# Keep mask (e + 6) * 17 + nd - 1 spells exponent e in [-6, 16] and nd digits;
-# _G17_FALLBACK + n keeps bytes < n, a % spelling and its separator.
-_G17_CELL = 48
-_G17_FALLBACK = 23 * 17
-# A "%.12g" cell of 4 int64: "-0.000", 12 digits at bytes 6, 8, ..., 28 each followed
-# by ".", and "," at 31.  Keep mask (neg * 16 + e + 4) * 13 + nd spells sign neg, exponent
-# e in [-4, 11] and nd digits (0 and -0.0: e = nd = 0); _G12_FALLBACK + n keeps bytes < n.
-_G12_CELL = 32
-_G12_FALLBACK = 2 * 16 * 13
-_G12_ROWS = 1024  # rows per block: 192 KB of cells and masks
-_ROWS_PER_BLOCK = 4096  # bounds the temporaries: 0.8 MB of cells and masks for 2 columns
+# Rows per writer block.  A profile block of 4,096 rows keeps rows_to_text's temporaries
+# within test_writer_temporaries_are_bounded; a project block of 1,024 rows keeps each of
+# g12_rows' cell and mask arrays (96 KB) under glibc's 128 KB mmap threshold, so a run
+# of project jobs takes no page faults in them.
+_PROFILE_ROWS = 4096
+_PROJECT_ROWS = 1024
 
 
 def dekker_split(a):
@@ -177,80 +167,6 @@ def fixed3(x, sep):
     return "".join(pieces) + out[cuts[-1]:], ends + np.cumsum(extra)
 
 
-@functools.cache
-def g17_tables():
-    """The read-only keep masks of a "%.17g" cell, 6 int64 of 0x00 or 0xFF bytes each:
-    one per spelling, ddd[.ddd] for e >= 0, 0.0ddd for e >= -4 and d[.ddd]e-0X below,
-    then one per % spelling and separator of 0 to 25 bytes (_G17_CELL)."""
-    rows = []
-    for e, nd in product(range(-6, 17), range(1, 18)):
-        keep = {43} | {5 + 2 * i for i in range(max(nd, e + 1))}  # the separator and digits
-        if e < -4:  # "e-0X", and the point after the lead digit if more follow
-            keep |= {6, 39, 40, 41, 42} if nd > 1 else {39, 40, 41, 42}
-        elif e < 0:  # "0." and -e - 1 zeros
-            keep |= set(range(1 - e))
-        elif e < nd - 1:  # the point after digit e
-            keep.add(6 + 2 * e)
-        rows.append(bytes(j in keep for j in range(_G17_CELL)))
-    rows += [bytes(j < n for j in range(_G17_CELL)) for n in range(26)]
-    return np.frombuffer(b"".join(rows).replace(b"\1", b"\xff"), np.int64).reshape(len(rows), -1)
-
-
-def rows_to_text(rows):
-    """Bytes of each row of the 2-d float array rows as "%.17g %.17g ... %.17g\\n"."""
-    sep = np.full(rows.shape[1], ord(" "), np.uint8)
-    sep[-1] = ord("\n")
-    sep = np.tile(sep, min(len(rows), _ROWS_PER_BLOCK))
-    blocks = (rows[i:i + _ROWS_PER_BLOCK].ravel() for i in range(0, len(rows), _ROWS_PER_BLOCK))
-    return b"".join(numbers_to_text(x, sep[:len(x)]) for x in blocks)
-
-
-def numbers_to_text(x, sep):
-    """Bytes of "%.17g" % x[i] followed by the byte sep[i], for every i; sep is a
-    uint8 array as long as x.  % spells x outside the exact domain (module docstring)."""
-    ok = (x > 0) & (x < np.inf)
-    xs = np.where(ok, x, 1.0)
-    e = np.floor(np.log10(xs))
-    ok &= (e >= -6.0) & (e <= 16.0)
-    xs[~ok], e[~ok] = 1.0, 0.0
-    e = e.astype(np.intp)
-    p = 16 - e  # hi + lo == xs * 10**p exactly: Dekker's two-product, no underflow here
-    hi, lo = two_product(xs, *(row[p] for row in _POW10))
-    units = np.rint(lo)
-    digits = hi.astype(np.int64) + units.astype(np.int64)  # "%.17g" is digits * 10**(e - 16)
-    # where ok, 10**16 <= digits < 10**17 in float compares: hi is an integer of ulp 2
-    # or more, |lo| <= ulp / 2, and digits == 10**16 also comes from hi + lo < 1e16
-    ok &= (hi < 1e17) | ((hi == 1e17) & (units < 0))
-    ok &= (hi > 1e16) | ((hi == 1e16) & (lo >= 0))
-    del xs, p, hi, lo, units  # bounds the block's temporaries
-    digits4 = digit_groups()[0]
-    lead = digits // 10**16
-    rest = digits - lead * 10**16
-    high8 = rest // 10**8
-    low8 = rest - high8 * 10**8
-    groups = [lead, high8 // 10**4, high8 % 10**4, low8 // 10**4, low8 % 10**4]
-    text = np.empty((len(x), _G17_CELL // 8), np.int64)
-    chars = text.view(np.uint8)
-    zero = digits4[:1].tobytes()[:1]  # the table's "0", for "0.000"
-    chars[:, :42] = np.frombuffer(zero + b"." + zero * 3 + b"0." * 17 + b"e-0", np.uint8)
-    chars[:, 5:39:2] = digits4.take(np.stack(groups, axis=1)).view(np.uint8)[:, 3:]
-    chars[:, 42] = ord("0") - e
-    chars[:, 43] = sep
-    zeros = _ZEROS4[groups[4]]  # trailing zeros after the lead digit
-    j = np.flatnonzero(zeros == 4)
-    for group in groups[3:0:-1]:
-        zeros[j] += _ZEROS4[group[j]]
-        j = j[group[j] == 0]
-    spelling = (e + 6) * 17 + (16 - zeros)
-    if not ok.all():
-        bad = np.flatnonzero(~ok)
-        spelled = ["%.17g%c" % vs for vs in zip(x[bad].tolist(), sep[bad].tolist())]
-        chars[bad, :25] = np.array(spelled, "S25").view(np.uint8).reshape(-1, 25)
-        spelling[bad] = [_G17_FALLBACK + len(s) for s in spelled]
-    text &= g17_tables().take(spelling, axis=0)  # NUL the bytes not kept
-    return text.tobytes().translate(None, b"\0")
-
-
 def remainder(d, q, k):
     """d - q * 10**k for int64 d >= 0, k <= 22 and q * 10**k near d (module docstring)."""
     high = d & -(2**26)  # an exact double
@@ -332,67 +248,108 @@ def read_rows(body, start, sep, parse, block):
 
 
 @functools.cache
-def g12_keep():
-    """The read-only keep masks of a "%.12g" cell, 4 int64 of 0x00 or 0xFF bytes each:
-    one per spelling, then one per % spelling or tail of 0 to 24 bytes (_G12_CELL)."""
+def g_keep(n):
+    """The read-only keep masks of a "%.<n>g" cell, ceil((n + 3) / 4) int64 of 0x00 or
+    0xFF bytes each: row (neg * (n + 4) + e + 4) * zs + z spells sign neg, exponent e in
+    [-4, n - 1] and digits with z trailing zeros, z < zs = 4 * ceil(n / 4) + 1, and row
+    2 * (n + 4) * zs + k keeps the first k bytes, a % spelling or a tail."""
+    width = 8 * -(-(n + 3) // 4)  # "-0.000" and n digit and point slots, in whole int64
     rows = []
-    for neg, e, nd in product((0, 1), range(-4, 12), range(13)):
-        keep = {0, 31} if neg else {31}  # "-" and ","
-        keep |= set(range(1, 2 - e if e < 0 else 1))  # "0." and -e - 1 zeros
-        keep |= {6 + 2 * i for i in range(max(e, nd - 1) + 1)}  # the digits, "0" for nd = 0
-        keep |= {7 + 2 * e} if 0 <= e < nd - 1 else set()  # the point
-        rows.append(bytes(j in keep for j in range(_G12_CELL)))
-    rows += [bytes(j < n for j in range(_G12_CELL)) for n in range(25)]
-    return np.frombuffer(b"".join(rows).replace(b"\1", b"\xff"), np.int64).reshape(len(rows), -1)
+    for neg, e, z in product((0, 1), range(-4, n), range(4 * -(-n // 4) + 1)):
+        nd = max(n - z, 0)  # 0 for 0 and -0.0, spelled with e = 0
+        row = bytearray(width)
+        row[0] = 255 * neg  # "-"
+        if e < 0:
+            row[1:2 - e] = b"\xff" * (1 - e)  # "0." and -e - 1 zeros
+        last = max(e, nd - 1)  # the digits, "0" for nd = 0
+        row[6:7 + 2 * last:2] = b"\xff" * (last + 1)
+        if 0 <= e < nd - 1:
+            row[7 + 2 * e] = 255  # the point
+        row[5 + 2 * n] = 255  # the separator
+        rows.append(row)
+    rows += [b"\xff" * k + bytes(width - k) for k in range(width + 1)]
+    return np.frombuffer(b"".join(rows), np.int64).reshape(len(rows), -1)
+
+
+def rows_to_text(rows):
+    """Bytes of each row of the 2-d float array rows as "%.17g %.17g ... %.17g\\n"."""
+    sep = b" " * (rows.shape[1] - 1) + b"\n"
+    return b"".join(_g_block(rows[i:i + _PROFILE_ROWS], 17, sep)
+                    for i in range(0, len(rows), _PROFILE_ROWS))
 
 
 def g12_rows(rows, tails):
     """Bytes of each row of the 2-d float array rows as "%.12g," per number
     followed by the same row of tails, a uint8 array of at most 24 columns and no NUL."""
-    return b"".join(_g12_block(rows[i:i + _G12_ROWS], tails[i:i + _G12_ROWS])
-                    for i in range(0, len(rows), _G12_ROWS))
+    sep = b"," * rows.shape[1]
+    return b"".join(_g_block(rows[i:i + _PROJECT_ROWS], 12, sep, tails[i:i + _PROJECT_ROWS])
+                    for i in range(0, len(rows), _PROJECT_ROWS))
 
 
-def _g12_block(x, tail):
+def _g_block(x, n, sep, tail=None):
+    """Bytes of each row of the 2-d float array x as "%.<n>g" of each number followed
+    by the byte sep[j] of its column j, then the same row of the uint8 array tail, if
+    given; n is 12 or 17 (module docstring)."""
+    keep = g_keep(n)
+    groups = -(-n // 4)
+    cell, zs = keep.shape[1], 4 * groups + 1
+    fallback = 2 * (n + 4) * zs
+    rows, c = x.shape
+    x = x.ravel()
     a = np.abs(x)
     zero = a == 0.0
-    ok = (a >= 1e-4) & (a < 1e12)  # False for 0, inf and nan
+    ok = (a >= 1e-4) & (a < 10.0**n)  # False for 0, inf and nan
     a[~ok] = 1.0
     ok |= zero  # 0 and -0.0 run as 1.0 until m is set to 0
-    e = np.minimum(np.floor(np.log10(a)), 11.0)  # 12 by rounding just below 1e12
-    p = (11.0 - e).astype(np.intp)
+    e = np.minimum(np.floor(np.log10(a)), n - 1.0)  # n by rounding just below 10**n
+    p = (n - 1.0 - e).astype(np.intp)
     hi = a * _POW10[0].take(p)
-    ok &= (hi >= 1e11) & (hi < 1e12)  # else log10 missed e, next to a power of ten
+    ok &= (hi >= 10.0 ** (n - 1)) & (hi < 10.0**n)  # else log10 missed e, next to a power of ten
     m = np.rint(hi)
     hi -= m  # exact: the distance of hi from m, +-0.5 where hi is a half-integer
-    tie = np.flatnonzero(np.abs(hi) == 0.5)
-    if len(tie):  # as in fixed3, lo's sign rounds away from the half-integer
-        lo = two_product(a.ravel()[tie], *(row.take(p.ravel()[tie]) for row in _POW10))[1]
-        m.ravel()[tie] += np.where(2.0 * hi.ravel()[tie] == np.sign(lo), np.sign(lo), 0.0)
-    e[m == 1e12] += 1.0  # 99999999999.95 rounds to 100000000000: one digit more
-    m[m == 1e12] = 1e11
-    ok &= e <= 11.0
-    m[zero] = 0.0  # e is 0: no significant digit, spelled "0" or "-0"
-    high = np.floor(m / 1e8)  # exact digit groups, as m < 1e12 < 2**53
-    m -= high * 1e8
-    mid = np.floor(m / 1e4)
-    groups = np.stack((high, mid, m - mid * 1e4), axis=-1).astype(np.intp)
-    zeros = _ZEROS4.take(groups).astype(float)
-    last = zeros[..., 2]  # the trailing zeros of the 12 digits
-    last += (last == 4.0) * (zeros[..., 1] + (zeros[..., 1] == 4.0) * zeros[..., 0])
-    n, c = x.shape
-    spelling = np.full((n, c + 1), _G12_FALLBACK + tail.shape[1] + 0.0)
-    spelling[:, :c] = (np.signbit(x) * 16.0 + e + 4.0) * 13.0 + (12.0 - last)
-    text = np.empty((n, c + 1, _G12_CELL // 8), np.int64)
-    text[:, :c] = np.frombuffer(b"-0.000" + b"0." * 12 + b" ,", np.int64)
+    # hi's error lo moves m where hi is a half-integer or from 2**53 up, and it puts
+    # x below 10**e where hi == 10**(n - 1); elsewhere hi + lo rounds to m
+    need = slice(None) if 10.0**n > 2.0**53 else np.flatnonzero(
+        (np.abs(hi) == 0.5) | (m == 10.0 ** (n - 1)))
+    hi[need] += two_product(a[need], *(row.take(p[need]) for row in _POW10))[1]
+    ok[need] &= (hi[need] >= 0.0) | (m[need] > 10.0 ** (n - 1))
+    m = m.astype(np.int64)
+    m[need] += np.rint(hi[need]).astype(np.int64)
+    carry = m == 10**n  # 99999999999.95 rounds to 100000000000: e is one more
+    e[carry] += 1.0
+    m[carry] = 10 ** (n - 1)
+    ok &= e < n
+    m[zero] = 0  # e is 0: no significant digit, spelled "0" or "-0"
+    digits = np.empty((len(m), groups), np.intp)  # groups of four, the first holds the rest
+    for k in range(groups - 1, 0, -1):
+        high = m // 10**4
+        digits[:, k] = m - high * 10**4
+        m = high
+    digits[:, 0] = m
+    z = _ZEROS4.take(digits[:, -1])  # the trailing zeros, group by group from the last
+    i = np.flatnonzero(z == 4)
+    for k in range(2, groups + 1):
+        z[i] += _ZEROS4.take(digits[i, -k])
+        i = i[digits[i, -k] == 0]
+    t = 0 if tail is None else tail.shape[1]  # a tail takes one more cell
+    spelling = np.full((rows, c + (tail is not None)), fallback + t)
+    spelling[:, :c] = ((np.signbit(x) * (n + 4.0) + e + 4.0) * zs + z).reshape(rows, c)
+    digits4 = digit_groups()[0]
+    digit0 = digits4[:1].tobytes()[:1]  # the table's "0", for "-0.000" and the digit slots
+    cells = (b"-" + digit0 + b"." + digit0 * 3 + (digit0 + b".") * n)[:5 + 2 * n]
+    text = np.empty(spelling.shape + (cell,), np.int64)
+    text[:, :c] = np.frombuffer(b"".join(cells.ljust(8 * cell, sep[j:j + 1]) for j in range(c)),
+                                np.int64).reshape(c, -1)
     chars = text.view(np.uint8)
-    chars[:, :c, 6:30:2] = digit_groups()[0].take(groups).view(np.uint8)
-    chars[:, c, :tail.shape[1]] = tail
+    chars[:, :c, 6:6 + 2 * n:2] = digits4.take(digits).view(np.uint8)[:, 4 * groups - n:].reshape(
+        rows, c, n)
+    if tail is not None:
+        chars[:, c, :t] = tail
     if not ok.all():
-        bad = np.nonzero(~ok)
-        spelled = ["%.12g," % v for v in x[bad].tolist()]
-        chars[bad[0], bad[1], :24] = np.array(spelled, "S24").view(np.uint8).reshape(
-            len(spelled), -1)
-        spelling[bad] = [_G12_FALLBACK + len(s) for s in spelled]
-    text &= g12_keep().take(spelling.astype(np.intp), axis=0)  # NUL the bytes not kept
+        bad = np.flatnonzero(~ok)
+        spelled = [b"%.*g%c" % (n, v, sep[j]) for v, j in zip(x[bad].tolist(), (bad % c).tolist())]
+        bad = (bad // c, bad % c)
+        chars[bad] = np.array(spelled, f"S{8 * cell}").view(np.uint8).reshape(len(spelled), -1)
+        spelling[bad] = [fallback + len(s) for s in spelled]
+    text &= keep.take(spelling, axis=0)  # NUL the bytes not kept
     return text.tobytes().translate(None, b"\0")

@@ -11,13 +11,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flatdisk import _decimal, geo_render as gr
-from flatdisk.projection import ProjectionMode
+from flatdisk.projection import ProjectionMode, forward_arrays
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_coastline.geojson"
 
@@ -178,6 +179,64 @@ class TestG12:
         ends = [i for i in (1022, 1023, 1024) if i < n] + [n - 1]
         rows[ends] = special[:len(ends)]
         assert_g12_as_percent(rows.ravel())
+
+
+@pytest.mark.parametrize("n", [12, 17])
+def test_one_kernel_spells_both_precisions(n):
+    # the same values at both precisions: both signs, 0 and -0.0, the kernel's ends
+    # e = -4 and n - 1 and their outer neighbours e = -5 and n, the carries to one
+    # digit more, powers of ten and their neighbours, and exact ties at 12 and 17 digits
+    rng = np.random.default_rng(27)
+    tens = 10.0 ** np.arange(-7, 20)
+    tens = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+                           9.99999999999995 * tens, 9.9999999999999995 * tens, 1.5 * tens])
+    ties = np.concatenate([
+        (rng.integers(10**11, 10**12, 2_000) + 0.5) / 10.0 ** rng.integers(0, 16, 2_000),
+        rng.integers(2**50, 2**51, 2_000) + 0.25, rng.integers(2**50, 2**51, 2_000) + 0.75])
+    x = np.concatenate([tens, ties, 10.0 ** rng.uniform(-6.0, 19.0, 20_000),
+                        [0.0, np.nan, np.inf, 1e-4, 1.2345678901234567e-4, 9.9999999999999e-5,
+                         99999999999.95, 9.9999999999999995e-07, 1e-5, 1.23e-5,
+                         99999999999.949997, 1.2345678901234567e16, 1.2345678901234567e17]])
+    x = np.concatenate([x, -x])
+    rows = x.reshape(-1, 2)
+    tail = np.full((len(rows), 2), ord("|"), np.uint8)
+    want = ["%.*g;%.*g\n" % (n, a, n, b) for a, b in rows.tolist()]
+    got = _decimal._g_block(rows, n, b";\n", tail).decode("ascii").split("||")
+    assert len(got) == len(want) + 1 and got[-1] == ""
+    wrong = [(r, g, w) for r, g, w in zip(rows.tolist(), got, want) if g != w]
+    assert not wrong, wrong[:5]
+    assert _decimal._g_block(rows, n, b" \n") == "".join(want).replace(";", " ").encode()
+
+
+def test_kernel_spells_by_percent_where_log10_is_low(monkeypatch):
+    # a log10 one ulp low puts e one too low at and just above each power of ten, so
+    # hi + lo reaches 10**n; those numbers go to %
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+    tens = 10.0 ** np.arange(-4, 17)
+    x = np.concatenate([tens, np.nextafter(tens, np.inf), 1.000000000005 * tens])
+    for n in (12, 17):
+        got = _decimal._g_block(np.concatenate([x, -x]).reshape(-1, 1), n, b"\n")
+        assert got.decode("ascii") == "".join("%.*g\n" % (n, v) for v in [*x, *-x])
+
+
+def test_g12_temporaries_are_bounded():
+    rng = np.random.default_rng(28)
+    r, phi, north = forward_arrays(rng.uniform(-90, 90, 2000), rng.uniform(-180, 180, 2000),
+                                   ProjectionMode.STRESS_MINIMAL)
+    rows = np.column_stack((r, phi))
+    tails = np.array([b"south\n", b"north\n"]).view(np.uint8).reshape(2, -1).take(
+        north.view(np.uint8), axis=0)
+    _decimal.g12_rows(rows, tails)  # builds the tables
+    tracemalloc.start()
+    try:
+        text = _decimal.g12_rows(rows, tails)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 0.33 MB measured, and 0.41 MB for the separate "%.12g" writer the shared kernel
+    # replaced: one 1,024-row block's cells, masks and text at a time
+    assert peak - 2 * len(text) < 410_000
 
 
 class TestReadRows:
@@ -392,12 +451,12 @@ class TestToSvg:
 
 def test_decimal_is_loaded_and_built_on_first_use():
     src = Path(gr.__file__).resolve().parents[1]
-    # the digit table is built by both writers, the "%.17g" tables by the profile writer only
+    # the digit table is built by both writers, a "%g" keep table by the profile writer only
     code = ("import sys, flatdisk.cli; print('flatdisk._decimal' in sys.modules); "
             "import flatdisk.variational; print('flatdisk._decimal' in sys.modules); "
             "from flatdisk import _decimal, geo_render, variational; "
             "built = lambda: print(_decimal.digit_groups.cache_info().currsize, "
-            "_decimal.g17_tables.cache_info().currsize); built(); "
+            "_decimal.g_keep.cache_info().currsize); built(); "
             "geo_render.MapDocument(width=1.0, height=2.0).to_svg(); built(); "
             "variational.profile_to_text("
             "variational.RadialProfile([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])); "
