@@ -181,22 +181,29 @@ def cmd_project(args) -> int:
     """Project lat,lon rows from stdin to r,phi,side rows on stdout.
 
     ASCII rows "lat,lon\\n" of 0-9 . e - + with lat in [-90, 90] and lon finite
-    are read by _decimal.read_rows and written by _decimal.g12_rows, as float()
-    and "%.12g,%.12g,side\\n" % would; any other stdin goes to _project_lines.
-    The north mask, read as 0 or 1, takes each side tail from "south\\n", "north\\n".
+    are read by _decimal.read_rows as float() reads them and written by
+    _write_projected; any other stdin goes to _project_lines.
     """
     mode = ProjectionMode(args.mode)
     text = sys.stdin.read()
-    from ._decimal import g12_rows, read_rows
+    from ._decimal import read_rows
     rows = read_rows(text, 0, ",", float, 2**17)  # 128 KB blocks
     if rows is None or not np.all((rows[0] >= -90.0) & (rows[0] <= 90.0)) \
             or np.isinf(rows[1]).any():
         return _project_lines(text, mode)
-    r, phi, north = projection.forward_arrays(rows[0], rows[1], mode)
+    _write_projected(rows[0], rows[1], mode)
+    return EXIT_OK
+
+
+def _write_projected(lat, lon, mode: ProjectionMode) -> None:
+    """Project lat, lon in one forward_arrays call and write each point to stdout
+    by _decimal.g12_rows, as "%.12g,%.12g,%s\\n" % (r, phi, side) would."""
+    from ._decimal import g12_rows
+    r, phi, north = projection.forward_arrays(lat, lon, mode)
     sides = np.array([f"{side.value}\n" for side in projection.Hemisphere], "S")  # north first
+    # the north mask, read as 0 or 1, takes each tail from "south\n", "north\n"
     tails = sides.view(np.uint8).reshape(2, -1)[::-1].take(north.view(np.uint8), axis=0)
     sys.stdout.write(g12_rows(np.column_stack((r, phi)), tails).decode("ascii"))
-    return EXIT_OK
 
 
 def _project_lines(text: str, mode: ProjectionMode) -> int:
@@ -205,8 +212,8 @@ def _project_lines(text: str, mode: ProjectionMode) -> int:
     Blank and # lines are dropped, each row must have one comma, all fields
     go through float() at once, and masks find the first bad row (wrong
     field count, a field float() rejects, lat outside [-90, 90] or NaN,
-    infinite lon).  The rows before it are projected in one call and
-    written; the bad row's error text comes from GeoCoord on that row
+    infinite lon).  The rows before it go to _write_projected, as canonical
+    rows do; the bad row's error text comes from GeoCoord on that row
     alone, so it reads as it always has ("line 5: latitude out of range: 91.0").
     """
     lines = list(map(str.strip, text.split("\n")))
@@ -217,16 +224,8 @@ def _project_lines(text: str, mode: ProjectionMode) -> int:
     n = len(values) // 2  # a row whose lat or lon float() rejects ends the run
     lat, lon = values[0:2 * n:2], values[1:2 * n:2]
     bad = np.flatnonzero(~((lat >= -90.0) & (lat <= 90.0)) | np.isinf(lon))
-    if bad.size:
-        n = int(bad[0])
-    if n:
-        r, phi, north = projection.forward_arrays(lat[:n], lon[:n], mode)
-        cells = [None] * (3 * n)
-        cells[0::3] = r.tolist()  # r can pass 1 by float noise only, which %.12g prints as 1
-        cells[1::3] = phi.tolist()
-        cells[2::3] = np.where(north, projection.Hemisphere.NORTH.value,
-                               projection.Hemisphere.SOUTH.value).tolist()
-        sys.stdout.write(("%.12g,%.12g,%s\n" * n) % tuple(cells))
+    n = int(bad[0]) if bad.size else n
+    _write_projected(lat[:n], lon[:n], mode)
     if n < len(rows):
         lineno = list(compress(count(1), is_row))[n]
         raise RuntimeError(f"line {lineno}: {_row_error(rows[n])}")

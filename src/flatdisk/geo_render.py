@@ -159,7 +159,7 @@ def load_geojson(path) -> list[GeoPolyline]:
     it; a load that succeeds logs their count.
     """
     import json  # here, so that render profile loads no json
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not read
         doc = json.load(fh)
     features = doc.get("features", []) if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":

@@ -56,6 +56,7 @@ class StressEvaluationError(ValueError):
 
 _SPOT_GRID = np.array([0.2, 0.6, 1.0, 1.4])
 _FD_STEP = 1e-5
+_WINDOW = 64  # rows per window of _windowed
 
 
 @dataclass(frozen=True)
@@ -198,14 +199,14 @@ def _substitute(new, old, diag, rhs, upper):
     np.divide(rhs - upper * old[0], diag, out=new[0])
 
 
-def _windowed(step, initial: tuple, coefficients: tuple, warmup: int, window: int = 64) -> list:
+def _windowed(step, initial: tuple, coefficients: tuple, warmup: int) -> list:
     """The states at rows 0..n-1 of the recurrence step, in windows side by side.
 
     step(new, old, *c) writes into the arrays new the state that follows the
     state old at a row with coefficients c.  coefficients holds (array, fill)
     pairs, each array ending at row n - 1 (a shorter one starts later), and
     the rows before an array's start take its fill, which leaves the state
-    initial where it is.  Each window of `window` rows starts `warmup` >= 1
+    initial where it is.  Each window of _WINDOW rows starts `warmup` >= 1
     rows early from initial: the recurrences here contract (by about 0.27 a
     row on a spline system), so the warm-up ends on the floats of the
     sequential loop.  Each seam is checked; from the first whose warm-up ends
@@ -213,8 +214,7 @@ def _windowed(step, initial: tuple, coefficients: tuple, warmup: int, window: in
     the sequential loop's.
     """
     n = len(coefficients[0][0])
-    if n <= window:
-        window, warmup = n, 0
+    window, warmup = (n, 0) if n <= _WINDOW else (_WINDOW, warmup)
     count = -(-n // window)
     total = count * window + warmup  # rows, counting the fill
     padded = [np.concatenate((np.full(total - len(c), fill), c)) for c, fill in coefficients]

@@ -25,7 +25,6 @@ and reads them back.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,7 +277,6 @@ def profile_to_text(profile: RadialProfile, comment: str = "") -> str:
     return "\n".join(lines) + "\n" + rows.decode("ascii")
 
 
-_NOT_BLANK = re.compile(r"\S")  # a character str.isspace() rejects
 _READ_BLOCK = 2**16  # bytes per step of _read_rows, cut after a "\n": bounds its temporaries
 
 
@@ -317,30 +315,30 @@ def parse_profile(text: str) -> RadialProfile:
     Format: one sample per line, theta and f(theta) as two whitespace-
     separated floats (profile_to_text writes %.17g); blank lines and lines
     whose first non-blank character is # are skipped.  Below its top #
-    lines, which may hold any character but a line break other than "\n",
-    ASCII text in the written layout is read by _read_rows; any
-    other text, and any token float() rejects, is read line by line by
-    _parse_lines.  Both give the numbers float() gives, and a bad line
-    raises ValueError naming its line number.
+    lines, which may hold any character but a line break other than "\\n",
+    the body goes to _read_rows, its one guard: that declines any character
+    but 0-9 . e - + space "\\n", any other layout and any token float()
+    rejects, and then _parse_lines reads the whole text line by line.  Both
+    give the numbers float() gives; an empty or blank body reads as no
+    samples, and a bad line raises ValueError naming its line number.
     """
     start = 0  # the body: text from start on, past the top # lines, never copied whole
     while text.startswith("#", start):
         start = text.find("\n", start) + 1 or len(text)  # 0: no "\n" left
-    rows = None
-    # _read_rows ends lines at "\n" alone, where str.splitlines also ends them
-    # at "\r" and the other breaks, also inside the top # lines
-    if (not any(c in text for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
-            and _NOT_BLANK.search(text, start)):
-        rows = _read_rows(text, start)
+    # _read_rows ends lines at "\n" alone, where str.splitlines also ends them at
+    # "\r" and the other breaks; it declines those in the body, not in the # lines
+    head = text[:start]
+    rows = None if any(c in head for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029") \
+        else _read_rows(text, start)
     thetas, values = _parse_lines(text) if rows is None else rows
     return RadialProfile(thetas=thetas, values=values)
 
 
 def save_profile(profile: RadialProfile, path, comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(profile_to_text(profile, comment))
 
 
 def load_profile(path) -> RadialProfile:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not read
         return parse_profile(fh.read())

@@ -149,6 +149,16 @@ class TestStress:
         assert code == 1
         assert "line 2" in err
 
+    def test_profile_with_a_byte_order_mark(self, capsys, tmp_path):
+        plain, marked = tmp_path / "p.txt", tmp_path / "bom.txt"
+        assert cli.main(["solve", "--n", "64", "--out", str(plain)]) == 0
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        capsys.readouterr()
+        want = run(capsys, "stress", "--profile", str(plain))
+        got = run(capsys, "stress", "--profile", str(marked))
+        assert (got[0], got[2]) == (want[0], want[2]) == (0, "")
+        assert got[1].split("\n", 1)[1] == want[1].split("\n", 1)[1]  # line 1 is the path
+
     def test_overflowing_profile_is_error_line(self, capsys, tmp_path):
         # f = 1e200 * theta: f'^2 overflows in the stress integrand
         path = tmp_path / "big.txt"
@@ -483,6 +493,30 @@ class TestProjectArrayPass:
 
 def reject_line_path(text, mode):
     raise AssertionError(f"line path reached: {text!r}")
+
+
+@pytest.mark.parametrize("text, rows", [("# lat,lon\n45,30\n-10,-0.0\n0,-180\n", 3),
+                                        ("# c\n45,30\n91,0\n", 1), ("# c\n", 0)])
+def test_line_path_writes_through_g12_rows(capsys, monkeypatch, text, rows):
+    # a #-led CSV takes the line path, and its rows are spelled by the array pass's writer
+    from flatdisk import _decimal
+    calls = []
+    project_lines, g12_rows = cli._project_lines, _decimal.g12_rows
+
+    def lines_spy(text, mode):
+        calls.append("lines")
+        return project_lines(text, mode)
+
+    def g12_spy(values, tails):
+        calls.append(len(values))
+        return g12_rows(values, tails)
+
+    want = reference_project(text, "stress-minimal")
+    monkeypatch.setattr(cli, "_project_lines", lines_spy)
+    monkeypatch.setattr(_decimal, "g12_rows", g12_spy)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "project") == want
+    assert calls == ["lines", rows]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -50,6 +50,15 @@ class TestLoadGeojson:
         assert len(lines[0].points) == 5  # the closing point is kept
         assert lines[0].points[0].tolist() == lines[0].points[-1].tolist()
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # RFC 8259 section 8.1 lets a parser ignore a leading UTF-8 BOM
+        path = tmp_path / "bom.geojson"
+        path.write_bytes(b"\xef\xbb\xbf" + FIXTURE.read_bytes())
+        got, want = gr.load_geojson(path), gr.load_geojson(FIXTURE)
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert np.array_equal(a.points, b.points)
+
     def test_empty_collection(self, tmp_path):
         path = write_geojson(tmp_path, [])
         assert gr.load_geojson(path) == []
