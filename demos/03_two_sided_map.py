@@ -8,7 +8,7 @@ from pathlib import Path
 
 from flatdisk import geo_render as gr
 from flatdisk import projection as pj
-from flatdisk.projection import GeoCoord, ProjectionMode
+from flatdisk.projection import ProjectionMode
 
 HERE = Path(__file__).parent
 FIXTURE = HERE.parent / "tests" / "data" / "fixture_coastline.geojson"
@@ -31,6 +31,6 @@ print()
 print("local scale factors (stress-minimal mode):")
 print(f"{'lat':>5} {'meridian':>10} {'parallel':>10} {'area':>10}")
 for lat in (90, 60, 30, 0):
-    m, p, a = pj.scale_factors(GeoCoord(lat, 0.0), ProjectionMode.STRESS_MINIMAL)
+    m, p, a = pj.scale_factors(lat, ProjectionMode.STRESS_MINIMAL)
     print(f"{lat:>5} {m:>10.6f} {p:>10.6f} {a:>10.6f}")
 print("note the isotropy at the pole and the unit meridian scale at the rim.")

@@ -30,7 +30,7 @@ from .closedform import (
     series_coefficients,
     eval_beta_series,
 )
-from .projection import GeoCoord, DiskPoint, Hemisphere, ProjectionMode, forward, inverse
+from .projection import Hemisphere, ProjectionMode
 
 # name -> the module that defines it, imported on first use
 _LAZY = {name: "stress" for name in

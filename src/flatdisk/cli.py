@@ -171,7 +171,7 @@ def _row_error(row: str) -> str:
     if len(parts) != 2:
         return "expected lat,lon"
     try:
-        projection.GeoCoord(float(parts[0]), float(parts[1]))
+        projection.forward_arrays(float(parts[0]), float(parts[1]), ProjectionMode.GGV)
     except ValueError as exc:
         return str(exc)
     raise AssertionError(f"row {row!r} passes the one-row check")
@@ -213,8 +213,8 @@ def _project_lines(text: str, mode: ProjectionMode) -> int:
     go through float() at once, and masks find the first bad row (wrong
     field count, a field float() rejects, lat outside [-90, 90] or NaN,
     infinite lon).  The rows before it go to _write_projected, as canonical
-    rows do; the bad row's error text comes from GeoCoord on that row
-    alone, so it reads as it always has ("line 5: latitude out of range: 91.0").
+    rows do; the bad row's error text comes from forward_arrays on that
+    row alone, so it reads as it always has ("line 5: latitude out of range: 91.0").
     """
     lines = list(map(str.strip, text.split("\n")))
     is_row = [line and line[0] != "#" for line in lines]

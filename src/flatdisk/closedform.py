@@ -105,7 +105,7 @@ def clamp_colatitude(theta):
     """
     bad = (theta < -CLAMP_TOL) | (theta > HALF_PI + CLAMP_TOL)
     if np.any(bad):
-        raise ValueError(f"colatitude out of range [0, pi/2]: {theta[bad][0]!r}")
+        raise ValueError(f"colatitude out of range [0, pi/2]: {float(theta[bad][0])!r}")
     return np.clip(theta, 0.0, HALF_PI)
 
 

@@ -6,16 +6,17 @@ stress-minimal mode it follows the minimum-stress radial function,
 normalized by f(pi/2) = 2 ln 2.  The equator lands on the rim, r = 1,
 exactly in GGV mode; in stress-minimal mode it lands within 1 ulp below
 1, because the computed f(pi/2) may round below closedform.TWO_LN2.
-Its vectorized functions give a float for a scalar, by the one rule of the
-closed-form evaluators (closedform._vectorized).
+
+forward_arrays takes (lat, lon) in degrees to (r, phi, north) and
+inverse_arrays takes them back; the northern face owns the equator.  Every
+function takes scalars or arrays and gives Python scalars for scalars, by
+the one rule of the closed-form evaluators (closedform._vectorized).
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,19 +26,15 @@ from .closedform import HALF_PI
 __all__ = [
     "Hemisphere",
     "ProjectionMode",
-    "GeoCoord",
-    "DiskPoint",
     "normalize_lon",
-    "forward",
-    "inverse",
     "radial_function",
     "radius_from_colatitude",
     "forward_arrays",
     "inverse_radius",
+    "inverse_arrays",
     "scale_factors",
 ]
 
-_R_TOL = 1e-12
 # Newton stop for inverse_radius.  Newton converges quadratically from GGV's
 # inverse r * pi/2, so a step below 1e-11 rad leaves an error of order
 # f''/f' * 1e-22 rad, under the rounding of theta.  The 8-step cap bounds the cost.
@@ -56,62 +53,29 @@ class ProjectionMode(enum.Enum):
 
 
 @closedform._vectorized
-def _wrap(x, period: float):
-    """x reduced into (-period/2, period/2] (vectorized; a float for a scalar).
-
-    fmod by period (exact, sign of the argument), then one shift of period
-    off the ends; -0.0 and NaN pass through.  Infinite values raise
-    ValueError "math domain error", as math.fmod does.
-    """
-    if np.isinf(x).any():
-        raise ValueError("math domain error")
-    out = np.fmod(x, period)
-    half = 0.5 * period
-    return np.where(out <= -half, out + period, np.where(out > half, out - period, out))
-
-
 def normalize_lon(lon):
-    """Longitude in degrees mapped into (-180, 180] by _wrap (vectorized)."""
-    return _wrap(lon, 360.0)
+    """Longitude in degrees mapped into (-180, 180] (vectorized; a float for a scalar).
+
+    fmod by 360 (exact, sign of the argument), then one shift of 360 off the
+    ends; -0.0 and NaN pass through.  Infinite values raise ValueError
+    "math domain error", as math.fmod does.
+    """
+    if np.isinf(lon).any():
+        raise ValueError("math domain error")
+    out = np.fmod(lon, 360.0)
+    return np.where(out <= -180.0, out + 360.0, np.where(out > 180.0, out - 360.0, out))
 
 
 @closedform._vectorized
 def _unit_radius(r):
     """Disk radius r clamped onto [0, 1] (vectorized; a float for a scalar).
 
-    NaN, or a value more than _R_TOL outside [0, 1], raises ValueError.
+    NaN, or a value more than closedform.CLAMP_TOL outside [0, 1], raises ValueError.
     """
-    bad = ~((r >= -_R_TOL) & (r <= 1.0 + _R_TOL))
+    bad = ~((r >= -closedform.CLAMP_TOL) & (r <= 1.0 + closedform.CLAMP_TOL))
     if np.any(bad):
         raise ValueError(f"disk radius out of range [0, 1]: {float(r[bad][0])!r}")
     return np.clip(r, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class GeoCoord:
-    """Geographic coordinate in degrees; longitude normalized into (-180, 180]."""
-
-    lat_deg: float
-    lon_deg: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat_deg <= 90.0:
-            raise ValueError(f"latitude out of range: {self.lat_deg!r}")
-        object.__setattr__(self, "lon_deg", normalize_lon(self.lon_deg))
-
-
-@dataclass(frozen=True)
-class DiskPoint:
-    """Polar point on one face of the unit two-sided disk, rim at r = 1 (the
-    equator lands there, or within 1 ulp inside it: module docstring)."""
-
-    r: float
-    phi: float
-    side: Hemisphere
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", _unit_radius(self.r))
-        object.__setattr__(self, "phi", _wrap(self.phi, 2 * math.pi))
 
 
 @functools.cache
@@ -132,25 +96,27 @@ def radius_from_colatitude(theta, mode: ProjectionMode):
 
 
 def forward_arrays(lat_deg, lon_deg, mode: ProjectionMode):
-    """Vectorized forward map: arrays of degrees -> (r, phi, north_mask).
+    """Vectorized forward map: degrees -> (r, phi, north_mask).
 
+    A latitude outside [-90, 90], or NaN, raises ValueError "latitude out of
+    range: 91.0"; then an infinite longitude raises normalize_lon's error.
     phi is normalize_lon's exact reduction in radians (+ 0.0 turns -0.0 into
     0.0).  The pole projects to r = 0 with phi = 0 (deterministic tie-break);
     lat = 0 is assigned to the northern face.
     """
     lat = np.asarray(lat_deg, dtype=float)
+    abs_lat = np.abs(lat)
+    in_range = abs_lat <= 90.0
+    if not in_range.all():
+        raise ValueError(f"latitude out of range: {float(lat[~in_range][0])!r}")
     north = lat >= 0.0
-    theta = np.radians(90.0 - np.abs(lat))
-    r = radius_from_colatitude(theta, mode)
+    r = radius_from_colatitude(np.radians(90.0 - abs_lat), mode)
     phi = np.where(r == 0.0, 0.0, np.radians(normalize_lon(lon_deg)) + 0.0)
-    return r, phi, north
+    return (float(r), float(phi), bool(north)) if phi.ndim == 0 else (r, phi, north)
 
 
-def forward(p: GeoCoord, mode: ProjectionMode) -> DiskPoint:
-    """Project a geographic coordinate onto the two-sided disk."""
-    r, phi, north = forward_arrays(p.lat_deg, p.lon_deg, mode)
-    side = Hemisphere.NORTH if bool(north) else Hemisphere.SOUTH
-    return DiskPoint(r=float(r), phi=float(phi), side=side)
+# bench/tracing.py wraps this name; it goes when the tracer stops wrapping it
+forward = forward_arrays
 
 
 @closedform._vectorized
@@ -178,17 +144,21 @@ def inverse_radius(r, mode: ProjectionMode):
     return theta
 
 
-def inverse(d: DiskPoint, mode: ProjectionMode) -> GeoCoord:
-    """Invert the projection; forward(inverse(d)) reproduces d."""
-    theta = inverse_radius(d.r, mode)
-    lat = 90.0 - math.degrees(theta)
-    if d.side is Hemisphere.SOUTH:
-        lat = -lat
-    return GeoCoord(lat_deg=lat, lon_deg=math.degrees(d.phi))
+def inverse_arrays(r, phi, north, mode: ProjectionMode):
+    """Vectorized inverse map: (r, phi, north_mask) -> degrees (lat, lon).
+
+    r follows inverse_radius's rule (clamped within closedform.CLAMP_TOL,
+    else ValueError); lon is normalize_lon of phi in degrees.  forward_arrays
+    of the result gives back (r, phi, north) up to rounding.
+    """
+    lat = 90.0 - np.degrees(inverse_radius(r, mode))
+    lat = np.where(north, lat, -lat)
+    lon = normalize_lon(np.degrees(phi))
+    return (float(lat), lon) if lat.ndim == 0 else (lat, lon)
 
 
-def scale_factors(p: GeoCoord, mode: ProjectionMode):
-    """(meridian_scale, parallel_scale, area_scale) at a geographic point.
+def scale_factors(lat_deg, mode: ProjectionMode):
+    """(meridian_scale, parallel_scale, area_scale) at latitudes in degrees.
 
     Reported in unnormalized units: the hemisphere rim sits at pi/2 for GGV
     and at 2 ln 2 for stress-minimal.  The factors are 1 + stress.sigma and
@@ -196,7 +166,7 @@ def scale_factors(p: GeoCoord, mode: ProjectionMode):
     rho's limiting slope f'(0), where the map is isotropic.
     """
     from . import stress
-    theta = math.radians(90.0 - abs(p.lat_deg))
+    theta = np.radians(90.0 - np.abs(lat_deg))
     rf = radial_function(mode)
     meridian = stress.sigma(rf, theta) + 1.0
     parallel = stress.rho(rf, theta) + 1.0

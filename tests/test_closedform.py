@@ -64,6 +64,12 @@ class TestColatitude:
         with pytest.raises(ValueError):
             cf.clamp_colatitude(math.pi / 2 + 1e-6)
 
+    @pytest.mark.parametrize("theta", [1.6, np.array([0.5, 1.6, -1.0])])
+    def test_error_spells_a_plain_float(self, theta):
+        # numpy 2 spells a float64 element as np.float64(1.6)
+        with pytest.raises(ValueError, match=r"^colatitude out of range \[0, pi/2\]: 1\.6$"):
+            cf.clamp_colatitude(theta)
+
 
 class TestEvalF:
     def test_equator_is_two_ln2(self):

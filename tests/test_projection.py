@@ -8,20 +8,36 @@ import pytest
 from flatdisk import closedform as cf
 from flatdisk import projection as pj
 from flatdisk import stress
-from flatdisk.projection import GeoCoord, DiskPoint, Hemisphere, ProjectionMode
+from flatdisk.projection import ProjectionMode
+
+GGV = ProjectionMode.GGV
 
 # mpmath: f(pi/4) / (2 ln 2)
 R_LAT45_SM = 0.4828663380774189255223317641965867382511
 
 
 class TestGeoCoord:
+    """The rules of a geographic coordinate, as forward_arrays checks them."""
+
     def test_normalizes_longitude(self):
-        assert GeoCoord(10.0, 200.0).lon_deg == pytest.approx(-160.0)
-        assert GeoCoord(10.0, -180.0).lon_deg == pytest.approx(180.0)
+        assert pj.forward_arrays(10.0, 200.0, GGV)[1] == pytest.approx(math.radians(-160.0))
+        assert pj.forward_arrays(10.0, -180.0, GGV)[1] == pytest.approx(math.radians(180.0))
 
     def test_rejects_bad_latitude(self):
-        with pytest.raises(ValueError):
-            GeoCoord(91.0, 0.0)
+        for mode in ProjectionMode:
+            with pytest.raises(ValueError):
+                pj.forward_arrays(91.0, 0.0, mode)
+
+    @pytest.mark.parametrize("mode", list(ProjectionMode))
+    @pytest.mark.parametrize("lat, text", [
+        (91.0, "91.0"), (-90.5, "-90.5"), (math.nan, "nan"),
+        (np.array([10.0, -90.0, 90.0, -90.5, 91.0]), "-90.5"),
+        (np.array([0.0, math.nan, 91.0]), "nan"),
+    ])
+    def test_latitude_check(self, mode, lat, text):
+        # GGV gave r < 0 for lat 91, and NaN went through in both modes
+        with pytest.raises(ValueError, match=f"^latitude out of range: {text}$"):
+            pj.forward_arrays(lat, np.zeros_like(lat), mode)
 
 
 class TestNormalizeLon:
@@ -44,8 +60,9 @@ class TestNormalizeLon:
         for arg in (lon, np.array([0.0, lon])):
             with pytest.raises(ValueError, match="math domain error"):
                 pj.normalize_lon(arg)
-        with pytest.raises(ValueError, match="math domain error"):
-            GeoCoord(0.0, lon)
+        for mode in ProjectionMode:
+            with pytest.raises(ValueError, match="math domain error"):
+                pj.forward_arrays(0.0, lon, mode)
 
     def test_array_matches_scalar_rule(self):
         rng = np.random.default_rng(3)
@@ -54,68 +71,88 @@ class TestNormalizeLon:
         want = [pj.normalize_lon(x) for x in lon.tolist()]
         assert got.tolist() == want
         assert np.all((got > -180.0) & (got <= 180.0))
-        assert [GeoCoord(0.0, x).lon_deg for x in lon.tolist()] == want
+        # one point at a time, forward_arrays reduces each longitude by the same rule
+        assert [pj.forward_arrays(0.0, x, GGV)[1] for x in lon.tolist()] == \
+            np.radians(want).tolist()
 
 
 class TestDiskPoint:
+    """The rules of a point on the disk, as inverse_arrays checks them."""
+
     def test_clamps_radius_noise(self):
-        assert DiskPoint(1.0 + 1e-13, 0.0, Hemisphere.NORTH).r == 1.0
+        for mode in ProjectionMode:
+            assert pj.inverse_radius(1.0 + 1e-13, mode) == math.pi / 2
+            assert pj.inverse_arrays(1.0 + 1e-13, 0.0, True, mode) == \
+                pj.inverse_arrays(1.0, 0.0, True, mode)
 
     def test_rejects_radius_out_of_range(self):
         with pytest.raises(ValueError):
-            DiskPoint(1.01, 0.0, Hemisphere.NORTH)
+            pj.inverse_arrays(1.01, 0.0, True, GGV)
 
     def test_rejects_nan_radius(self):
         with pytest.raises(ValueError, match="disk radius out of range"):
-            DiskPoint(math.nan, 0.0, Hemisphere.NORTH)
+            pj.inverse_arrays(math.nan, 0.0, True, GGV)
 
     @pytest.mark.parametrize("phi, want", [
         (-math.pi, math.pi), (math.pi, math.pi), (3 * math.pi, math.pi), (-0.0, -0.0),
         (2 * math.pi + 0.5, 0.5),
     ])
     def test_wraps_phi_into_half_open_turn(self, phi, want):
-        got = DiskPoint(0.5, phi, Hemisphere.NORTH).phi
-        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        # phi is reduced in degrees, as a longitude, so phi outside the turn
+        # carries the rounding of its own degree value
+        _, got = pj.inverse_arrays(0.5, phi, True, GGV)
+        assert got == pj.normalize_lon(math.degrees(phi)) and -180.0 < got <= 180.0
+        assert got == pytest.approx(math.degrees(want), abs=1e-13)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
     @pytest.mark.parametrize("phi", [math.inf, -math.inf])
     def test_infinite_phi_raises(self, phi):
         with pytest.raises(ValueError, match="math domain error"):
-            DiskPoint(0.5, phi, Hemisphere.NORTH)
+            pj.inverse_arrays(0.5, phi, True, GGV)
 
 
 class TestForward:
     def test_pole_is_center(self):
-        d = pj.forward(GeoCoord(90.0, 123.0), ProjectionMode.GGV)
-        assert d.r == 0.0 and d.phi == 0.0 and d.side is Hemisphere.NORTH
+        assert pj.forward_arrays(90.0, 123.0, GGV) == (0.0, 0.0, True)
 
     def test_ggv_midlatitude(self):
-        d = pj.forward(GeoCoord(45.0, 30.0), ProjectionMode.GGV)
-        assert d.r == pytest.approx(0.5, abs=1e-14)
-        assert d.phi == pytest.approx(math.pi / 6, abs=1e-14)
-        assert d.side is Hemisphere.NORTH
+        r, phi, north = pj.forward_arrays(45.0, 30.0, GGV)
+        assert r == pytest.approx(0.5, abs=1e-14)
+        assert phi == pytest.approx(math.pi / 6, abs=1e-14)
+        assert north is True
 
     def test_stress_minimal_midlatitude(self):
-        d = pj.forward(GeoCoord(45.0, 30.0), ProjectionMode.STRESS_MINIMAL)
-        assert d.r == pytest.approx(R_LAT45_SM, abs=1e-13)
-        assert d.phi == pytest.approx(math.pi / 6)
+        r, phi, _ = pj.forward_arrays(45.0, 30.0, ProjectionMode.STRESS_MINIMAL)
+        assert r == pytest.approx(R_LAT45_SM, abs=1e-13)
+        assert phi == pytest.approx(math.pi / 6)
+
+    @pytest.mark.parametrize("mode", list(ProjectionMode))
+    def test_scalars_in_scalars_out(self, mode):
+        # a scalar gives Python scalars, as every closedform evaluator does
+        assert [type(x) for x in pj.forward_arrays(45.0, 30.0, mode)] == [float, float, bool]
+        assert [type(x) for x in pj.inverse_arrays(0.5, 0.5, False, mode)] == [float, float]
+        r, phi, north = pj.forward_arrays(np.array([45.0]), np.array([30.0]), mode)
+        assert r.shape == phi.shape == north.shape == (1,)
+        lat, lon = pj.inverse_arrays(r, phi, north, mode)
+        assert lat.shape == lon.shape == (1,)
 
     @pytest.mark.parametrize("mode", list(ProjectionMode))
     @pytest.mark.parametrize("lon", [-180.0, -90.0, 0.0, 90.0, 180.0])
     def test_equator_maps_to_rim(self, mode, lon):
-        assert pj.forward(GeoCoord(0.0, lon), mode).r == pytest.approx(1.0, abs=1e-14)
+        assert pj.forward_arrays(0.0, lon, mode)[0] == pytest.approx(1.0, abs=1e-14)
 
-    @pytest.mark.parametrize("mode, lowest", [(ProjectionMode.GGV, 1.0),
+    @pytest.mark.parametrize("mode, lowest", [(GGV, 1.0),
                                               (ProjectionMode.STRESS_MINIMAL, 1.0 - 2**-53)])
     def test_equator_radius_is_one_or_one_ulp_below(self, mode, lowest):
         # eval_f(pi/2) rounds 1 ulp below TWO_LN2, so stress-minimal may land inside the rim
         lon = np.array([-180.0, -90.0, 0.0, 90.0, 180.0])
         r, _, _ = pj.forward_arrays(np.zeros_like(lon), lon, mode)
-        scalar = pj.forward(GeoCoord(0.0, 10.0), mode).r
+        scalar = pj.forward_arrays(0.0, 10.0, mode)[0]
         assert np.all((lowest <= r) & (r <= 1.0)) and lowest <= scalar <= 1.0
         assert lowest <= pj.radius_from_colatitude(cf.HALF_PI, mode) <= 1.0
 
     def test_equator_owned_by_north(self):
-        assert pj.forward(GeoCoord(0.0, 10.0), ProjectionMode.GGV).side is Hemisphere.NORTH
+        assert pj.forward_arrays(0.0, 10.0, GGV)[2] is True
 
     @pytest.mark.parametrize("mode", list(ProjectionMode))
     def test_phi_is_reduced_longitude_in_radians(self, mode):
@@ -131,30 +168,32 @@ class TestForward:
 
 class TestInverse:
     def test_center_is_pole(self):
-        g = pj.inverse(DiskPoint(0.0, 0.0, Hemisphere.NORTH), ProjectionMode.GGV)
-        assert g.lat_deg == pytest.approx(90.0)
+        lat, _ = pj.inverse_arrays(0.0, 0.0, True, GGV)
+        assert lat == pytest.approx(90.0)
 
     def test_rim_is_equator(self):
-        g = pj.inverse(DiskPoint(1.0, math.pi / 6, Hemisphere.SOUTH), ProjectionMode.GGV)
-        assert g.lat_deg == pytest.approx(0.0, abs=1e-12)
-        assert g.lon_deg == pytest.approx(30.0, abs=1e-10)
+        lat, lon = pj.inverse_arrays(1.0, math.pi / 6, False, GGV)
+        assert lat == pytest.approx(0.0, abs=1e-12)
+        assert lon == pytest.approx(30.0, abs=1e-10)
 
     def test_stress_minimal_bisection(self):
-        g = pj.inverse(DiskPoint(R_LAT45_SM, math.pi / 6, Hemisphere.NORTH),
-                       ProjectionMode.STRESS_MINIMAL)
-        assert g.lat_deg == pytest.approx(45.0, abs=1e-8)
-        assert g.lon_deg == pytest.approx(30.0, abs=1e-8)
+        lat, lon = pj.inverse_arrays(R_LAT45_SM, math.pi / 6, True,
+                                     ProjectionMode.STRESS_MINIMAL)
+        assert lat == pytest.approx(45.0, abs=1e-8)
+        assert lon == pytest.approx(30.0, abs=1e-8)
 
     def test_rejects_radius_out_of_range(self):
         with pytest.raises(ValueError):
-            pj.inverse_radius(1.5, ProjectionMode.GGV)
+            pj.inverse_radius(1.5, GGV)
 
     @pytest.mark.parametrize("mode", list(ProjectionMode))
     @pytest.mark.parametrize("r", [1.5, -1e-9, math.nan, np.array([0.5, math.nan])])
     def test_radius_rule_matches_disk_point(self, mode, r):
-        # the same rule and message as DiskPoint, NaN included
+        # the same rule and message as inverse_arrays, NaN included
         with pytest.raises(ValueError, match="disk radius out of range"):
             pj.inverse_radius(r, mode)
+        with pytest.raises(ValueError, match="disk radius out of range"):
+            pj.inverse_arrays(r, 0.0, True, mode)
 
 
 # (r, theta): r is a double, theta the colatitude with f(theta) = 2 ln 2 * r
@@ -215,9 +254,10 @@ class TestRoundTrip:
         lat = rng.uniform(-90.0, 90.0, 100_000)
         lon = rng.uniform(-180.0, 180.0, 100_000)
         r, phi, north = pj.forward_arrays(lat, lon, mode)
+        lat_back, lon_back = pj.inverse_arrays(r, phi, north, mode)
         theta = pj.inverse_radius(r, mode)
-        lat_back = np.where(north, 90.0 - np.degrees(theta), np.degrees(theta) - 90.0)
-        lon_back = np.degrees(phi)
+        assert lat_back.tolist() == np.where(north, 90.0 - np.degrees(theta),
+                                             np.degrees(theta) - 90.0).tolist()
         dlon = np.abs((lon_back - lon + 180.0) % 360.0 - 180.0)
         assert np.max(np.abs(lat_back - lat)) < 1e-8
         assert np.max(dlon) < 1e-8
@@ -228,20 +268,20 @@ class TestProperties:
     def test_longitude_equivariance(self, mode):
         delta = 37.0
         for lat, lon in [(20.0, 10.0), (65.0, -120.0), (-45.0, 170.0)]:
-            a = pj.forward(GeoCoord(lat, lon), mode)
-            b = pj.forward(GeoCoord(lat, lon + delta), mode)
-            dphi = (b.phi - a.phi) % (2 * math.pi)
+            a_r, a_phi, _ = pj.forward_arrays(lat, lon, mode)
+            b_r, b_phi, _ = pj.forward_arrays(lat, lon + delta, mode)
+            dphi = (b_phi - a_phi) % (2 * math.pi)
             assert dphi == pytest.approx(math.radians(delta), abs=1e-12)
-            assert b.r == pytest.approx(a.r, abs=1e-14)
+            assert b_r == pytest.approx(a_r, abs=1e-14)
 
     @pytest.mark.parametrize("mode", list(ProjectionMode))
     def test_hemisphere_symmetry(self, mode):
         for lat, lon in [(20.0, 10.0), (65.0, -120.0), (5.0, 170.0)]:
-            n = pj.forward(GeoCoord(lat, lon), mode)
-            s = pj.forward(GeoCoord(-lat, lon), mode)
-            assert s.side is Hemisphere.SOUTH and n.side is Hemisphere.NORTH
-            assert s.r == pytest.approx(n.r, abs=1e-14)
-            assert s.phi == pytest.approx(n.phi, abs=1e-14)
+            n_r, n_phi, n_north = pj.forward_arrays(lat, lon, mode)
+            s_r, s_phi, s_north = pj.forward_arrays(-lat, lon, mode)
+            assert s_north is False and n_north is True
+            assert s_r == pytest.approx(n_r, abs=1e-14)
+            assert s_phi == pytest.approx(n_phi, abs=1e-14)
 
     @pytest.mark.parametrize("mode", list(ProjectionMode))
     def test_radius_monotone_in_colatitude(self, mode):
@@ -252,23 +292,23 @@ class TestProperties:
 
 class TestScaleFactors:
     def test_ggv_equator(self):
-        m, p, a = pj.scale_factors(GeoCoord(0.0, 0.0), ProjectionMode.GGV)
+        m, p, a = pj.scale_factors(0.0, GGV)
         assert m == 1.0
         assert p == pytest.approx(math.pi / 2)
         assert a == pytest.approx(math.pi / 2)
 
     def test_ggv_pole(self):
-        assert pj.scale_factors(GeoCoord(90.0, 0.0), ProjectionMode.GGV) == \
+        assert pj.scale_factors(90.0, GGV) == \
             pytest.approx((1.0, 1.0, 1.0))
 
     def test_stress_minimal_equator(self):
-        m, p, a = pj.scale_factors(GeoCoord(0.0, 0.0), ProjectionMode.STRESS_MINIMAL)
+        m, p, a = pj.scale_factors(0.0, ProjectionMode.STRESS_MINIMAL)
         assert m == pytest.approx(1.0, abs=1e-13)
         assert p == pytest.approx(cf.TWO_LN2, abs=1e-13)
         assert a == pytest.approx(cf.TWO_LN2, abs=1e-12)
 
     def test_stress_minimal_pole_isotropic(self):
-        m, p, a = pj.scale_factors(GeoCoord(90.0, 0.0), ProjectionMode.STRESS_MINIMAL)
+        m, p, a = pj.scale_factors(90.0, ProjectionMode.STRESS_MINIMAL)
         assert m == pytest.approx(cf.POLE_SLOPE, abs=1e-14)
         assert p == m
         assert a == pytest.approx(m * m)
@@ -278,6 +318,13 @@ class TestScaleFactors:
         rf = stress.closed_form_radial()
         for lat in (5.0, 22.5, 45.0, 70.0, 89.0):
             theta = math.radians(90.0 - lat)
-            m, p, _ = pj.scale_factors(GeoCoord(lat, 0.0), ProjectionMode.STRESS_MINIMAL)
+            m, p, _ = pj.scale_factors(lat, ProjectionMode.STRESS_MINIMAL)
             assert m == stress.sigma(rf, theta) + 1.0
             assert p == stress.rho(rf, theta) + 1.0
+
+    @pytest.mark.parametrize("mode", list(ProjectionMode))
+    def test_array_matches_scalars(self, mode):
+        lats = [-90.0, -45.0, 0.0, 5.0, 22.5, 89.0, 90.0]
+        got = pj.scale_factors(np.array(lats), mode)
+        for k, lat in enumerate(lats):
+            assert [a[k] for a in got] == list(pj.scale_factors(lat, mode))
