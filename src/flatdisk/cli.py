@@ -8,10 +8,10 @@ uses 12 significant digits so stdout is diff-stable.
 from __future__ import annotations
 
 import argparse
+import array
 import functools
 import math
 import sys
-from itertools import compress, count
 
 import numpy as np
 
@@ -134,49 +134,6 @@ def cmd_stress(args) -> int:
     return EXIT_OK
 
 
-# every byte but the two separators of a lat,lon row
-_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
-
-
-def _one_comma_rows(rows: list) -> int:
-    """How many leading rows have exactly one comma each.
-
-    Joined by newlines, the rows pass when their separators alone read
-    ",\n,\n...,": a row with no comma or two breaks the alternation, so
-    each row is checked on its own and miscounts cannot cancel out.
-    """
-    seps = "\n".join(rows).encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
-    if seps == (b",\n" * len(rows))[:-1]:
-        return len(rows)
-    return next(k for k, row in enumerate(rows) if row.count(",") != 1)
-
-
-def _floats(tokens: list) -> np.ndarray:
-    """float() of each token, up to the first one that float() rejects."""
-    try:
-        return np.fromiter(map(float, tokens), float, len(tokens))
-    except ValueError:
-        good = []
-        for token in tokens:
-            try:
-                good.append(float(token))
-            except ValueError:
-                break
-        return np.array(good)
-
-
-def _row_error(row: str) -> str:
-    """The error text the one-row path gives for a rejected lat,lon row."""
-    parts = row.split(",")
-    if len(parts) != 2:
-        return "expected lat,lon"
-    try:
-        projection.forward_arrays(float(parts[0]), float(parts[1]), ProjectionMode.GGV)
-    except ValueError as exc:
-        return str(exc)
-    raise AssertionError(f"row {row!r} passes the one-row check")
-
-
 def cmd_project(args) -> int:
     """Project lat,lon rows from stdin to r,phi,side rows on stdout.
 
@@ -185,7 +142,7 @@ def cmd_project(args) -> int:
     _write_projected; any other stdin goes to _project_lines.
     """
     mode = ProjectionMode(args.mode)
-    text = sys.stdin.read()
+    text = _read(lambda _: sys.stdin.read(), "<stdin>")
     from ._decimal import read_rows
     rows = read_rows(text, 0, ",", float, 2**17)  # 128 KB blocks
     if rows is None or not np.all((rows[0] >= -90.0) & (rows[0] <= 90.0)) \
@@ -207,28 +164,32 @@ def _write_projected(lat, lon, mode: ProjectionMode) -> None:
 
 
 def _project_lines(text: str, mode: ProjectionMode) -> int:
-    """cmd_project on any text, parsed and checked in one array pass.
+    """cmd_project on any text, read one line at a time.
 
-    Blank and # lines are dropped, each row must have one comma, all fields
-    go through float() at once, and masks find the first bad row (wrong
-    field count, a field float() rejects, lat outside [-90, 90] or NaN,
-    infinite lon).  The rows before it go to _write_projected, as canonical
-    rows do; the bad row's error text comes from forward_arrays on that
-    row alone, so it reads as it always has ("line 5: latitude out of range: 91.0").
+    Blank and # lines are skipped; every other line must be lat,lon, each
+    field read by float(), lat in [-90, 90] and lon finite.  The rows before
+    the first bad line go to _write_projected, as canonical rows do, and the
+    bad line raises its error; forward_arrays on that row alone words a value
+    out of range, so it reads "line 5: latitude out of range: 91.0".
     """
-    lines = list(map(str.strip, text.split("\n")))
-    is_row = [line and line[0] != "#" for line in lines]
-    rows = list(compress(lines, is_row))
-    n = _one_comma_rows(rows)
-    values = _floats(",".join(rows[:n]).split(",") if n else [])
-    n = len(values) // 2  # a row whose lat or lon float() rejects ends the run
-    lat, lon = values[0:2 * n:2], values[1:2 * n:2]
-    bad = np.flatnonzero(~((lat >= -90.0) & (lat <= 90.0)) | np.isinf(lon))
-    n = int(bad[0]) if bad.size else n
-    _write_projected(lat[:n], lon[:n], mode)
-    if n < len(rows):
-        lineno = list(compress(count(1), is_row))[n]
-        raise RuntimeError(f"line {lineno}: {_row_error(rows[n])}")
+    lats, lons = array.array("d"), array.array("d")  # numpy reads them without a copy
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        parts = line.split(",")
+        try:
+            if len(parts) != 2:
+                raise ValueError("expected lat,lon")
+            lat, lon = float(parts[0]), float(parts[1])
+            if not -90.0 <= lat <= 90.0 or math.isinf(lon):
+                projection.forward_arrays(lat, lon, mode)  # raises the row's error
+        except ValueError as exc:
+            _write_projected(lats, lons, mode)
+            raise RuntimeError(f"line {lineno}: {exc}") from None
+        lats.append(lat)
+        lons.append(lon)
+    _write_projected(lats, lons, mode)
     return EXIT_OK
 
 

@@ -12,7 +12,8 @@ Two verification routes, neither of which evaluates the closed form:
 * solve_discrete minimizes the midpoint-rule discretization of the stress
   functional over interior node values directly, with only f(0) = 0
   imposed, by a numpy tridiagonal solve of its stationarity conditions and
-  one step of iterative refinement.  The natural boundary condition
+  iterative refinement, repeated while a step moves f by more than
+  sqrt(eps) max f, at most 4 times.  The natural boundary condition
   f'(pi/2) = 1 is not imposed; it emerges from the free endpoint, and the
   resulting profile can be compared node-by-node against any candidate
   solution.  richardson combines two solves into an O(h^4) profile.

@@ -306,6 +306,15 @@ class TestProject:
         assert code == 1
         assert "line 1" in err
 
+    def test_undecodable_stdin_is_an_error_line(self, capsys, monkeypatch):
+        # a strict UTF-8 stdin, the default under a UTF-8 locale, fails as files do
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff45,1\n"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "project")
+        assert (code, out) == (1, "")
+        assert err == ("error: <stdin>: 'utf-8' codec can't decode byte 0xff in position 0: "
+                       "invalid start byte\n")
+
 
 # stdout, stderr and exit code of `project` frozen from the per-line scalar
 # implementation that the batched one replaced
