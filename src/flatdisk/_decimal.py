@@ -184,7 +184,7 @@ def quotients(d, k):
 def read_decimals(d, k):
     """(x, exact): x[i] == float() of the decimal d[i] / 10**k[i] wherever exact[i]; d
     is an int64 array >= 0, k floats, the digits after the point (module docstring)."""
-    x = d.astype(float)  # exact below 2**53
+    x = d.astype(np.float64)  # exact below 2**53
     k22 = np.minimum(k, 22.0).astype(np.intp)  # k > 22 fails ok below
     ok = (x > 0) & (d < 2**63 - 1) & (k <= 22.0)  # 0, "-", "-." and a saturated d go to float()
     exact = ok & (x < 2.0**53)  # Clinger's path
@@ -199,11 +199,11 @@ def read_decimals(d, k):
     return x, exact
 
 
-def read_rows(body, start, sep, parse, block):
+def read_rows(body, start, sep, block):
     """(2, n) array of the n rows "token<sep>token\\n" of the str body[start:]
-    (the last "\\n" optional), read in blocks of about block characters as parse
-    (float) reads them; None for a character not in 0-9 . e - + sep "\\n", another
-    layout, or a token parse rejects."""
+    (the last "\\n" optional), read in blocks of about block characters as float()
+    reads them; None for a character not in 0-9 . e - + sep "\\n", another layout,
+    or a token float() rejects."""
     rows, row = np.empty((2, body.count("\n", start) + 1)), 0
     code, others = ord(sep), b"0123456789.\n" + sep.encode()
     spaced = bytes.maketrans(b"e-+" + sep.encode(), b"000 ")
@@ -231,14 +231,14 @@ def read_rows(body, start, sep, parse, block):
         k[point - np.arange(len(point))] = marks[point + 1] - marks[point] - 1.0
         del stops, marks  # the peak is in read_decimals
         neg = np.flatnonzero(a[np.r_[0, ends[:-1] + 1]] == ord("-")) if signs else []
-        if len(neg) < len(signs):  # an exponent, a "+" or an inner "-": left to parse
+        if len(neg) < len(signs):  # an exponent, a "+" or an inner "-": left to float()
             marked = (a == ord("-")) | (a == ord("e")) | (a == ord("+"))
             d[np.searchsorted(ends, np.flatnonzero(marked))] = 0
         x, exact = read_decimals(d, k)  # x == float(token) where exact
         x[neg] *= -1.0
         bad = np.flatnonzero(~exact)
         try:  # token 0 starts at ends[-1] + 1 == len(chunk), that is at 0
-            x[bad] = [parse(chunk[i % len(chunk):j])
+            x[bad] = [float(chunk[i % len(chunk):j])
                       for i, j in zip((ends[bad - 1] + 1).tolist(), ends[bad].tolist())]
         except ValueError:
             return None

@@ -144,7 +144,7 @@ def cmd_project(args) -> int:
     mode = ProjectionMode(args.mode)
     text = _read(lambda _: sys.stdin.read(), "<stdin>")
     from ._decimal import read_rows
-    rows = read_rows(text, 0, ",", float, 2**17)  # 128 KB blocks
+    rows = read_rows(text, 0, ",", 2**17)  # 128 KB blocks
     if rows is None or not np.all((rows[0] >= -90.0) & (rows[0] <= 90.0)) \
             or np.isinf(rows[1]).any():
         return _project_lines(text, mode)

@@ -57,6 +57,7 @@ class StressEvaluationError(ValueError):
 _SPOT_GRID = np.array([0.2, 0.6, 1.0, 1.4])
 _FD_STEP = 1e-5
 _WINDOW = 64  # rows per window of _windowed
+_WARMUP = 48  # rows each window of _windowed starts early
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def _slope_system(dx: np.ndarray, slope: np.ndarray, x: np.ndarray) -> tuple:
     return lower, diag, upper, rhs
 
 
-def _tridiagonal(lower, diag, upper, rhs, warmup: int = 48) -> np.ndarray:
+def _tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Solution of the tridiagonal system by Gaussian elimination without pivoting.
 
     lower and upper are the sub- and superdiagonal.  Row by row this is
@@ -181,9 +182,8 @@ def _tridiagonal(lower, diag, upper, rhs, warmup: int = 48) -> np.ndarray:
     windows (_windowed).
     """
     d, b = _windowed(_eliminate, (np.inf, 0.0),
-                     ((diag, 1.0), (rhs, 0.0), (lower, 0.0), (upper, 0.0)), warmup)
-    x, = _windowed(_substitute, (0.0,), ((d[::-1], 1.0), (b[::-1], 0.0), (upper[::-1], 0.0)),
-                   warmup)
+                     ((diag, 1.0), (rhs, 0.0), (lower, 0.0), (upper, 0.0)))
+    x, = _windowed(_substitute, (0.0,), ((d[::-1], 1.0), (b[::-1], 0.0), (upper[::-1], 0.0)))
     return x[::-1]
 
 
@@ -199,14 +199,14 @@ def _substitute(new, old, diag, rhs, upper):
     np.divide(rhs - upper * old[0], diag, out=new[0])
 
 
-def _windowed(step, initial: tuple, coefficients: tuple, warmup: int) -> list:
+def _windowed(step, initial: tuple, coefficients: tuple) -> list:
     """The states at rows 0..n-1 of the recurrence step, in windows side by side.
 
     step(new, old, *c) writes into the arrays new the state that follows the
     state old at a row with coefficients c.  coefficients holds (array, fill)
     pairs, each array ending at row n - 1 (a shorter one starts later), and
     the rows before an array's start take its fill, which leaves the state
-    initial where it is.  Each window of _WINDOW rows starts `warmup` >= 1
+    initial where it is.  Each window of _WINDOW rows starts _WARMUP >= 1
     rows early from initial: the recurrences here contract (by about 0.27 a
     row on a spline system), so the warm-up ends on the floats of the
     sequential loop.  Each seam is checked; from the first whose warm-up ends
@@ -214,7 +214,7 @@ def _windowed(step, initial: tuple, coefficients: tuple, warmup: int) -> list:
     the sequential loop's.
     """
     n = len(coefficients[0][0])
-    window, warmup = (n, 0) if n <= _WINDOW else (_WINDOW, warmup)
+    window, warmup = (n, 0) if n <= _WINDOW else (_WINDOW, _WARMUP)
     count = -(-n // window)
     total = count * window + warmup  # rows, counting the fill
     padded = [np.concatenate((np.full(total - len(c), fill), c)) for c, fill in coefficients]

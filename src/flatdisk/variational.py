@@ -11,12 +11,12 @@ Two verification routes, neither of which evaluates the closed form:
 
 * solve_discrete minimizes the midpoint-rule discretization of the stress
   functional over interior node values directly, with only f(0) = 0
-  imposed, by a numpy tridiagonal solve of its stationarity conditions and
-  iterative refinement, repeated while a step moves f by more than
-  sqrt(eps) max f, at most 4 times.  The natural boundary condition
-  f'(pi/2) = 1 is not imposed; it emerges from the free endpoint, and the
-  resulting profile can be compared node-by-node against any candidate
-  solution.  richardson combines two solves into an O(h^4) profile.
+  imposed, by cyclic reduction of its tridiagonal stationarity conditions
+  (recursing on the odd rows) and iterative refinement, repeated while a
+  step moves f by more than sqrt(eps) max f, at most 4 times.  The natural
+  boundary condition f'(pi/2) = 1 is not imposed; it emerges from the free
+  endpoint, and the profile can be compared node-by-node against any
+  candidate solution.  richardson combines two solves into an O(h^4) profile.
 
 profile_to_text and parse_profile write and read a profile as text: # lines,
 then one row "theta f" per node, each number spelled as "%.17g" spells it,
@@ -190,44 +190,35 @@ def _gradient(f: np.ndarray, h: float, two_sm: np.ndarray) -> np.ndarray:
 def _cyclic_reduction(diag: np.ndarray, off: np.ndarray):
     """Solver of the symmetric tridiagonal system with diagonal diag and off-diagonal off.
 
-    Odd-even cyclic reduction (R. W. Hockney, J. ACM 12, 1965): each level
-    eliminates the even rows, halving the system, and the returned function
-    runs a right-hand side down the levels and its unknowns back up.  A pivot
-    that is not positive, which a positive-definite system never has, raises
-    SolverError.
+    Odd-even cyclic reduction (R. W. Hockney, J. ACM 12, 1965): eliminating the
+    even rows leaves a system of the same form in the odd rows, half the size,
+    on which the reduction recurses.  The returned function scales the even
+    rows of a right-hand side, solves the odd rows by the inner solver and
+    back-substitutes the even rows.  A pivot that is not positive, which a
+    positive-definite system never has, raises SolverError.
     """
-    levels = []
-    d, e = diag, np.concatenate(([0.0], off, [0.0]))  # e[i] couples rows i - 1 and i
-    while True:
-        if not np.all(d > 0):
-            raise SolverError("cyclic reduction failed: the system is not positive definite")
-        if len(d) == 1:
-            break
-        if len(d) % 2 == 0:  # a decoupled row (x = 0) gives each odd row two neighbours
-            d, e = np.append(d, 1.0), np.append(e, 0.0)
-        pivot = d[::2]
-        left, right = e[:-1:2] / pivot, e[1::2] / pivot  # of each even row
-        levels.append((pivot, left[1:], right[:-1], e[1:-1:2], e[2::2]))
-        d = d[1::2] - right[:-1] * e[1:-1:2] - left[1:] * e[2::2]
-        e = -left * e[1::2]
+    if not np.all(diag > 0):
+        raise SolverError("cyclic reduction failed: the system is not positive definite")
+    if len(diag) == 1:
+        return lambda r: r / diag
+    d = diag
+    if len(d) % 2 == 0:  # a decoupled row (x = 0) gives each odd row two neighbours
+        d, off = np.append(d, 1.0), np.append(off, 0.0)
+    pivot, to_left, to_right = d[::2], off[::2], off[1::2]  # to_*: of each odd row
+    right, left = to_left / pivot[:-1], to_right / pivot[1:]  # of each even row, over its pivot
+    inner = _cyclic_reduction(d[1::2] - right * to_left - left * to_right,
+                              -left[:-1] * off[2::2])
+    pad = np.zeros(len(d) - len(diag))
 
     def solve(r: np.ndarray) -> np.ndarray:
-        scaled = []
-        for pivot, _, _, to_left, to_right in levels:
-            if len(r) < 2 * len(pivot) - 1:
-                r = np.append(r, 0.0)
-            z = r[::2] / pivot
-            scaled.append(z)
-            r = r[1::2] - to_left * z[:-1] - to_right * z[1:]
-        x = r / d
-        for (pivot, left, right, _, _), z in zip(levels[::-1], scaled[::-1]):
-            x, y = x[:len(pivot) - 1], np.empty(2 * len(pivot) - 1)
-            y[::2] = z
-            y[2::2] -= left * x
-            y[:-1:2] -= right * x
-            y[1::2] = x
-            x = y
-        return x[:len(diag)]
+        z = np.concatenate((r[::2], pad)) / pivot
+        x = inner(r[1::2] - to_left * z[:-1] - to_right * z[1:])
+        y = np.empty(len(d))
+        y[::2] = z
+        y[2::2] -= left * x
+        y[:-1:2] -= right * x
+        y[1::2] = x
+        return y[:len(r)]
     return solve
 
 
@@ -285,7 +276,7 @@ def _read_rows(body: str, start: int = 0):
     """(thetas, values) of the non-empty ASCII body[start:] as float() reads it, or
     None if it is not rows "token token\\n" of 0-9 . e - + (_decimal.read_rows)."""
     from ._decimal import read_rows
-    return read_rows(body, start, " ", float, _READ_BLOCK)
+    return read_rows(body, start, " ", _READ_BLOCK)
 
 
 def _parse_lines(text: str):

@@ -253,17 +253,18 @@ class TestReadRows:
         tokens = [spell(v) for v in x.tolist()]
         assert any(len(t.lstrip("-").replace(".", "").lstrip("0")) >= 15 for t in tokens)
         body = "".join(f"{a}{sep}{b}\n" for a, b in zip(tokens[::2], tokens[1::2]))
-        got = _decimal.read_rows(body, 0, sep, float, 2**16)
+        got = _decimal.read_rows(body, 0, sep, 2**16)
         want = np.array([float(t) for t in tokens])
         assert np.array_equal(got.T.ravel().view(np.int64), want.view(np.int64))
 
-    def test_clinger_path_needs_no_float(self):
+    def test_clinger_path_needs_no_float(self, monkeypatch):
         # up to 15 digits, d < 2**53 and k <= 22: one division, float() never called
         x = np.random.default_rng(27).uniform(-1e4, 1e4, 20_000)
         body = "".join("%.15g,%.11g\n" % tuple(ab) for ab in x.reshape(-1, 2).tolist())
         def parse(token):
             raise AssertionError(token)
-        got = _decimal.read_rows(body, 0, ",", parse, 2**16)
+        monkeypatch.setattr(_decimal, "float", parse, raising=False)
+        got = _decimal.read_rows(body, 0, ",", 2**16)
         want = np.array([float(t) for t in body.replace("\n", ",").split(",")[:-1]])
         assert np.array_equal(got.T.ravel().view(np.int64), want.view(np.int64))
 
@@ -291,7 +292,10 @@ def read_with_float_spied(tokens):
     """read_rows on tokens, two a row, and the tokens it passed to float()."""
     seen = []
     body = "".join(f"{a},{b}\n" for a, b in zip(tokens[::2], tokens[1::2]))
-    got = _decimal.read_rows(body, 0, ",", lambda t: seen.append(t.decode()) or float(t), 2**16)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_decimal, "float", lambda t: seen.append(t.decode()) or float(t),
+                      raising=False)
+        got = _decimal.read_rows(body, 0, ",", 2**16)
     want = np.array([float(t) for t in tokens])
     assert np.array_equal(got.T.ravel().view(np.int64), want.view(np.int64))
     return seen

@@ -216,8 +216,9 @@ class TestTridiagonal:
             step(new, old, *c)
         step = stress._eliminate
         monkeypatch.setattr(stress, "_eliminate", eliminate)
+        monkeypatch.setattr(stress, "_WARMUP", warmup)
         system = profile_system(1025)
-        got = stress._tridiagonal(*system, warmup=warmup)
+        got = stress._tridiagonal(*system)
         assert (1 in sizes) is repairs
         assert np.array_equal(got, sequential_elimination(*system))
 

@@ -210,6 +210,15 @@ class TestSolveDiscrete:
                                                  "positive definite$"):
             va.solve_discrete(64)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_reduced_pivot_that_is_not_positive_is_solver_error(self, n):
+        # every pivot of the first level is 1, and the odd rows' reduced pivots are
+        # 1 - 2*2 - 2*2 = -7 and, at n = 4, 1 - 2*2 = -3: there the first level holds
+        # a decoupled row, and the failing level has two rows, an even size
+        with pytest.raises(va.SolverError, match="^cyclic reduction failed: the system is not "
+                                                 "positive definite$"):
+            va._cyclic_reduction(np.ones(n), np.full(n - 1, 2.0))
+
     def test_non_increasing_solution_is_solver_error(self, monkeypatch):
         monkeypatch.setattr(va, "_cyclic_reduction", lambda diag, off: lambda rhs: -np.abs(rhs))
         with pytest.raises(va.SolverError,
@@ -544,7 +553,7 @@ class TestExactReading:
         body = va.profile_to_text(va.solve_discrete(2**15)).partition("\n")[2]
         body += "1 10\n0.01 100000\n"
         seen = []
-        monkeypatch.setattr(va, "float", lambda token: seen.append(token) or float(token),
+        monkeypatch.setattr(_decimal, "float", lambda token: seen.append(token) or float(token),
                             raising=False)
         va._read_rows(body)
         assert seen == [b"0", b"0"] + [t.encode() for t in body.split() if "e" in t]
