@@ -238,6 +238,20 @@ class TestFailuresAreErrorLines:
         code, out, got = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
         assert (code, out, got) == (1, "", "error: " + err.replace("{tmp}", str(tmp_path)) + "\n")
 
+    @pytest.mark.parametrize("data, err", [
+        (b"# c\xff\n0 0\n1 1\n2 2\n", "byte 0xff in position 3: invalid start byte"),
+        (b"# c\n0 0\n1 \xff\n2 2\n", "byte 0xff in position 10: invalid start byte"),
+        # the position is counted after the byte-order mark
+        (b"\xef\xbb\xbf# c\n0 0\n10 \xff\n2 2\n", "byte 0xff in position 11: invalid start byte"),
+        (b"# \xe9t\xe9\n0 0\n1 1\n2 2\n", "byte 0xe9 in position 2: invalid continuation byte"),
+    ], ids=["comment", "body", "body-after-bom", "latin-1-comment"])
+    def test_undecodable_profile(self, capsys, tmp_path, data, err):
+        # a profile is UTF-8 throughout, its # lines too: the error names the first bad byte
+        path = tmp_path / "p.txt"
+        path.write_bytes(data)
+        code, out, got = run(capsys, "stress", "--profile", str(path))
+        assert (code, out, got) == (1, "", f"error: {path}: 'utf-8' codec can't decode {err}\n")
+
 
 class TestBadValuesAreUsageErrors:
     # exit 2 and one "usage error:" line, as for `solve --n 8`, not a traceback
