@@ -48,9 +48,12 @@ read_decimals reads a token as d / 10**k, d its digits and k those after
 the point (W. D. Clinger, PLDI 1990; D. Lemire, Softw. Pract. Exper. 51,
 2021).  Where 0 < d < 2**53 and k <= 22, d and 10**k are exact doubles and
 d / 10**k is one correctly rounded division: float(token) itself.
-Elsewhere quotients gives a candidate q and remainder r = d - q * 10**k to
-within 2**-25: with high = d & -2**26 and q * 10**k = hi + lo (two_product),
-only the last two sums of ((high - hi) - lo) + (d - high) round, each below 2**27.
+Elsewhere corrected takes x = fl(d) / 10**k, the same division, and its remainder
+r' = d - x * 10**k to within 2**-25: with high = d & -2**26 and x * 10**k = hi + lo
+(two_product), only the last two sums of ((high - hi) - lo) + (d - high) round, each
+below 2**27.  It corrects x once, to q = x + r' / 10**k, and gives q's remainder as
+r = r' - (q - x) * 10**k, one remainder a token: q - x is at most 2 ulps of x, so it is
+exact (Sterbenz) and so is its product with 10**k, as 2 * 5**22 < 2**53.
 q is kept where |r| < (1/2 - 2**-22) g * 10**k, g the gap from q to its neighbour
 on r's side (below a power of two, half the one above).  Off Clinger's path a kept
 d is at least 2**53, so g * 10**k >= 1 and the margin exceeds r's error: q is
@@ -78,7 +81,7 @@ _FIXED3_SEP = 12
 _KEEP = np.array([[s <= j <= _FIXED3_SEP for j in range(16)] for s in range(_FIXED3_SEP + 2)])
 _TENS = np.array([10**k for k in range(1, 7)])  # integer parts from these up have one more digit
 
-# Rows per writer block.  A profile block of 4,096 rows keeps rows_to_text's temporaries
+# Rows per writer block.  A profile block of 4,096 rows keeps row_blocks' temporaries
 # within test_writer_temporaries_are_bounded; a project block of 1,024 rows keeps each of
 # g12_rows' cell and mask arrays (96 KB) under glibc's 128 KB mmap threshold, so a run
 # of project jobs takes no page faults in them.
@@ -174,11 +177,14 @@ def remainder(d, q, k):
     return ((high - hi) - lo) + (d - high)
 
 
-def quotients(d, k):
-    """d / 10**k for int64 d >= 0 and k <= 22: the quotient of d's high bits (an
-    exact double), corrected once by its remainder.  Checked by read_decimals."""
-    q = (d & -(2**26)) / _POW10[0][k]
-    return q + remainder(d, q, k) / _POW10[0][k]
+def corrected(d, x, k):
+    """(q, r): for int64 d >= 0, k <= 22 and x near d / 10**k, the quotient q of x
+    corrected once by its remainder, and q's own remainder r = d - q * 10**k
+    (module docstring)."""
+    p = _POW10[0][k]
+    r = remainder(d, x, k)
+    q = x + r / p
+    return q, r - (q - x) * p  # exact: q - x is at most 2 ulps and 2 * 5**22 < 2**53
 
 
 def read_decimals(d, k):
@@ -192,25 +198,28 @@ def read_decimals(d, k):
     slow = np.flatnonzero(~exact) if exact.any() else slice(None)  # profiles: all slow
     d, k22 = d[slow], k22[slow]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite q fails the test
-        q = x[slow] = quotients(d, k22)
-        r = remainder(d, q, k22)
+        q, r = corrected(d, x[slow], k22)
+        x[slow] = q
         gap = np.where(r < 0.0, q - np.nextafter(q, 0.0), np.nextafter(q, np.inf) - q)
         exact[slow] = ok[slow] & (np.abs(r) < (0.5 - 2.0**-22) * gap * _POW10[0][k22])
     return x, exact
 
 
 def read_rows(body, start, sep, block):
-    """(2, n) array of the n rows "token<sep>token\\n" of the str body[start:]
+    """(2, n) array of the n rows "token<sep>token\\n" of body[start:], str or bytes
     (the last "\\n" optional), read in blocks of about block characters as float()
-    reads them; None for a character not in 0-9 . e - + sep "\\n", another layout,
-    or a token float() rejects."""
-    rows, row = np.empty((2, body.count("\n", start) + 1)), 0
+    reads them, a str block encoded as it is cut; None for a character not in
+    0-9 . e - + sep "\\n", another layout, or a token float() rejects."""
+    newline = "\n" if isinstance(body, str) else b"\n"
+    rows, row = np.empty((2, body.count(newline, start) + 1)), 0
     code, others = ord(sep), b"0123456789.\n" + sep.encode()
     spaced = bytes.maketrans(b"e-+" + sep.encode(), b"000 ")
     while start < len(body):
-        end = body.find("\n", start + block) + 1 or len(body)  # 0: no "\n" left
-        chunk = body[start:end].encode("ascii", "replace")  # "?" for the others: rejected
-        chunk, start = chunk + b"\n"[:body[end - 1] != "\n"], end
+        end = body.find(newline, start + block) + 1 or len(body)  # 0: no "\n" left
+        chunk, start = body[start:end], end
+        if isinstance(chunk, str):
+            chunk = chunk.encode("ascii", "replace")  # "?" for the others: rejected
+        chunk += b"\n"[:not chunk.endswith(b"\n")]
         signs = chunk.translate(None, others)
         if signs.translate(None, b"e-+"):
             return None
@@ -271,11 +280,16 @@ def g_keep(n):
     return np.frombuffer(b"".join(rows), np.int64).reshape(len(rows), -1)
 
 
+def row_blocks(rows):
+    """The bytes of rows_to_text(rows), one block of _PROFILE_ROWS rows at a time."""
+    sep = b" " * (rows.shape[1] - 1) + b"\n"
+    for i in range(0, len(rows), _PROFILE_ROWS):
+        yield _g_block(rows[i:i + _PROFILE_ROWS], 17, sep)
+
+
 def rows_to_text(rows):
     """Bytes of each row of the 2-d float array rows as "%.17g %.17g ... %.17g\\n"."""
-    sep = b" " * (rows.shape[1] - 1) + b"\n"
-    return b"".join(_g_block(rows[i:i + _PROFILE_ROWS], 17, sep)
-                    for i in range(0, len(rows), _PROFILE_ROWS))
+    return b"".join(row_blocks(rows))
 
 
 def g12_rows(rows, tails):

@@ -58,6 +58,15 @@ POLE_SLOPE = 0.5 * (1.0 + LN2)
 # degree->radian conversion; anything worse is a caller bug.
 CLAMP_TOL = 1e-12
 
+# Newton stop for _inverse_f, whose steps are measured in theta.  Newton converges
+# quadratically, and its first step from _inverse_start is below 1e-6 rad, so a step
+# below 1e-11 rad leaves an error of order f''/f' * 1e-22 rad, under the rounding of
+# theta: the second step is the last.  The 8-step cap bounds the cost.
+_NEWTON_TOL = 1e-11
+_NEWTON_MAX_ITER = 8
+# 2 ln 2 - TWO_LN2, the error of the double TWO_LN2
+_TWO_LN2_LO = 4.638093627692599e-17
+
 # P(x) = (x + (1-x) log1p(-x)) / x^2 = sum_k x^k / ((k+1)(k+2)) for f'';
 # x <= 1/2 on [0, pi/2], so 45 terms reach double precision.
 _P_COEFFS = [1.0 / ((k + 1) * (k + 2)) for k in range(45)]
@@ -136,6 +145,48 @@ def _f_and_prime(theta):
     s, c, x, L = _half_angle(theta)
     q = _log_ratio(x, L)
     return _f(s, c, q), _f_prime(c, q)
+
+
+def _newton(s, r):
+    """theta in [0, pi/2] with f(theta) = 2 ln 2 r, by Newton's method in s = sin(theta/2)
+    from s, with c = sqrt(1 - s^2): no step calls sin or cos.
+
+    A step d theta = (f - 2 ln 2 r)/f' in theta is one of c d theta / 2 in s.  2 ln 2 r
+    is target + lo, TWO_LN2 * r and its error by Dekker's two_product plus r times
+    TWO_LN2's own error, so that the last step sees f's rounding only.  Once every
+    step is below _NEWTON_TOL rad, that step is taken in theta: 2 arcsin(s) - d theta,
+    clipped to [0, pi/2].
+    """
+    from ._decimal import dekker_split, two_product
+    target, lo = two_product(r, TWO_LN2, *dekker_split(TWO_LN2))
+    lo += r * _TWO_LN2_LO
+    for _ in range(_NEWTON_MAX_ITER):
+        x = s * s
+        c = np.sqrt(1.0 - x)
+        q = _log_ratio(x, np.log1p(-x))
+        step = ((_f(s, c, q) - target) - lo) / _f_prime(c, q)
+        if not np.any(np.abs(step) >= _NEWTON_TOL):
+            return np.clip(2.0 * np.arcsin(s) - step, 0.0, HALF_PI)
+        s = s - 0.5 * c * step
+    return np.clip(2.0 * np.arcsin(s), 0.0, HALF_PI)
+
+
+@functools.cache
+def _inverse_start():
+    """Coefficients, highest first, of p, where r p(r) is the degree-7 start of
+    _inverse_f: p interpolates s(r)/r at the 7 Chebyshev points of [0, 1], s(r) =
+    sin(theta/2) solved by _newton from GGV's theta = r pi/2.  r p(r) is within 1e-7
+    of s(r) on [0, 1], and 0 at r = 0.  Solved by np.linalg, which numpy loads, so
+    that no numpy.polynomial module is loaded."""
+    r = 0.5 + 0.5 * np.cos((np.arange(7) + 0.5) * (math.pi / 7))
+    s = np.sin(0.5 * _newton(np.sin(r * (HALF_PI / 2)), r))
+    return np.linalg.solve(np.vander(r), s / r)
+
+
+def _inverse_f(r):
+    """theta in [0, pi/2] with f(theta) = 2 ln 2 r, for r in [0, 1]: _newton from
+    _inverse_start, two evaluations of f and f'."""
+    return _newton(r * np.polyval(_inverse_start(), r), r)
 
 
 @_vectorized

@@ -35,13 +35,6 @@ __all__ = [
     "scale_factors",
 ]
 
-# Newton stop for inverse_radius.  Newton converges quadratically from GGV's
-# inverse r * pi/2, so a step below 1e-11 rad leaves an error of order
-# f''/f' * 1e-22 rad, under the rounding of theta.  The 8-step cap bounds the cost.
-_NEWTON_TOL = 1e-11
-_NEWTON_MAX_ITER = 8
-
-
 class Hemisphere(enum.Enum):
     NORTH = "north"
     SOUTH = "south"
@@ -123,25 +116,16 @@ forward = forward_arrays
 def inverse_radius(r, mode: ProjectionMode):
     """Colatitude theta at which the normalized disk radius is r (a float for a scalar).
 
-    GGV inverts analytically.  Stress-minimal runs Newton's method from GGV's
-    inverse theta = r * pi/2, clipped to [0, pi/2].  f is increasing and convex
-    there, so it lies below its chord, GGV's line to (pi/2, 2 ln 2): the start
-    lies left of the root.  From there the first step overshoots once, and then
-    the iterates fall monotonically onto the root.  It stops once every step is
-    below _NEWTON_TOL rad, or after _NEWTON_MAX_ITER steps.
+    GGV inverts analytically.  Stress-minimal runs Newton's method in
+    s = sin(theta/2) (closedform._inverse_f), from a degree-7 polynomial in r
+    within 1e-7 of the root, so that no step calls sin or cos.  It stops once
+    every step, measured in theta, is below 1e-11 rad, and takes that last
+    step in theta: two evaluations of f and f'.
     """
     r = _unit_radius(r)
     if mode is ProjectionMode.GGV:
         return r * HALF_PI
-    target = r * closedform.TWO_LN2
-    theta = r * HALF_PI
-    for _ in range(_NEWTON_MAX_ITER):
-        f, f_prime = closedform._f_and_prime(theta)
-        step = (f - target) / f_prime
-        theta = np.clip(theta - step, 0.0, HALF_PI)
-        if not np.any(np.abs(step) >= _NEWTON_TOL):
-            break
-    return theta
+    return closedform._inverse_f(r)
 
 
 def inverse_arrays(r, phi, north, mode: ProjectionMode):

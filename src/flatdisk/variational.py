@@ -21,11 +21,13 @@ Two verification routes, neither of which evaluates the closed form:
 profile_to_text and parse_profile write and read a profile as text: # lines,
 then one row "theta f" per node, each number spelled as "%.17g" spells it,
 so that it reads back bit for bit.  The module _decimal spells the numbers
-and reads them back.
+and reads them back.  save_profile and load_profile write and read the same
+text as UTF-8 bytes, and decode no row that reads.
 """
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,6 +254,14 @@ def discrete_objective(profile: RadialProfile) -> float:
 
 # --- two-column text serialization -----------------------------------------
 
+def _header(comment: str) -> str:
+    """The # lines of a profile: a title, then comment, if given, which holding a line
+    break raises ValueError."""
+    if comment and comment.splitlines() != [comment]:
+        raise ValueError(f"comment must be one line, got {comment!r}")
+    return "# flat-disk radial profile: theta f(theta)\n" + (f"# {comment}\n" if comment else "")
+
+
 def profile_to_text(profile: RadialProfile, comment: str = "") -> str:
     """The profile as text: # header lines, then one "theta f" row per node.
 
@@ -259,24 +269,38 @@ def profile_to_text(profile: RadialProfile, comment: str = "") -> str:
     reads back the same floats bit for bit.  comment, if given, is a second #
     line; one holding a line break raises ValueError.
     """
-    if comment and comment.splitlines() != [comment]:
-        raise ValueError(f"comment must be one line, got {comment!r}")
     from ._decimal import rows_to_text
-    lines = ["# flat-disk radial profile: theta f(theta)"]
-    if comment:
-        lines.append(f"# {comment}")
     rows = rows_to_text(np.column_stack((profile.thetas, profile.values)))
-    return "\n".join(lines) + "\n" + rows.decode("ascii")
+    return _header(comment) + rows.decode("ascii")
 
 
 _READ_BLOCK = 2**16  # bytes per step of _read_rows, cut after a "\n": bounds its temporaries
+# the line breaks of str.splitlines but "\n", at which _read_rows does not end a line
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _read_rows(body: str, start: int = 0):
-    """(thetas, values) of the non-empty ASCII body[start:] as float() reads it, or
-    None if it is not rows "token token\\n" of 0-9 . e - + (_decimal.read_rows)."""
+def _read_rows(body, start: int = 0):
+    """(thetas, values) of the non-empty ASCII body[start:], str or bytes, as float()
+    reads it, or None if it is not rows "token token\\n" of 0-9 . e - + (_decimal.read_rows)."""
     from ._decimal import read_rows
     return read_rows(body, start, " ", _READ_BLOCK)
+
+
+def _body_rows(text, start: int = 0):
+    """_read_rows of the body of text[start:], str or bytes: what lies below its top
+    # lines, read in place, never copied whole.  None where those lines hold a line
+    break _read_rows would not end a line at, or, in bytes, are not UTF-8."""
+    hash_, newline = ("#", "\n") if isinstance(text, str) else (b"#", b"\n")
+    body = start
+    while text.startswith(hash_, body):
+        body = text.find(newline, body) + 1 or len(text)  # 0: no "\n" left
+    head = text[start:body]
+    if isinstance(head, bytes):
+        try:
+            head = head.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    return None if any(c in head for c in _BREAKS) else _read_rows(text, body)
 
 
 def _parse_lines(text: str):
@@ -314,23 +338,31 @@ def parse_profile(text: str) -> RadialProfile:
     give the numbers float() gives; an empty or blank body reads as no
     samples, and a bad line raises ValueError naming its line number.
     """
-    start = 0  # the body: text from start on, past the top # lines, never copied whole
-    while text.startswith("#", start):
-        start = text.find("\n", start) + 1 or len(text)  # 0: no "\n" left
-    # _read_rows ends lines at "\n" alone, where str.splitlines also ends them at
-    # "\r" and the other breaks; it declines those in the body, not in the # lines
-    head = text[:start]
-    rows = None if any(c in head for c in "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029") \
-        else _read_rows(text, start)
+    rows = _body_rows(text)
     thetas, values = _parse_lines(text) if rows is None else rows
     return RadialProfile(thetas=thetas, values=values)
 
 
 def save_profile(profile: RadialProfile, path, comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(profile_to_text(profile, comment))
+    """Write the bytes of profile_to_text(profile, comment) in UTF-8 to path, its
+    rows a block at a time (_decimal.row_blocks)."""
+    from ._decimal import row_blocks
+    header = _header(comment).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.writelines(row_blocks(np.column_stack((profile.thetas, profile.values))))
 
 
 def load_profile(path) -> RadialProfile:
-    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not read
-        return parse_profile(fh.read())
+    """parse_profile of the UTF-8 file at path, a leading byte-order mark not read.
+
+    The body of rows below the top # lines is read from the file's bytes; any
+    file it declines is decoded whole for parse_profile, whose numbers and
+    errors, a byte that is not UTF-8 included, are those of the text.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    rows = _body_rows(data, 3 if data.startswith(codecs.BOM_UTF8) else 0)
+    if rows is None:
+        return parse_profile(data.decode("utf-8-sig"))
+    return RadialProfile(thetas=rows[0], values=rows[1])

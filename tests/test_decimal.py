@@ -301,6 +301,16 @@ def read_with_float_spied(tokens):
     return seen
 
 
+def moved_one_ulp(direction, corrected=_decimal.corrected):
+    """corrected with each candidate q moved one ulp toward direction(q) and given its
+    true remainder, so that the certificate of read_decimals sees a wrong quotient."""
+    def wrong(d, x, k):
+        q = corrected(d, x, k)[0]
+        q = np.nextafter(q, direction(q))
+        return q, _decimal.remainder(d, q, k)
+    return wrong
+
+
 class TestSixteenDigits:
     """Tokens past Clinger's path: a quotient that passes the remainder test is kept."""
 
@@ -322,24 +332,15 @@ class TestSixteenDigits:
         x = np.concatenate([x, (powers + np.nextafter(powers, 0.0)) / 2,
                             (powers + np.nextafter(powers, np.inf)) / 2])
         tokens = [f"%.{digits}g" % v for v in x.tolist()]
-        quotients = _decimal.quotients
         if off:
-            monkeypatch.setattr(_decimal, "quotients", lambda d, k: np.nextafter(
-                quotients(d, k), off))
+            monkeypatch.setattr(_decimal, "corrected", moved_one_ulp(lambda q: off))
         read_with_float_spied(tokens + [f"-{t}" for t in tokens])
 
     def test_quotients_one_ulp_off_are_never_kept(self, monkeypatch):
         # every token leaves Clinger's path, so every candidate is off and goes to float()
         near, fives, ties = sixteen_digit_tokens(30, 4_000)
-        quotients = _decimal.quotients
-
-        def wrong(d, k):
-            x = quotients(d, k)
-            x[0::2] = np.nextafter(x[0::2], np.inf)
-            x[1::2] = np.nextafter(x[1::2], 0.0)
-            return x
-
-        monkeypatch.setattr(_decimal, "quotients", wrong)
+        monkeypatch.setattr(_decimal, "corrected",
+                            moved_one_ulp(lambda q: np.resize([np.inf, 0.0], len(q))))
         tokens = near + fives + ties
         assert read_with_float_spied(tokens) == tokens
 

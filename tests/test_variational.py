@@ -370,6 +370,32 @@ class TestProfileSerialization:
         assert b"\r" not in data
         assert data.decode("ascii") == va.profile_to_text(profile, comment="c")
 
+    @pytest.mark.parametrize("comment", ["", "θ grid"], ids=["no-comment", "non-ascii"])
+    @pytest.mark.parametrize("n", [16, 4096, 2**15])
+    def test_streamed_save_is_the_text(self, tmp_path, n, comment):
+        # save_profile writes the header, then the rows one block at a time
+        profile, path = va.solve_discrete(n), tmp_path / "p.txt"
+        va.save_profile(profile, path, comment=comment)
+        assert path.read_bytes() == va.profile_to_text(profile, comment=comment).encode()
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_load_reads_the_rows_as_bytes(self, tmp_path, monkeypatch, mark):
+        # a non-ASCII comment, after a byte-order mark or not, leaves the rows to the
+        # digit reader: the file is never decoded whole
+        profile, path = va.solve_discrete(4096), tmp_path / "p.txt"
+        path.write_bytes(mark + va.profile_to_text(profile, comment="θ grid").encode())
+        monkeypatch.setattr(va, "parse_profile", reject_line_reader)
+        got = va.load_profile(path)
+        assert np.array_equal(got.thetas.view(np.int64), profile.thetas.view(np.int64))
+        assert np.array_equal(got.values.view(np.int64), profile.values.view(np.int64))
+
+    def test_load_of_crlf_lines_is_the_text(self, tmp_path):
+        # "\r" is not read as bytes: the decoded text goes to the line reader
+        profile, path = va.solve_discrete(64), tmp_path / "p.txt"
+        path.write_bytes(va.profile_to_text(profile, comment="c").replace("\n", "\r\n").encode())
+        got = va.load_profile(path)
+        assert np.array_equal(got.values.view(np.int64), profile.values.view(np.int64))
+
     def test_cli_comment_round_trips(self, tmp_path):
         path = tmp_path / "p.txt"
         assert cli.main(["solve", "--n", "64", "--out", str(path)]) == 0
@@ -564,16 +590,17 @@ class TestExactReading:
         # check, so its token goes to float() like any other
         body = va.profile_to_text(va.solve_discrete(1024)).partition("\n")[2]
         body += "0.5 0.5\n0.5 1\n1 1\n"
-        quotients = _decimal.quotients
+        corrected = _decimal.corrected
 
-        def wrong(d, k):
-            x = quotients(d, k)
-            x[0::3] = np.nextafter(x[0::3], np.inf)
-            x[1::3] *= 10
-            x[2::3] = np.inf
-            return x
+        def wrong(d, x, k):
+            q = corrected(d, x, k)[0]
+            q[0::3] = np.nextafter(q[0::3], np.inf)
+            q[1::3] *= 10
+            q[2::3] = np.inf
+            with np.errstate(invalid="ignore"):  # inf - inf
+                return q, _decimal.remainder(d, q, k)  # each with its true remainder
 
-        monkeypatch.setattr(_decimal, "quotients", wrong)
+        monkeypatch.setattr(_decimal, "corrected", wrong)
         want = np.array([float(t) for t in body.split()])
         assert np.array_equal(va._read_rows(body).T.ravel().view(np.int64), want.view(np.int64))
 
