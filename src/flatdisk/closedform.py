@@ -16,6 +16,9 @@ log1p(-x) = 2 log c: no term cancels on [0, pi/2], so no series branch is
 needed at the pole (Goldberg, "What every computer scientist should know
 about floating-point arithmetic", 1991).
 
+_inverse_f inverts f with the same pieces, by Newton's method in s with
+c = sqrt(1 - s^2), so that it calls neither sin nor cos.
+
 All evaluators accept scalars or numpy arrays and are pure functions.
 """
 
