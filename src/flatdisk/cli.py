@@ -266,6 +266,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:  # variational.SolverError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

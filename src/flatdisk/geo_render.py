@@ -460,7 +460,6 @@ def render_map(lines, mode: ProjectionMode, graticule_deg: int,
     return doc
 
 
-_CURVE_STYLE = 'fill="none" stroke="black" stroke-width="1.5"'
 _CHORD_STYLE = 'fill="none" stroke="red" stroke-width="1.5"'
 _GAP_STYLE = 'fill="none" stroke="#999999" stroke-width="1" stroke-dasharray="4,3"'
 _LABEL_STYLE = 'font-family="sans-serif" font-size="12" fill="black"'
@@ -495,7 +494,7 @@ def render_profile_plot(size_px: int) -> MapDocument:
     doc.polylines.append((np.column_stack([to_x(thetas), to_y(chord)]),
                           _CHORD_STYLE, False))
     doc.polylines.append((np.column_stack([to_x(thetas), to_y(f)]),
-                          _CURVE_STYLE, False))
+                          _RIM_STYLE, False))
     gaps = chord - f
     i = int(np.argmax(gaps))
     doc.polylines.append((np.array([[to_x(thetas[i]), to_y(f[i])],

@@ -59,18 +59,6 @@ def normalize_lon(lon):
     return np.where(out <= -180.0, out + 360.0, np.where(out > 180.0, out - 360.0, out))
 
 
-@closedform._vectorized
-def _unit_radius(r):
-    """Disk radius r clamped onto [0, 1] (vectorized; a float for a scalar).
-
-    NaN, or a value more than closedform.CLAMP_TOL outside [0, 1], raises ValueError.
-    """
-    bad = ~((r >= -closedform.CLAMP_TOL) & (r <= 1.0 + closedform.CLAMP_TOL))
-    if np.any(bad):
-        raise ValueError(f"disk radius out of range [0, 1]: {float(r[bad][0])!r}")
-    return np.clip(r, 0.0, 1.0)
-
-
 @functools.cache
 def radial_function(mode: ProjectionMode) -> stress.RadialFunction:
     """The mode's radial function f, built once: theta for GGV, the closed form else."""
@@ -116,13 +104,17 @@ forward = forward_arrays
 def inverse_radius(r, mode: ProjectionMode):
     """Colatitude theta at which the normalized disk radius is r (a float for a scalar).
 
-    GGV inverts analytically.  Stress-minimal runs Newton's method in
-    s = sin(theta/2) (closedform._inverse_f), from a degree-7 polynomial in r
-    within 1e-7 of the root, so that no step calls sin or cos.  It stops once
-    every step, measured in theta, is below 1e-11 rad, and takes that last
-    step in theta: two evaluations of f and f'.
+    r is clamped onto [0, 1]; NaN, or a value more than closedform.CLAMP_TOL
+    outside [0, 1], raises ValueError.  GGV inverts analytically.  Stress-minimal
+    runs Newton's method in s = sin(theta/2) (closedform._inverse_f), from a
+    degree-7 polynomial in r within 1e-7 of the root, so that no step calls sin
+    or cos.  It stops once every step, measured in theta, is below 1e-11 rad,
+    and takes that last step in theta: two evaluations of f and f'.
     """
-    r = _unit_radius(r)
+    bad = ~((r >= -closedform.CLAMP_TOL) & (r <= 1.0 + closedform.CLAMP_TOL))
+    if np.any(bad):
+        raise ValueError(f"disk radius out of range [0, 1]: {float(r[bad][0])!r}")
+    r = np.clip(r, 0.0, 1.0)
     if mode is ProjectionMode.GGV:
         return r * HALF_PI
     return closedform._inverse_f(r)

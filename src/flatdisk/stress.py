@@ -6,12 +6,12 @@ the hoop stretch rho = f/sin(theta) - 1.  The total stress is
 
     S(f) = integral_0^{pi/2} (sigma^2 + rho^2) * 2 pi sin(theta) dtheta
 
-evaluated here by composite Simpson quadrature.  The second-variation form
-4 pi * integral (df'^2 + df^2/sin^2) sin dtheta is also provided; it is
-nonnegative for every admissible perturbation, which is what makes the
-closed-form critical point the global minimum.  Both integrals go through
-one guarded quadrature, _integrate: one grid, one overflow guard, one
-non-finite check and one Simpson sum.
+evaluated here by composite Simpson quadrature.  S is quadratic in f, so its
+second variation 4 pi * integral (df'^2 + df^2/sin^2) sin dtheta, also
+provided, is the same at every f; it is nonnegative for every admissible
+perturbation, which is what makes the closed-form critical point the global
+minimum.  Both integrals go through one guarded quadrature, _integrate: one
+grid, one overflow guard, one non-finite check and one Simpson sum.
 
 A sampled profile enters the functional through its not-a-knot cubic
 spline, built here by the same algorithm as scipy.interpolate.CubicSpline.
@@ -121,17 +121,14 @@ def profile_radial(profile) -> RadialFunction:
 
     The interpolant is the not-a-knot cubic spline through the samples, built
     and evaluated by the same algorithm as scipy.interpolate.CubicSpline; its
-    value_and_derivative finds each point's piece once for both.
+    value_and_derivative finds each point's piece once for both.  A spline
+    that overflows is built without a warning, and the quadrature reports it.
     """
     x = profile.thetas
-    powers = _spline_pieces(x, profile.values)
-    value, derivative, second = (_piecewise_polynomial(x, c) for c in powers)
-    return RadialFunction(value, derivative, second, _piecewise_polynomial(x, *powers[:2]))
-
-
-def _not_a_knot_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, Callable, Callable]:
-    """Evaluators of the not-a-knot cubic spline through (x, y) and of its f', f''."""
-    return tuple(_piecewise_polynomial(x, c) for c in _spline_pieces(x, y))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _integrate
+        powers = _spline_pieces(x, profile.values)
+        value, derivative, second = (_piecewise_polynomial(x, c) for c in powers)
+        return RadialFunction(value, derivative, second, _piecewise_polynomial(x, *powers[:2]))
 
 
 def _spline_pieces(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -326,12 +323,12 @@ def total_stress(rf: RadialFunction, grid_size: int) -> StressReport:
     return StressReport(tangential + hoop, tangential, hoop, grid_size)
 
 
-def second_variation(rf: RadialFunction, perturbation: RadialFunction,
-                     grid_size: int) -> float:
+def second_variation(perturbation: RadialFunction, grid_size: int) -> float:
     """Quadrature of 4 pi * integral (df'^2 + df^2/sin^2) sin dtheta; always >= 0.
 
-    The perturbation must vanish at theta = 0 (the pole value of f is pinned).
-    The result does not depend on rf: the stress is a quadratic functional.
+    This is d^2/deps^2 S(f + eps df), the same at every f because S is
+    quadratic in f, so no f is taken.  The perturbation df must vanish at
+    theta = 0 (the pole value of f is pinned).
     """
     if abs(float(perturbation.value(0.0))) > 1e-10:
         raise ValueError("perturbation must vanish at theta = 0")

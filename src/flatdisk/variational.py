@@ -74,12 +74,13 @@ class RadialProfile:
             raise ValueError("thetas must be finite")
         if not np.isfinite(self.values).all():
             raise ValueError("values must be finite")
-        steps = np.diff(self.thetas)
+        with np.errstate(over="ignore"):  # a step past the float range is not uniform
+            steps = np.diff(self.thetas)
         if not ((steps > 0).all() and np.allclose(steps, steps[0], rtol=0, atol=1e-12)):
             raise ValueError("theta grid must be uniform and increasing")
 
     def is_strictly_increasing(self) -> bool:
-        return bool(np.all(np.diff(self.values) > 0))
+        return bool(np.all(self.values[1:] > self.values[:-1]))  # np.diff can overflow
 
 
 @dataclass(frozen=True)
@@ -242,16 +243,6 @@ def endpoint_slope(profile: RadialProfile) -> float:
     return float((3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h))
 
 
-def discrete_objective(profile: RadialProfile) -> float:
-    """Midpoint-rule stress objective of a profile on its own grid (no 2 pi)."""
-    t, v = profile.thetas, profile.values
-    h = t[1] - t[0]
-    sm = np.sin(t[:-1] + 0.5 * h)
-    slope = np.diff(v) / h
-    mean = 0.5 * (v[:-1] + v[1:])
-    return float(np.sum(h * sm * ((slope - 1.0) ** 2 + (mean / sm - 1.0) ** 2)))
-
-
 # --- two-column text serialization -----------------------------------------
 
 def _header(comment: str) -> str:
@@ -274,22 +265,17 @@ def profile_to_text(profile: RadialProfile, comment: str = "") -> str:
     return _header(comment) + rows.decode("ascii")
 
 
-_READ_BLOCK = 2**16  # bytes per step of _read_rows, cut after a "\n": bounds its temporaries
-# the line breaks of str.splitlines but "\n", at which _read_rows does not end a line
+_READ_BLOCK = 2**16  # bytes per step of read_rows, cut after a "\n": bounds its temporaries
+# the line breaks of str.splitlines but "\n", at which read_rows does not end a line
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _read_rows(body, start: int = 0):
-    """(thetas, values) of the non-empty ASCII body[start:], str or bytes, as float()
-    reads it, or None if it is not rows "token token\\n" of 0-9 . e - + (_decimal.read_rows)."""
-    from ._decimal import read_rows
-    return read_rows(body, start, " ", _READ_BLOCK)
-
-
 def _body_rows(text, start: int = 0):
-    """_read_rows of the body of text[start:], str or bytes: what lies below its top
-    # lines, read in place, never copied whole.  None where those lines hold a line
-    break _read_rows would not end a line at, or, in bytes, are not UTF-8."""
+    """(thetas, values) of the body of text[start:], str or bytes: what lies below its
+    top # lines, read in place as float() reads it, never copied whole.  None where the
+    body is not rows "token token\\n" of 0-9 . e - + (_decimal.read_rows), or where those
+    lines hold a line break read_rows would not end a line at, or, in bytes, are not UTF-8."""
+    from ._decimal import read_rows
     hash_, newline = ("#", "\n") if isinstance(text, str) else (b"#", b"\n")
     body = start
     while text.startswith(hash_, body):
@@ -300,7 +286,7 @@ def _body_rows(text, start: int = 0):
             head = head.decode("utf-8")
         except UnicodeDecodeError:
             return None
-    return None if any(c in head for c in _BREAKS) else _read_rows(text, body)
+    return None if any(c in head for c in _BREAKS) else read_rows(text, body, " ", _READ_BLOCK)
 
 
 def _parse_lines(text: str):
@@ -332,7 +318,7 @@ def parse_profile(text: str) -> RadialProfile:
     separated floats (profile_to_text writes %.17g); blank lines and lines
     whose first non-blank character is # are skipped.  Below its top #
     lines, which may hold any character but a line break other than "\\n",
-    the body goes to _read_rows, its one guard: that declines any character
+    the body goes to _body_rows, its one guard: that declines any character
     but 0-9 . e - + space "\\n", any other layout and any token float()
     rejects, and then _parse_lines reads the whole text line by line.  Both
     give the numbers float() gives; an empty or blank body reads as no
@@ -356,13 +342,13 @@ def save_profile(profile: RadialProfile, path, comment: str = "") -> None:
 def load_profile(path) -> RadialProfile:
     """parse_profile of the UTF-8 file at path, a leading byte-order mark not read.
 
-    The body of rows below the top # lines is read from the file's bytes; any
-    file it declines is decoded whole for parse_profile, whose numbers and
+    The body of rows below the top # lines is read from the file's bytes by
+    _body_rows, whose rules parse_profile's are; any file it declines is
+    decoded whole and read line by line (_parse_lines), so its numbers and
     errors, a byte that is not UTF-8 included, are those of the text.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     rows = _body_rows(data, 3 if data.startswith(codecs.BOM_UTF8) else 0)
-    if rows is None:
-        return parse_profile(data.decode("utf-8-sig"))
-    return RadialProfile(thetas=rows[0], values=rows[1])
+    thetas, values = _parse_lines(data.decode("utf-8-sig")) if rows is None else rows
+    return RadialProfile(thetas=thetas, values=values)

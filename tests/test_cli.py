@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flatdisk
 from flatdisk import cli, projection, variational
 
 DATA = Path(__file__).parent / "data"
@@ -168,6 +169,21 @@ class TestStress:
         assert (code, out) == (1, "")
         assert err == f"error: {path}: non-finite stress integrand at theta = 0.0\n"
 
+    @pytest.mark.parametrize("rows, err", [
+        ("0 0\n0.78539816339744828 0.7\n1.5707963267948966 1e308\n",
+         "non-finite stress integrand at theta = 0.0"),
+        ("0 0\n0.78539816339744828 1e300\n1.5707963267948966 1e308\n",
+         "non-finite stress integrand at theta = 0.0"),
+        ("0 0\n0.78539816339744828 1e308\n1.5707963267948966 -1e308\n",
+         "profile is not strictly increasing"),
+        ("0 0\n-1.5e308 1\n1.7e308 2\n", "theta grid must be uniform and increasing"),
+    ], ids=["spline", "spline-1e300", "values-diff", "thetas-diff"])
+    def test_huge_values_are_one_error_line(self, capsys, tmp_path, rows, err):
+        # the spline and the checks overflow: no RuntimeWarning, which the
+        # tests' filterwarnings turns into an exception, may come first
+        path = tmp_path / "huge.txt"
+        path.write_text(rows)
+        assert run(capsys, "stress", "--profile", str(path)) == (1, "", f"error: {path}: {err}\n")
 
     @pytest.mark.parametrize("thetas", [
         pytest.param([0.0, 0.5, 1.0, 1.5], id="short"),
@@ -251,6 +267,19 @@ class TestFailuresAreErrorLines:
         path.write_bytes(data)
         code, out, got = run(capsys, "stress", "--profile", str(path))
         assert (code, out, got) == (1, "", f"error: {path}: 'utf-8' codec can't decode {err}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["stress", "--grid", str(10**17)],
+        ["stress", "--compare", "--grid", str(10**17)],
+        ["solve", "--n", str(10**17), "--out", "{tmp}/p.txt"],
+    ], ids=["stress", "stress-compare", "solve"])
+    def test_allocation_failure(self, capsys, tmp_path, argv):
+        # 8e17 bytes exceed any address space: the first array fails at once,
+        # before any memory is touched
+        code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not (tmp_path / "p.txt").exists()
 
 
 class TestBadValuesAreUsageErrors:
@@ -639,6 +668,12 @@ class TestModulesLoaded:
                 "except AttributeError as exc:\n"
                 "    print(exc)")
         assert _fresh_run(code) == "module 'flatdisk' has no attribute 'no_such_name'"
+
+    def test_dir_lists_lazy_names_without_loading_them(self):
+        assert {"total_stress", "solve_discrete"} <= set(dir(flatdisk))
+        loaded = _loaded_by("import flatdisk\nnames = set(dir(flatdisk))\n"
+                            "assert {'total_stress', 'solve_discrete'} <= names, names")
+        assert not loaded & {"flatdisk.stress", "flatdisk.variational"}
 
     def test_star_import_binds_the_same_names(self):
         code = ("old = {*globals(), 'old'}\nfrom flatdisk import *\n"

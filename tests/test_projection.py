@@ -256,6 +256,17 @@ class TestInverseRadius:
         pj.inverse_radius(r, ProjectionMode.STRESS_MINIMAL)
         assert len(calls) == 2
 
+    def test_capped_newton_stays_in_range(self, monkeypatch):
+        # one step, then the capped exit: 2 arcsin(s) without the last theta step
+        rng = np.random.default_rng(11)
+        r = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 4096)))
+        want = pj.inverse_radius(r, ProjectionMode.STRESS_MINIMAL)  # builds the start too
+        monkeypatch.setattr(cf, "_NEWTON_MAX_ITER", 1)
+        got = pj.inverse_radius(r, ProjectionMode.STRESS_MINIMAL)
+        assert np.all(np.isfinite(got) & (got >= 0.0) & (got <= math.pi / 2))
+        assert np.max(np.abs(got - want)) <= 1e-9
+        assert not np.array_equal(got, want)  # the capped exit ran
+
     def test_within_two_ulp_of_the_mpmath_table(self):
         # the theta-space Newton from GGV's start that this loop replaced reads
         # 2 ulp at most and 2.7 % of the rows above 1 ulp on this table

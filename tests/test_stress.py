@@ -100,6 +100,12 @@ def reference_spline(x, y):
     return spline, spline.derivative(1), spline.derivative(2)
 
 
+def not_a_knot_spline(x, y):
+    """Evaluators of profile_radial's not-a-knot cubic spline through (x, y) and of
+    its f', f'', on any grid x."""
+    return tuple(stress._piecewise_polynomial(x, c) for c in stress._spline_pieces(x, y))
+
+
 def probe_points(x):
     """The knots, the midpoints, points beyond both ends, and NaN."""
     span = x[-1] - x[0]
@@ -144,17 +150,17 @@ class TestProfileSpline:
             x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 0.5
             y = rng.normal(size=n)
             t = np.concatenate([probe_points(x), rng.uniform(x[0] - 2, x[-1] + 2, 40)])
-            got = [f(t) for f in stress._not_a_knot_spline(x, y)]
+            got = [f(t) for f in not_a_knot_spline(x, y)]
             assert_spline_close(got, [ref(t) for ref in reference_spline(x, y)])
 
     def test_line_and_parabola_are_exact(self):
         x = np.array([0.0, 0.5, 1.5])
-        value, derivative, second = stress._not_a_knot_spline(x, 2 * x * x - x)
+        value, derivative, second = not_a_knot_spline(x, 2 * x * x - x)
         t = np.array([-1.0, 0.25, 1.0, 3.0])
         assert np.allclose(value(t), 2 * t * t - t, rtol=0, atol=1e-14)
         assert np.allclose(derivative(t), 4 * t - 1, rtol=0, atol=1e-14)
         assert np.allclose(second(t), 4.0, rtol=0, atol=1e-14)
-        value, derivative, second = stress._not_a_knot_spline(x, 3 * x)
+        value, derivative, second = not_a_knot_spline(x, 3 * x)
         assert np.array_equal(value(t), 3 * t)
         assert np.array_equal(derivative(t), np.full(4, 3.0))
         assert np.array_equal(second(t), np.zeros(4))
@@ -293,17 +299,16 @@ class TestSecondVariation:
         zero = stress.RadialFunction(
             value=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
             derivative=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-        assert stress.second_variation(stress.closed_form_radial(), zero, 512) == 0.0
+        assert stress.second_variation(zero, 512) == 0.0
 
     def test_sine_perturbation_analytic_value(self):
         # 4 pi * int (cos^2 + 1) sin dtheta = 16 pi / 3
-        got = stress.second_variation(stress.closed_form_radial(), stress.sine_radial(), 1024)
+        got = stress.second_variation(stress.sine_radial(), 1024)
         assert got == pytest.approx(16 * math.pi / 3, abs=1e-8)
 
     def test_nonnegative_for_random_perturbations(self):
-        rf = stress.closed_form_radial()
         for delta in random_perturbations(100):
-            assert stress.second_variation(rf, delta, 256) >= 0.0
+            assert stress.second_variation(delta, 256) >= 0.0
 
     def test_rejects_pinned_origin_violation(self):
         # RadialFunction construction itself refuses value(0) != 0
@@ -317,13 +322,12 @@ class TestSecondVariation:
             derivative = staticmethod(lambda t: -np.sin(np.asarray(t, dtype=float)))
 
         with pytest.raises(ValueError, match="vanish"):
-            stress.second_variation(stress.closed_form_radial(), Duck(), 256)
+            stress.second_variation(Duck(), 256)
 
     def test_overflow_is_a_stress_evaluation_error(self):
         # the squared slope overflows; no RuntimeWarning may come first
         with pytest.raises(stress.StressEvaluationError):
-            stress.second_variation(stress.closed_form_radial(),
-                                    stress.identity_radial(1e200), 64)
+            stress.second_variation(stress.identity_radial(1e200), 64)
 
 
 class TestMinimizerVariationalProperties:
@@ -354,5 +358,5 @@ class TestMinimizerVariationalProperties:
             s_plus = stress.total_stress(perturbed(rf, delta, eps), 1024).total
             s_minus = stress.total_stress(perturbed(rf, delta, -eps), 1024).total
             quad = (s_plus - 2 * s0 + s_minus) / eps**2
-            sv = stress.second_variation(rf, delta, 1024)
+            sv = stress.second_variation(delta, 1024)
             assert quad == pytest.approx(sv, rel=1e-6, abs=1e-6)

@@ -126,6 +126,16 @@ def max_error(profile):
     return float(np.max(np.abs(profile.values - cf.eval_f(profile.thetas))))
 
 
+def discrete_objective(profile):
+    """Midpoint-rule stress objective of a profile on its own grid (no 2 pi)."""
+    t, v = profile.thetas, profile.values
+    h = t[1] - t[0]
+    sm = np.sin(t[:-1] + 0.5 * h)
+    slope = np.diff(v) / h
+    mean = 0.5 * (v[:-1] + v[1:])
+    return float(np.sum(h * sm * ((slope - 1.0) ** 2 + (mean / sm - 1.0) ** 2)))
+
+
 class TestSolveDiscrete:
     @pytest.mark.parametrize("n", [16, 1024, 2**15])
     def test_matches_thomas_reference(self, n):
@@ -189,7 +199,7 @@ class TestSolveDiscrete:
         profile = va.solve_discrete(256)
         candidate = va.RadialProfile(thetas=profile.thetas,
                                      values=cf.eval_f(profile.thetas))
-        assert va.discrete_objective(profile) <= va.discrete_objective(candidate)
+        assert discrete_objective(profile) <= discrete_objective(candidate)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -325,6 +335,11 @@ def odd_layouts():
 
 def reject_line_reader(text):
     raise AssertionError("the line reader was called")
+
+
+def read_rows(body):
+    """(thetas, values) of a profile body as _body_rows reads it below the # lines."""
+    return _decimal.read_rows(body, 0, " ", va._READ_BLOCK)
 
 
 class TestProfileSerialization:
@@ -563,7 +578,7 @@ class TestExactSpelling:
 
 
 class TestExactReading:
-    """_read_rows against float(), bit for bit, and against the line reader's error texts."""
+    """The body reader against float(), bit for bit, and against the line reader's error texts."""
 
     @pytest.mark.parametrize("n", [16, 1024, 4096, 2**15, 2**18])
     def test_solver_profiles(self, n, monkeypatch):
@@ -581,7 +596,7 @@ class TestExactReading:
         seen = []
         monkeypatch.setattr(_decimal, "float", lambda token: seen.append(token) or float(token),
                             raising=False)
-        va._read_rows(body)
+        read_rows(body)
         assert seen == [b"0", b"0"] + [t.encode() for t in body.split() if "e" in t]
         assert len(seen) == 6
 
@@ -602,7 +617,7 @@ class TestExactReading:
 
         monkeypatch.setattr(_decimal, "corrected", wrong)
         want = np.array([float(t) for t in body.split()])
-        assert np.array_equal(va._read_rows(body).T.ravel().view(np.int64), want.view(np.int64))
+        assert np.array_equal(read_rows(body).T.ravel().view(np.int64), want.view(np.int64))
 
     def test_random_bit_patterns(self):
         # the finite values of TestExactSpelling.test_random_bit_patterns, two a row
@@ -616,7 +631,7 @@ class TestExactReading:
         for rows in np.array_split(x[:len(x) // 2 * 2].reshape(-1, 2), 10):
             body = _decimal.rows_to_text(rows).decode("ascii")
             want = np.array([float(t) for t in body.split()])
-            got = va._read_rows(body)
+            got = read_rows(body)
             assert np.array_equal(got.T.ravel().view(np.int64), want.view(np.int64))
 
     def test_non_ascii_comment(self, monkeypatch):
