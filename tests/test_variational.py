@@ -399,7 +399,7 @@ class TestProfileSerialization:
         # digit reader: the file is never decoded whole
         profile, path = va.solve_discrete(4096), tmp_path / "p.txt"
         path.write_bytes(mark + va.profile_to_text(profile, comment="θ grid").encode())
-        monkeypatch.setattr(va, "parse_profile", reject_line_reader)
+        monkeypatch.setattr(va, "_parse_lines", reject_line_reader)
         got = va.load_profile(path)
         assert np.array_equal(got.thetas.view(np.int64), profile.thetas.view(np.int64))
         assert np.array_equal(got.values.view(np.int64), profile.values.view(np.int64))
