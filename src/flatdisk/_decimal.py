@@ -1,7 +1,7 @@
 """Exact decimal text of float64 arrays, and the floats of decimal tokens.
 
 fixed3 spells "%.3f" for the SVG writer and _g_block "%.17g" for the profile
-writer (rows_to_text) and "%.12g" for `flatdisk project` (g12_rows), byte for
+writer (row_blocks) and "%.12g" for `flatdisk project` (g12_rows), byte for
 byte as CPython's correctly rounded % does, and read_rows gives the profile and CSV
 readers the floats float() gives, all by integer arithmetic in numpy on
 Dekker's two-product (T. J. Dekker, Numer. Math. 18, 1971): with b split
@@ -281,15 +281,11 @@ def g_keep(n):
 
 
 def row_blocks(rows):
-    """The bytes of rows_to_text(rows), one block of _PROFILE_ROWS rows at a time."""
+    """Bytes of each row of the 2-d float array rows as "%.17g %.17g ... %.17g\\n",
+    one block of _PROFILE_ROWS rows at a time."""
     sep = b" " * (rows.shape[1] - 1) + b"\n"
     for i in range(0, len(rows), _PROFILE_ROWS):
         yield _g_block(rows[i:i + _PROFILE_ROWS], 17, sep)
-
-
-def rows_to_text(rows):
-    """Bytes of each row of the 2-d float array rows as "%.17g %.17g ... %.17g\\n"."""
-    return b"".join(row_blocks(rows))
 
 
 def g12_rows(rows, tails):

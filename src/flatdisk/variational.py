@@ -18,11 +18,10 @@ Two verification routes, neither of which evaluates the closed form:
   endpoint, and the profile can be compared node-by-node against any
   candidate solution.  richardson combines two solves into an O(h^4) profile.
 
-profile_to_text and parse_profile write and read a profile as text: # lines,
-then one row "theta f" per node, each number spelled as "%.17g" spells it,
-so that it reads back bit for bit.  The module _decimal spells the numbers
-and reads them back.  save_profile and load_profile write and read the same
-text as UTF-8 bytes, and decode no row that reads.
+save_profile and load_profile write and read a profile as a UTF-8 text file:
+# lines, then one row "theta f" per node, each number spelled as "%.17g"
+spells it, so that it reads back bit for bit.  The module _decimal spells the
+numbers and reads them back from the file's bytes, decoding no row that reads.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ __all__ = [
     "solve_discrete",
     "richardson",
     "endpoint_slope",
-    "profile_to_text",
-    "parse_profile",
     "load_profile",
     "save_profile",
 ]
@@ -253,40 +250,25 @@ def _header(comment: str) -> str:
     return "# flat-disk radial profile: theta f(theta)\n" + (f"# {comment}\n" if comment else "")
 
 
-def profile_to_text(profile: RadialProfile, comment: str = "") -> str:
-    """The profile as text: # header lines, then one "theta f" row per node.
-
-    Each row holds the bytes of "%.17g %.17g\\n" % (theta, f), so parse_profile
-    reads back the same floats bit for bit.  comment, if given, is a second #
-    line; one holding a line break raises ValueError.
-    """
-    from ._decimal import rows_to_text
-    rows = rows_to_text(np.column_stack((profile.thetas, profile.values)))
-    return _header(comment) + rows.decode("ascii")
-
-
 _READ_BLOCK = 2**16  # bytes per step of read_rows, cut after a "\n": bounds its temporaries
 # the line breaks of str.splitlines but "\n", at which read_rows does not end a line
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _body_rows(text, start: int = 0):
-    """(thetas, values) of the body of text[start:], str or bytes: what lies below its
-    top # lines, read in place as float() reads it, never copied whole.  None where the
-    body is not rows "token token\\n" of 0-9 . e - + (_decimal.read_rows), or where those
-    lines hold a line break read_rows would not end a line at, or, in bytes, are not UTF-8."""
+def _body_rows(data: bytes, start: int = 0):
+    """(thetas, values) of the body of data[start:]: what lies below its top # lines,
+    read in place as float() reads it, never copied whole.  None where the body is not
+    rows "token token\\n" of 0-9 . e - + (_decimal.read_rows), or where those lines
+    are not UTF-8 or hold a line break read_rows would not end a line at."""
     from ._decimal import read_rows
-    hash_, newline = ("#", "\n") if isinstance(text, str) else (b"#", b"\n")
     body = start
-    while text.startswith(hash_, body):
-        body = text.find(newline, body) + 1 or len(text)  # 0: no "\n" left
-    head = text[start:body]
-    if isinstance(head, bytes):
-        try:
-            head = head.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    return None if any(c in head for c in _BREAKS) else read_rows(text, body, " ", _READ_BLOCK)
+    while data.startswith(b"#", body):
+        body = data.find(b"\n", body) + 1 or len(data)  # 0: no "\n" left
+    try:
+        head = data[start:body].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return None if any(c in head for c in _BREAKS) else read_rows(data, body, " ", _READ_BLOCK)
 
 
 def _parse_lines(text: str):
@@ -311,27 +293,14 @@ def _parse_lines(text: str):
     return np.array(thetas), np.array(values)
 
 
-def parse_profile(text: str) -> RadialProfile:
-    """Read the text profile_to_text writes back into a RadialProfile.
-
-    Format: one sample per line, theta and f(theta) as two whitespace-
-    separated floats (profile_to_text writes %.17g); blank lines and lines
-    whose first non-blank character is # are skipped.  Below its top #
-    lines, which may hold any character but a line break other than "\\n",
-    the body goes to _body_rows, its one guard: that declines any character
-    but 0-9 . e - + space "\\n", any other layout and any token float()
-    rejects, and then _parse_lines reads the whole text line by line.  Both
-    give the numbers float() gives; an empty or blank body reads as no
-    samples, and a bad line raises ValueError naming its line number.
-    """
-    rows = _body_rows(text)
-    thetas, values = _parse_lines(text) if rows is None else rows
-    return RadialProfile(thetas=thetas, values=values)
-
-
 def save_profile(profile: RadialProfile, path, comment: str = "") -> None:
-    """Write the bytes of profile_to_text(profile, comment) in UTF-8 to path, its
-    rows a block at a time (_decimal.row_blocks)."""
+    """Write profile to path as UTF-8 text: # header lines, then one "theta f" row per node.
+
+    Each row holds the bytes of "%.17g %.17g\\n" % (theta, f), written a block
+    at a time (_decimal.row_blocks), so load_profile reads back the same floats
+    bit for bit.  comment, if given, is a second # line; one holding a line
+    break raises ValueError.
+    """
     from ._decimal import row_blocks
     header = _header(comment).encode("utf-8")
     with open(path, "wb") as fh:
@@ -340,12 +309,18 @@ def save_profile(profile: RadialProfile, path, comment: str = "") -> None:
 
 
 def load_profile(path) -> RadialProfile:
-    """parse_profile of the UTF-8 file at path, a leading byte-order mark not read.
+    """Read the profile in the UTF-8 file at path, a leading byte-order mark not read.
 
-    The body of rows below the top # lines is read from the file's bytes by
-    _body_rows, whose rules parse_profile's are; any file it declines is
-    decoded whole and read line by line (_parse_lines), so its numbers and
-    errors, a byte that is not UTF-8 included, are those of the text.
+    Format: one sample per line, theta and f(theta) as two whitespace-
+    separated floats (save_profile writes %.17g); blank lines and lines whose
+    first non-blank character is # are skipped.  Below its top # lines, which
+    may hold any character but a line break other than "\\n", the body is read
+    from the file's bytes by _body_rows, its one guard: that declines any
+    character but 0-9 . e - + space "\\n", any other layout and any token
+    float() rejects, and then the file is decoded whole and read line by line
+    (_parse_lines).  Both give the numbers float() gives; an empty or blank
+    body reads as no samples, a bad line raises ValueError naming its line
+    number, and a byte that is not UTF-8 raises UnicodeDecodeError.
     """
     with open(path, "rb") as fh:
         data = fh.read()

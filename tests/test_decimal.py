@@ -112,7 +112,7 @@ class TestFixed3:
         monkeypatch.setattr(_decimal, "digit_groups", lambda: tables)
         letters = str.maketrans("0123456789", "abcdefghij")
         x = np.array([0.001234, 0.1, 1.5, 123456.789, 1e16])
-        assert _decimal.rows_to_text(x.reshape(-1, 1)).decode("ascii") == "".join(
+        assert b"".join(_decimal.row_blocks(x.reshape(-1, 1))).decode("ascii") == "".join(
             "%.17g\n" % v for v in x.tolist()).translate(letters)
         assert _decimal.fixed3(x[:4], np.full(4, ord(" "), np.uint8))[0] == "".join(
             "%.3f " % v for v in x[:4].tolist()).translate(letters).replace(".", "_")
@@ -454,7 +454,7 @@ class TestToSvg:
             assert doc.to_svg() == oracle_to_svg(doc)
 
 
-def test_decimal_is_loaded_and_built_on_first_use():
+def test_decimal_is_loaded_and_built_on_first_use(tmp_path):
     src = Path(gr.__file__).resolve().parents[1]
     # the digit table is built by both writers, a "%g" keep table by the profile writer only
     code = ("import sys, flatdisk.cli; print('flatdisk._decimal' in sys.modules); "
@@ -463,10 +463,10 @@ def test_decimal_is_loaded_and_built_on_first_use():
             "built = lambda: print(_decimal.digit_groups.cache_info().currsize, "
             "_decimal.g_keep.cache_info().currsize); built(); "
             "geo_render.MapDocument(width=1.0, height=2.0).to_svg(); built(); "
-            "variational.profile_to_text("
-            "variational.RadialProfile([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])); "
+            "variational.save_profile("
+            "variational.RadialProfile([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]), sys.argv[1]); "
             "built()")
     env = dict(os.environ, PYTHONPATH=str(src))
-    res = subprocess.run([sys.executable, "-c", code], env=env,
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "p.txt")], env=env,
                          capture_output=True, text=True, check=True)
     assert res.stdout.split() == ["False", "False", "0", "0", "1", "0", "1", "1"]

@@ -247,8 +247,24 @@ class TestSolveDiscrete:
         np.testing.assert_allclose(va._cyclic_reduction(diag, off)(rhs), x, rtol=0, atol=1e-14)
 
 
+HEADER = "# flat-disk radial profile: theta f(theta)\n"
+
+
+def percent_text(profile, comment=""):
+    """The text save_profile writes: its # lines, then CPython's "%.17g %.17g\\n" % (theta, f)
+    for each node."""
+    rows = zip(profile.thetas.tolist(), profile.values.tolist())
+    return HEADER + (f"# {comment}\n" if comment else "") + "".join("%.17g %.17g\n" % r for r in rows)
+
+
+def load_text(path, text):
+    """load_profile of text written to path in UTF-8."""
+    path.write_bytes(text.encode("utf-8"))
+    return va.load_profile(path)
+
+
 def reference_parse(text):
-    """(thetas, values) of a profile text by the per-line loop parse_profile replaced."""
+    """(thetas, values) of a profile text by the per-line loop the byte reader replaced."""
     thetas, values = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -265,8 +281,8 @@ def reference_parse(text):
     return np.array(thetas), np.array(values)
 
 
-def assert_parses_as_reference(text):
-    """parse_profile(text) gives reference_parse's numbers bit for bit, or its error text."""
+def assert_parses_as_reference(path, text):
+    """load_text(path, text) gives reference_parse's numbers bit for bit, or its error text."""
     try:
         thetas, values = reference_parse(text)
         if len(thetas) < 3:
@@ -274,9 +290,9 @@ def assert_parses_as_reference(text):
         want = va.RadialProfile(thetas, values)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            va.parse_profile(text)
+            load_text(path, text)
         return
-    got = va.parse_profile(text)
+    got = load_text(path, text)
     assert got.thetas.view(np.int64).tolist() == want.thetas.view(np.int64).tolist(), repr(text)
     assert got.values.view(np.int64).tolist() == want.values.view(np.int64).tolist(), repr(text)
 
@@ -284,9 +300,9 @@ def assert_parses_as_reference(text):
 def odd_layouts():
     """Texts at the edges of the digit reader, around the rows "0 0", "10 2", "20 4".
 
-    Each ASCII character, the non-ASCII line breaks and spaces, full-width
-    digits and a lone surrogate go inside a token, between tokens, at a line
-    start and into the # header; then come "\r" line ends, numbers that
+    Each ASCII character, the non-ASCII line breaks and spaces and full-width
+    digits go inside a token, between tokens, at a line start and into the #
+    header; then come "\r" line ends, numbers that
     float() reads but the digit reader leaves to it, mid-row #, one, three
     and four columns, a last row cut short, and empty and blank texts.  Last
     come value tokens at the edges of its exact check, written in place of
@@ -295,8 +311,7 @@ def odd_layouts():
     side of a power of ten, and 17 digits one unit either side of the
     midpoint of two adjacent doubles.
     """
-    marks = [chr(c) for c in range(128)] + ["\x85", "\u2028", "\u2029", "\xa0", "\uff11\uff10",
-                                            "\udcff"]
+    marks = [chr(c) for c in range(128)] + ["\x85", "\u2028", "\u2029", "\xa0", "\uff11\uff10"]
     for mark in marks:
         for row in (f"1{mark}0 2", f"10{mark}2", f"{mark}10 2"):
             yield f"# h\n0 0\n{row}\n20 4\n"
@@ -351,29 +366,32 @@ class TestProfileSerialization:
         assert np.array_equal(loaded.thetas, profile.thetas)
         assert np.array_equal(loaded.values, profile.values)
 
-    def test_text_format(self):
-        profile = va.solve_discrete(16)
-        text = va.profile_to_text(profile)
+    def test_text_format(self, tmp_path):
+        profile, path = va.solve_discrete(16), tmp_path / "p.txt"
+        va.save_profile(profile, path)
+        text = path.read_text(encoding="utf-8")
         lines = text.strip().splitlines()
         assert lines[0].startswith("#")
         assert len([l for l in lines if not l.startswith("#")]) == 17
 
     @pytest.mark.parametrize("n", [16, 4096, 2**15])
-    def test_text_matches_per_row_formatting(self, n):
-        # the text must give the bytes of a per-row f-string
-        profile = va.solve_discrete(n)
+    def test_text_matches_per_row_formatting(self, tmp_path, n):
+        # the file must hold the bytes of a per-row f-string
+        profile, path = va.solve_discrete(n), tmp_path / "p.txt"
         want = "# flat-disk radial profile: theta f(theta)\n# run 7\n" + "".join(
             f"{t:.17g} {v:.17g}\n" for t, v in zip(profile.thetas, profile.values))
-        text = va.profile_to_text(profile, comment="run 7")
-        assert text == want
-        back = va.parse_profile(text)
+        va.save_profile(profile, path, comment="run 7")
+        assert path.read_bytes() == want.encode("ascii")
+        back = va.load_profile(path)
         assert np.array_equal(back.thetas.view(np.int64), profile.thetas.view(np.int64))
         assert np.array_equal(back.values.view(np.int64), profile.values.view(np.int64))
 
     @pytest.mark.parametrize("comment", ["first\nsecond", "a\r b", "a\x1e1 2", "end\n"])
-    def test_comment_with_a_line_break_is_rejected(self, comment):
+    def test_comment_with_a_line_break_is_rejected(self, tmp_path, comment):
+        path = tmp_path / "p.txt"
         with pytest.raises(ValueError, match="^comment must be one line, got "):
-            va.profile_to_text(va.solve_discrete(16), comment=comment)
+            va.save_profile(va.solve_discrete(16), path, comment=comment)
+        assert not path.exists()
 
     def test_saved_lines_end_in_newline_alone(self, tmp_path, monkeypatch):
         # open() as on a platform whose text mode writes "\r\n" for "\n"
@@ -383,7 +401,7 @@ class TestProfileSerialization:
         va.save_profile(profile, path, comment="c")
         data = path.read_bytes()
         assert b"\r" not in data
-        assert data.decode("ascii") == va.profile_to_text(profile, comment="c")
+        assert data.decode("ascii") == percent_text(profile, comment="c")
 
     @pytest.mark.parametrize("comment", ["", "θ grid"], ids=["no-comment", "non-ascii"])
     @pytest.mark.parametrize("n", [16, 4096, 2**15])
@@ -391,14 +409,14 @@ class TestProfileSerialization:
         # save_profile writes the header, then the rows one block at a time
         profile, path = va.solve_discrete(n), tmp_path / "p.txt"
         va.save_profile(profile, path, comment=comment)
-        assert path.read_bytes() == va.profile_to_text(profile, comment=comment).encode()
+        assert path.read_bytes() == percent_text(profile, comment=comment).encode("utf-8")
 
     @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
     def test_load_reads_the_rows_as_bytes(self, tmp_path, monkeypatch, mark):
         # a non-ASCII comment, after a byte-order mark or not, leaves the rows to the
         # digit reader: the file is never decoded whole
         profile, path = va.solve_discrete(4096), tmp_path / "p.txt"
-        path.write_bytes(mark + va.profile_to_text(profile, comment="θ grid").encode())
+        path.write_bytes(mark + percent_text(profile, comment="θ grid").encode("utf-8"))
         monkeypatch.setattr(va, "_parse_lines", reject_line_reader)
         got = va.load_profile(path)
         assert np.array_equal(got.thetas.view(np.int64), profile.thetas.view(np.int64))
@@ -407,7 +425,7 @@ class TestProfileSerialization:
     def test_load_of_crlf_lines_is_the_text(self, tmp_path):
         # "\r" is not read as bytes: the decoded text goes to the line reader
         profile, path = va.solve_discrete(64), tmp_path / "p.txt"
-        path.write_bytes(va.profile_to_text(profile, comment="c").replace("\n", "\r\n").encode())
+        path.write_bytes(percent_text(profile, comment="c").replace("\n", "\r\n").encode())
         got = va.load_profile(path)
         assert np.array_equal(got.values.view(np.int64), profile.values.view(np.int64))
 
@@ -417,19 +435,19 @@ class TestProfileSerialization:
         text = path.read_text()
         assert text.splitlines()[1] == "# solve_discrete n=64"
         want = va.solve_discrete(64).values
-        assert np.array_equal(va.parse_profile(text).values.view(np.int64), want.view(np.int64))
+        assert np.array_equal(va.load_profile(path).values.view(np.int64), want.view(np.int64))
 
-    def test_parse_reports_line_number(self):
+    def test_parse_reports_line_number(self, tmp_path):
         with pytest.raises(ValueError, match="line 3"):
-            va.parse_profile("# header\n0 0\n0.1 0.2 0.3\n")
+            load_text(tmp_path / "p.txt", "# header\n0 0\n0.1 0.2 0.3\n")
 
     @pytest.mark.parametrize("n", [16, 4096, 2**15])
-    def test_parse_matches_per_line_reference(self, n, monkeypatch):
+    def test_parse_matches_per_line_reference(self, tmp_path, n, monkeypatch):
         profile = va.solve_discrete(n)
-        text = va.profile_to_text(profile, comment=f"n={n}")
+        text = percent_text(profile, comment=f"n={n}")
         thetas, values = reference_parse(text)
-        monkeypatch.setattr(va, "_parse_lines", reject_line_reader)  # np.loadtxt reads it all
-        got = va.parse_profile(text)
+        monkeypatch.setattr(va, "_parse_lines", reject_line_reader)  # the byte reader reads it all
+        got = load_text(tmp_path / "p.txt", text)
         assert np.array_equal(got.thetas.view(np.int64), thetas.view(np.int64))
         assert np.array_equal(got.values.view(np.int64), values.view(np.int64))
         assert np.array_equal(got.values, profile.values)
@@ -440,9 +458,9 @@ class TestProfileSerialization:
         ("# h\n0 0\n1 x\n2 2\n", "line 3: could not convert string to float: 'x'"),
         ("0 0\n1 2\n", "profile needs at least 3 samples"),
     ])
-    def test_parse_errors_name_the_line(self, text, message):
+    def test_parse_errors_name_the_line(self, tmp_path, text, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            va.parse_profile(text)
+            load_text(tmp_path / "p.txt", text)
 
     @pytest.mark.parametrize("text", [
         "0\t0\n1_0 2\n2_0\t4\n",
@@ -451,13 +469,14 @@ class TestProfileSerialization:
         "0 0\n# mid\n10 2\n20 4",
         "# a\r0 0\n10 2\n20 4\n",  # \r ends the comment line
     ])
-    def test_other_layouts_parse_as_per_line(self, text):
-        got = va.parse_profile(text)
+    def test_other_layouts_parse_as_per_line(self, tmp_path, text):
+        got = load_text(tmp_path / "p.txt", text)
         thetas, values = reference_parse(text)
         assert got.thetas.tolist() == thetas.tolist() == [0.0, 10.0, 20.0]
         assert got.values.tolist() == values.tolist() == [0.0, 2.0, 4.0]
 
-    def test_fuzzed_layouts_match_reference(self):
+    def test_fuzzed_layouts_match_reference(self, tmp_path):
+        path = tmp_path / "p.txt"
         rng = random.Random(8)
         seps = [" ", "  ", "\t", " \t"]
         ends = ["\n", "\r\n", "\n\n", "\n# c\n", "\n \n"]
@@ -473,20 +492,21 @@ class TestProfileSerialization:
             text = rng.choice(["", "# h\n", "#\n# h2\n"]) + "".join(
                 rng.choice(["", " "]) + rng.choice(seps).join(row) + rng.choice(ends)
                 for row in rows)
-            assert_parses_as_reference(text)
+            assert_parses_as_reference(path, text)
         for text in odd_layouts():
-            assert_parses_as_reference(text)
+            assert_parses_as_reference(path, text)
 
     def test_profile_rejects_unequal_shapes(self):
         with pytest.raises(ValueError, match="^thetas and values must be 1-d arrays of equal"):
             va.RadialProfile(thetas=np.zeros(3), values=np.zeros(4))
 
-    def test_header_without_newline_is_too_short(self):
+    def test_header_without_newline_is_too_short(self, tmp_path):
         # "# header" with no newline ends inside the header; the body below it
         # is empty and holds no rows
+        path = tmp_path / "p.txt"
         with pytest.raises(ValueError, match="at least 3 samples"):
-            va.parse_profile("# header")
-        va.parse_profile(va.profile_to_text(va.solve_discrete(16)))  # one # line, no comment
+            load_text(path, "# header")
+        load_text(path, percent_text(va.solve_discrete(16)))  # one # line, no comment
 
     def test_profile_requires_zero_origin(self):
         with pytest.raises(ValueError):
@@ -511,9 +531,12 @@ class TestProfileSerialization:
         with pytest.raises(ValueError, match="^theta grid must be uniform and increasing$"):
             va.RadialProfile(thetas=thetas, values=[0.0, 1.0, 2.0])
 
-    def test_smallest_profile_the_writer_writes_reads_back(self):
+    def test_smallest_profile_the_writer_writes_reads_back(self, tmp_path):
         profile = va.RadialProfile([0.0, 0.25 * math.pi, 0.5 * math.pi], [0.0, 0.5, 1.5])
-        got = va.parse_profile(va.profile_to_text(profile))
+        path = tmp_path / "p.txt"
+        va.save_profile(profile, path)
+        assert path.read_bytes() == percent_text(profile).encode("ascii")
+        got = va.load_profile(path)
         assert got.thetas.tolist() == profile.thetas.tolist()
         assert got.values.tolist() == profile.values.tolist()
 
@@ -529,14 +552,14 @@ class TestProfileSerialization:
 def assert_spelled_as_percent(x):
     """The kernel's text of x, one number a row, is "%.17g" % v for every v."""
     x = np.asarray(x, dtype=float)
-    got = _decimal.rows_to_text(x.reshape(-1, 1)).decode("ascii").split("\n")
+    got = b"".join(_decimal.row_blocks(x.reshape(-1, 1))).decode("ascii").split("\n")
     want = ["%.17g" % v for v in x.tolist()] + [""]
     wrong = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w]
     assert len(got) == len(want) and not wrong, wrong[:5]
 
 
 class TestExactSpelling:
-    """_decimal.rows_to_text against CPython's "%.17g", byte for byte.
+    """_decimal.row_blocks against CPython's "%.17g", byte for byte.
 
     The suite turns warnings into errors, so each case also shows that no
     input, in the kernel's domain or outside it, raises a RuntimeWarning.
@@ -581,17 +604,17 @@ class TestExactReading:
     """The body reader against float(), bit for bit, and against the line reader's error texts."""
 
     @pytest.mark.parametrize("n", [16, 1024, 4096, 2**15, 2**18])
-    def test_solver_profiles(self, n, monkeypatch):
+    def test_solver_profiles(self, tmp_path, n, monkeypatch):
         profile = va.solve_discrete(n)
-        text = va.profile_to_text(profile, comment=f"n={n}")
+        text = percent_text(profile, comment=f"n={n}")
         monkeypatch.setattr(va, "_parse_lines", reject_line_reader)
-        got = va.parse_profile(text)
+        got = load_text(tmp_path / "p.txt", text)
         assert np.array_equal(got.thetas.view(np.int64), profile.thetas.view(np.int64))
         assert np.array_equal(got.values.view(np.int64), profile.values.view(np.int64))
 
     def test_only_zeros_and_exponents_reach_float(self, monkeypatch):
         # every other token of a solver profile, or a power of ten, passes the exact check
-        body = va.profile_to_text(va.solve_discrete(2**15)).partition("\n")[2]
+        body = percent_text(va.solve_discrete(2**15)).partition("\n")[2]
         body += "1 10\n0.01 100000\n"
         seen = []
         monkeypatch.setattr(_decimal, "float", lambda token: seen.append(token) or float(token),
@@ -603,7 +626,7 @@ class TestExactReading:
     def test_wrong_quotients_are_never_kept(self, monkeypatch):
         # a candidate one ulp off, ten times too large or infinite fails the
         # check, so its token goes to float() like any other
-        body = va.profile_to_text(va.solve_discrete(1024)).partition("\n")[2]
+        body = percent_text(va.solve_discrete(1024)).partition("\n")[2]
         body += "0.5 0.5\n0.5 1\n1 1\n"
         corrected = _decimal.corrected
 
@@ -629,30 +652,30 @@ class TestExactReading:
         x = np.concatenate((anywhere, near)).view(np.float64)
         x = x[np.isfinite(x)]
         for rows in np.array_split(x[:len(x) // 2 * 2].reshape(-1, 2), 10):
-            body = _decimal.rows_to_text(rows).decode("ascii")
+            body = b"".join(_decimal.row_blocks(rows)).decode("ascii")
             want = np.array([float(t) for t in body.split()])
             got = read_rows(body)
             assert np.array_equal(got.T.ravel().view(np.int64), want.view(np.int64))
 
-    def test_non_ascii_comment(self, monkeypatch):
+    def test_non_ascii_comment(self, tmp_path, monkeypatch):
         # the top # lines may hold any character but a line break: the rows are still
         # read in blocks, not by the line reader
         profile = va.solve_discrete(4096)
         monkeypatch.setattr(va, "_parse_lines", reject_line_reader)
-        got = va.parse_profile(va.profile_to_text(profile, comment="θ grid"))
+        got = load_text(tmp_path / "p.txt", percent_text(profile, comment="θ grid"))
         assert np.array_equal(got.thetas.view(np.int64), profile.thetas.view(np.int64))
         assert np.array_equal(got.values.view(np.int64), profile.values.view(np.int64))
 
-    def test_rows_across_a_block_cut(self, monkeypatch):
-        profile = va.solve_discrete(4096)
-        text = va.profile_to_text(profile)
+    def test_rows_across_a_block_cut(self, tmp_path, monkeypatch):
+        profile, path = va.solve_discrete(4096), tmp_path / "p.txt"
+        text = percent_text(profile)
         mark = text.index("\n") + 1 + va._READ_BLOCK
         first = text.rindex("\n", 0, mark) + 1  # the row that holds the mark
         cut = text.index("\n", mark) + 1  # the first row of the next block
         assert first < mark < cut - 1
         with monkeypatch.context() as patch:
             patch.setattr(va, "_parse_lines", reject_line_reader)
-            got = va.parse_profile(text)
+            got = load_text(path, text)
         assert np.array_equal(got.values.view(np.int64), profile.values.view(np.int64))
         lineno = text.count("\n", 0, cut) + 1
         for start, line in ((first, lineno - 1), (cut, lineno)):
@@ -660,31 +683,33 @@ class TestExactReading:
                 broken = text[:start] + bad + text[text.index(" ", start):]
                 with pytest.raises(ValueError, match=f"^line {line}: could not convert string "
                                                      f"to float: '{re.escape(bad)}'$"):
-                    va.parse_profile(broken)
-        assert_parses_as_reference(text[:cut] + "1 2 3" + text[text.index("\n", cut):])
+                    load_text(path, broken)
+        assert_parses_as_reference(path, text[:cut] + "1 2 3" + text[text.index("\n", cut):])
 
-    def test_temporaries_are_bounded(self):
-        text = va.profile_to_text(va.solve_discrete(2**15), comment="n=32768")
-        va.parse_profile(text)  # builds the tables
+    def test_temporaries_are_bounded(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_bytes(percent_text(va.solve_discrete(2**15), comment="n=32768").encode())
+        va.load_profile(path)  # builds the tables
         tracemalloc.start()
         try:
-            va.parse_profile(text)
+            va.load_profile(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 1.28 MB measured, less than the 1.29 MB text: parse_profile reads the
-        # text below its # lines in place, so the peak is the 0.5 MB result and
-        # one block's temporaries.  Any whole-text temporary, such as a copy of
-        # the text below each # line, would add 1.3 MB.
-        assert peak - len(text) < 500_000
+        # 2.50 MB measured for the 1.29 MB file: load_profile reads the bytes
+        # below its # lines in place, so the peak is the bytes, the 0.5 MB result
+        # and one block's temporaries, 1.21 MB beside the bytes, less than their
+        # size.  Any whole-text temporary, such as the file decoded or a copy of
+        # the bytes below each # line, would add 1.3 MB.
+        assert peak - 2 * path.stat().st_size < 500_000
 
     def test_writer_temporaries_are_bounded(self):
         profile = va.solve_discrete(2**15)
         rows = np.column_stack((profile.thetas, profile.values))
-        _decimal.rows_to_text(rows)  # builds the tables
+        b"".join(_decimal.row_blocks(rows))  # builds the tables
         tracemalloc.start()
         try:
-            text = _decimal.rows_to_text(rows)
+            text = b"".join(_decimal.row_blocks(rows))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
