@@ -204,6 +204,13 @@ def profile_system(n):
     return stress._slope_system(dx, np.diff(cf.eval_f(x)) / dx, x)
 
 
+def solver_system(n):
+    """The slope system of the spline through solve_discrete(n), as stress --profile splines it."""
+    profile = va.solve_discrete(n)
+    dx = np.diff(profile.thetas)
+    return stress._slope_system(dx, np.diff(profile.values) / dx, profile.thetas)
+
+
 class TestTridiagonal:
     """stress._tridiagonal, the windowed elimination behind the spline's slopes."""
 
@@ -212,8 +219,16 @@ class TestTridiagonal:
         system = profile_system(n)
         assert np.array_equal(stress._tridiagonal(*system), sequential_elimination(*system))
 
-    @pytest.mark.parametrize("warmup, repairs", [(1, True), (48, False)])
-    def test_a_short_warmup_is_repaired(self, monkeypatch, warmup, repairs):
+    @pytest.mark.parametrize("warmup, repairs, system", [
+        pytest.param(1, True, lambda: profile_system(1025), id="1-True"),
+        pytest.param(48, False, lambda: profile_system(1025), id="48-False"),
+        # at 32 rows the warm-up misses on the solver's system at 2^15 intervals, and the
+        # rows left to the repair loop take about 110 ms against 1.4 to 4 ms for the windows
+        pytest.param(48, False, lambda: profile_system(2**15 + 1), id="48-False-32769"),
+        pytest.param(48, False, lambda: profile_system(2**20 + 1), id="48-False-1048577"),
+        pytest.param(48, False, lambda: solver_system(2**15), id="48-False-solve_discrete-32768"),
+    ])
+    def test_a_short_warmup_is_repaired(self, monkeypatch, warmup, repairs, system):
         # a row run on its own, by the repair loop, is a step on 1-element arrays
         sizes = []
 
@@ -223,7 +238,7 @@ class TestTridiagonal:
         step = stress._eliminate
         monkeypatch.setattr(stress, "_eliminate", eliminate)
         monkeypatch.setattr(stress, "_WARMUP", warmup)
-        system = profile_system(1025)
+        system = system()
         got = stress._tridiagonal(*system)
         assert (1 in sizes) is repairs
         assert np.array_equal(got, sequential_elimination(*system))
