@@ -6,11 +6,13 @@ and frozen here; none comes from the code under test.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from flatdisk import closedform as cf
+from flatdisk.projection import ProjectionMode, radius_from_colatitude
 
 TWO_LN2 = 2 * math.log(2)
 # mpmath, 40 digits
@@ -146,6 +148,32 @@ class TestMpmathReference:
             got = fn([0.5, 0.25])
             assert isinstance(got, np.ndarray) and got.shape == (2,)
         assert type(cf.eval_beta_series(0.5, 3)) is float
+
+
+# theta, f, f' and f / (2 ln 2) at 2,006 seeded doubles theta, by mpmath to 30
+# digits (tests/data/regenerate_closed_form_table.py)
+CLOSED_FORM_TABLE = Path(__file__).parent / "data" / "closed_form_mpmath.txt"
+
+
+def ulp_errors(got, want):
+    """|got - want| in ulps of want, decimal strings, each by exact rational arithmetic."""
+    return [float(abs(Fraction(g) - Fraction(w)) / Fraction(math.ulp(float(w))))
+            for g, w in zip(got.tolist(), want)]
+
+
+class TestUlpBudget:
+    # bounds: the smallest power of ten at least twice the largest error on the
+    # table, 2.17 ulp for f, 2.34 for f' and 2.73 for the radius
+    @pytest.mark.parametrize("column, fn", [
+        (1, cf.eval_f), (2, cf.eval_f_prime),
+        (3, lambda t: radius_from_colatitude(t, ProjectionMode.STRESS_MINIMAL)),
+    ], ids=["f", "f_prime", "radius"])
+    def test_within_ten_ulp_of_the_mpmath_table(self, column, fn):
+        rows = [line.split() for line in CLOSED_FORM_TABLE.read_text().splitlines()
+                if not line.startswith("#")]
+        assert len(rows) >= 2000
+        theta = np.array([float(row[0]) for row in rows])
+        assert max(ulp_errors(fn(theta), [row[column] for row in rows])) <= 10
 
 
 class TestDerivatives:
