@@ -255,7 +255,7 @@ _READ_BLOCK = 2**16  # bytes per step of read_rows, cut after a "\n": bounds its
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _body_rows(data: bytes, start: int = 0):
+def _body_rows(data: bytes, start: int):
     """(thetas, values) of the body of data[start:]: what lies below its top # lines,
     read in place as float() reads it, never copied whole.  None where the body is not
     rows "token token\\n" of 0-9 . e - + (_decimal.read_rows), or where those lines

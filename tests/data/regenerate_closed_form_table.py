@@ -50,7 +50,7 @@ def row(theta):
         values = (mp.mpf(0), (1 + mp.log(2)) / 2, mp.mpf(0))
     else:
         values = (f(t), f_prime(t), f(t) / (2 * mp.log(2)))
-        if 1e-3 < theta:  # the original form, whose terms cancel near the pole, agrees
+        if theta > 1e-3:  # the original form, whose terms cancel near the pole, agrees
             original = (2 * mp.log(2) - (1 + mp.cos(t)) * mp.log1p(mp.cos(t))) / mp.sin(t)
             assert abs(original / values[0] - 1) < mp.mpf(10) ** -40
             assert abs(mp.diff(f, t) / values[1] - 1) < mp.mpf(10) ** -30

@@ -1,7 +1,7 @@
 """Tests for the closed-form solution chain.
 
-Reference values were computed independently with 40- and 60-digit mpmath
-and frozen here; none comes from the code under test.
+Reference values were computed independently with 40-, 50- and 60-digit
+mpmath and frozen here; none comes from the code under test.
 """
 
 import math

@@ -219,7 +219,7 @@ class TestTridiagonal:
         system = profile_system(n)
         assert np.array_equal(stress._tridiagonal(*system), sequential_elimination(*system))
 
-    @pytest.mark.parametrize("warmup, repairs, system", [
+    @pytest.mark.parametrize("warmup, repairs, build", [
         pytest.param(1, True, lambda: profile_system(1025), id="1-True"),
         pytest.param(48, False, lambda: profile_system(1025), id="48-False"),
         # at 32 rows the warm-up misses on the solver's system at 2^15 intervals, and the
@@ -228,7 +228,7 @@ class TestTridiagonal:
         pytest.param(48, False, lambda: profile_system(2**20 + 1), id="48-False-1048577"),
         pytest.param(48, False, lambda: solver_system(2**15), id="48-False-solve_discrete-32768"),
     ])
-    def test_a_short_warmup_is_repaired(self, monkeypatch, warmup, repairs, system):
+    def test_a_short_warmup_is_repaired(self, monkeypatch, warmup, repairs, build):
         # a row run on its own, by the repair loop, is a step on 1-element arrays
         sizes = []
 
@@ -238,7 +238,7 @@ class TestTridiagonal:
         step = stress._eliminate
         monkeypatch.setattr(stress, "_eliminate", eliminate)
         monkeypatch.setattr(stress, "_WARMUP", warmup)
-        system = system()
+        system = build()
         got = stress._tridiagonal(*system)
         assert (1 in sizes) is repairs
         assert np.array_equal(got, sequential_elimination(*system))

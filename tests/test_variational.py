@@ -247,14 +247,12 @@ class TestSolveDiscrete:
         np.testing.assert_allclose(va._cyclic_reduction(diag, off)(rhs), x, rtol=0, atol=1e-14)
 
 
-HEADER = "# flat-disk radial profile: theta f(theta)\n"
-
-
 def percent_text(profile, comment=""):
     """The text save_profile writes: its # lines, then CPython's "%.17g %.17g\\n" % (theta, f)
     for each node."""
+    head = "# flat-disk radial profile: theta f(theta)\n" + (f"# {comment}\n" if comment else "")
     rows = zip(profile.thetas.tolist(), profile.values.tolist())
-    return HEADER + (f"# {comment}\n" if comment else "") + "".join("%.17g %.17g\n" % r for r in rows)
+    return head + "".join("%.17g %.17g\n" % r for r in rows)
 
 
 def load_text(path, text):
@@ -302,14 +300,13 @@ def odd_layouts():
 
     Each ASCII character, the non-ASCII line breaks and spaces and full-width
     digits go inside a token, between tokens, at a line start and into the #
-    header; then come "\r" line ends, numbers that
-    float() reads but the digit reader leaves to it, mid-row #, one, three
-    and four columns, a last row cut short, and empty and blank texts.  Last
-    come value tokens at the edges of its exact check, written in place of
-    "2" and "4": 18 to 20 digits (np.fromstring saturates), signs, lone
-    points, exponents, exact ties between two doubles, 17 digits on each
-    side of a power of ten, and 17 digits one unit either side of the
-    midpoint of two adjacent doubles.
+    header; then come "\r" line ends, numbers that float() reads but the digit
+    reader leaves to it, mid-row #, one, three and four columns, a last row
+    cut short, and empty and blank texts.  Last come value tokens at the
+    edges of its exact check, written in place of "2" and "4": 18 to 20
+    digits (np.fromstring saturates), signs, lone points, exponents, exact
+    ties between two doubles, 17 digits on each side of a power of ten, and
+    17 digits one unit either side of the midpoint of two adjacent doubles.
     """
     marks = [chr(c) for c in range(128)] + ["\x85", "\u2028", "\u2029", "\xa0", "\uff11\uff10"]
     for mark in marks:
